@@ -29,8 +29,7 @@ def main() -> int:
     rows = []
     for oracle in (sp.make_ball(np.zeros(2)), sp.make_hyperbolic_set()):
         for eps in ladder:
-            est = sp.prob_value(oracle, [args.x], model, dirs, eps=eps,
-                                keep_directions=False)
+            est = sp.evaluate(oracle, [args.x], model, dirs, eps=eps)
             rows.append((oracle.name, eps, est.value))
             print(f"{oracle.name:16s} eps={eps:<7g} value={est.value:.6f}")
     with open(args.out, "w", encoding="utf-8", newline="") as fh:

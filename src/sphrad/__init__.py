@@ -6,20 +6,18 @@ from .errors import (BracketFailure, ConfigError, InteriorViolated,
                      LPInfeasible, MissingSensitivity, NoFeasibleStart,
                      NotPositiveDefinite, NumericalError, ProjectionDiverged,
                      SolverError, TransversalityBreakdown)
-from .estimates import (GradEstimate, ProbEstimate, growth_report,
-                        prob_gradient, prob_gradient_enlarged, prob_value)
+from .estimates import Evaluation, GradEstimate, ProbEstimate, evaluate
 from .gaussian import (DEFAULT_SEED, DirectionSet, GaussianModel, RadialLaw,
                        SphereMethod, build_model, chi_cdf, chi_pdf,
                        chi_quantile, sample_sphere)
-from .oracles import (AffineDomainCap, ConvexSetOracle, GrowthDiagnostic,
-                      InequalitySystem, build_energy_covariance, make_ball,
-                      make_constant, make_energy_system, make_halfspace,
-                      make_hyperbolic_set, make_hyperbolic_system, make_slab,
-                      slab_threshold)
-from .radial import (DirectionKind, RadialHit, RootOptions, classify_direction,
-                     radial_root_enlarged, radial_root_inequality)
+from .oracles import (AffineDomainCap, ConvexSetOracle, InequalitySystem,
+                      build_energy_covariance, make_ball, make_constant,
+                      make_energy_system, make_halfspace, make_hyperbolic_set,
+                      make_hyperbolic_system, make_slab, slab_threshold)
+from .radial import (RadialHit, RootOptions, radial_root_enlarged,
+                     radial_root_inequality)
 from .solver import (ChanceProblem, IterationRecord, SolveOptions, SolveTrace,
                      solve, validate)
-from .energy import EnergyParams, default_params, make_energy_problem, starting_point
+from .energy import EnergyParams, make_energy_problem, starting_point
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .energy import EnergyParams, make_energy_problem
 from .errors import ConfigError, NumericalError, SolverError
-from .estimates import prob_gradient, prob_gradient_enlarged, prob_value
+from .estimates import evaluate
 from .gaussian import DEFAULT_SEED, SphereMethod, build_model, sample_sphere
 from .oracles import (ConvexSetOracle, make_ball, make_constant,
                       make_halfspace, make_hyperbolic_set,
@@ -50,7 +50,6 @@ class RunConfig:
     tie_policy: str = "average"
     check_fd: bool = False
     out: str = None
-    threads: int = 1
     quick: bool = False
     dim: int = 2
     directions_csv: str = None
@@ -66,8 +65,6 @@ class RunConfig:
             raise ConfigError(f"unknown tie policy {self.tie_policy!r}")
         if self.n < 1:
             raise ConfigError("n must be a positive direction count")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if self.eps is not None and self.eps < 0:
             raise ConfigError("eps must be nonnegative")
         if self.dim < 1:
@@ -149,13 +146,16 @@ def _dump_json(payload: dict, out):
     sys.stdout.write(text)
 
 
-def _dump_directions_csv(path, est):
+def _dump_directions_csv(path, ev):
+    hits = ev.hits
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["index", "rho", "e", "finite", "active"])
-        for idx, hit, e in est.per_direction:
-            writer.writerow([idx, repr(hit.rho), repr(e), int(hit.finite),
-                             "|".join(str(i) for i in hit.active)])
+        for idx, (rho, e, finite, act) in enumerate(zip(
+                hits.rho.tolist(), ev.e.tolist(), hits.finite.tolist(),
+                hits.act.T.tolist())):
+            writer.writerow([idx, repr(rho), repr(e), int(finite),
+                             "|".join(str(i) for i, a in enumerate(act) if a)])
 
 
 def _common_payload(cfg: RunConfig) -> dict:
@@ -167,20 +167,18 @@ def _common_payload(cfg: RunConfig) -> dict:
         "n": cfg.n,
         "seed": cfg.seed,
         "method": cfg.method,
-        "threads": cfg.threads,
     }
 
 
 def cmd_eval(cfg: RunConfig) -> int:
     target, model, eps = _build_fixture(cfg)
     dirs = sample_sphere(model.dim, cfg.n, seed=cfg.seed, method=SphereMethod(cfg.method))
-    est = prob_value(target, cfg.x, model, dirs, eps=eps,
-                     keep_directions=bool(cfg.directions_csv))
+    ev = evaluate(target, cfg.x, model, dirs, eps=eps)
     payload = {"command": "eval", **_common_payload(cfg),
-               "value": est.value, "std_error": est.std_error,
-               "n_infinite": est.n_infinite}
+               "value": ev.value, "std_error": ev.std_error,
+               "n_infinite": ev.n_infinite}
     if cfg.directions_csv:
-        _dump_directions_csv(cfg.directions_csv, est)
+        _dump_directions_csv(cfg.directions_csv, ev)
         payload["directions_csv"] = cfg.directions_csv
     _dump_json(payload, cfg.out)
     return 0
@@ -189,14 +187,9 @@ def cmd_eval(cfg: RunConfig) -> int:
 def cmd_grad(cfg: RunConfig) -> int:
     target, model, eps = _build_fixture(cfg)
     dirs = sample_sphere(model.dim, cfg.n, seed=cfg.seed, method=SphereMethod(cfg.method))
-    if isinstance(target, ConvexSetOracle):
-        if not eps or eps <= 0:
-            raise ConfigError("gradient of a set oracle needs --eps > 0")
-        est = prob_gradient_enlarged(target, cfg.x, eps, model, dirs,
-                                     keep_directions=False)
-    else:
-        est = prob_gradient(target, cfg.x, model, dirs, tie_policy=cfg.tie_policy,
-                            keep_directions=False)
+    if isinstance(target, ConvexSetOracle) and (not eps or eps <= 0):
+        raise ConfigError("gradient of a set oracle needs --eps > 0")
+    est = evaluate(target, cfg.x, model, dirs, eps=eps).gradient(cfg.tie_policy)
     payload = {"command": "grad", **_common_payload(cfg),
                "tie_policy": cfg.tie_policy,
                "gradient": [float(v) for v in est.gradient],
@@ -209,8 +202,8 @@ def cmd_grad(cfg: RunConfig) -> int:
             xp, xm = x.copy(), x.copy()
             xp[i] += h
             xm[i] -= h
-            fp = prob_value(target, xp, model, dirs, eps=eps, keep_directions=False).value
-            fm = prob_value(target, xm, model, dirs, eps=eps, keep_directions=False).value
+            fp = evaluate(target, xp, model, dirs, eps=eps).value
+            fm = evaluate(target, xm, model, dirs, eps=eps).value
             fd[i] = (fp - fm) / (2 * h)
         rel = float(np.linalg.norm(fd - est.gradient)
                     / max(np.linalg.norm(est.gradient), 1e-12))
@@ -236,7 +229,7 @@ def cmd_solve_energy(cfg: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = {"version": __version__, "n": cfg.n, "seed": cfg.seed,
             "method": cfg.method, "validate_n": cfg.validate_n,
-            "validate_seed": problem.validate_dirs.seed, "threads": cfg.threads,
+            "validate_seed": problem.validate_dirs.seed,
             "params": dataclasses.asdict(params)}
     final = trace.records[-1]
     solution = {"command": "solve-energy", **meta, "status": trace.status,
@@ -282,7 +275,6 @@ def _add_common(p):
     p.add_argument("--tie-policy", dest="tie_policy", choices=["average", "min_index"])
     p.add_argument("--dim", type=int, help="ambient dimension for synthetic fixtures")
     p.add_argument("--out", help="output path")
-    p.add_argument("--threads", type=int, help="worker count (execution is sequential)")
     p.add_argument("--quick", action="store_true", default=None)
     p.add_argument("--directions-csv", dest="directions_csv",
                    help="write per-direction records to this CSV")

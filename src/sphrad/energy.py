@@ -43,10 +43,6 @@ class EnergyParams:
             raise ValueError("periods must be >= 1")
 
 
-def default_params() -> EnergyParams:
-    return EnergyParams()
-
-
 def starting_point(params: EnergyParams) -> np.ndarray:
     """Commit no wind and full generation; the safest interior start."""
     T = params.periods
@@ -63,7 +59,7 @@ def make_energy_problem(params: EnergyParams = None, n_dirs: int = 10000,
     numbers); validation uses an independent, larger Monte Carlo set so a
     standard error is available.
     """
-    params = params or default_params()
+    params = params or EnergyParams()
     model = build_energy_covariance(params)
     system = make_energy_system(params)
     T = params.periods

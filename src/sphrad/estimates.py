@@ -1,13 +1,13 @@
-"""Probability values, gradients, and growth diagnostics from radial hits.
+"""Probability values and gradients from one ray solve per decision.
 
 The probability of the feasible event is the direction-average of the chi
 cdf at the radial function; infinite directions contribute exactly one.
-The gradient estimator weighs, per finite direction, the decision gradient
-of each active constraint by the chi density at the hit over the ray slope
-of that constraint.  Evaluating value and gradient on one fixed direction
-set (common random numbers) makes both smooth deterministic functions of
-the decision, which the finite-difference identities and the outer solver
-rely on.
+The gradient reads the same hits: per finite direction it weighs a
+decision-space normal of each active constraint by the chi density at the
+hit over the ray slope of that constraint.  Evaluating value and gradient
+on one fixed direction set (common random numbers) makes both smooth
+deterministic functions of the decision, which the finite-difference
+identities and the outer solver rely on.
 """
 
 from __future__ import annotations
@@ -19,25 +19,8 @@ import numpy as np
 
 from .errors import MissingSensitivity, TransversalityBreakdown
 from .gaussian import DirectionSet, GaussianModel, RadialLaw, SphereMethod, chi_cdf, chi_pdf
-from .oracles import ConvexSetOracle, GrowthDiagnostic, InequalitySystem
-from .radial import (HitBatch, RootOptions, _hit_from_batch, enlarged_hits,
-                     inequality_hits)
-
-
-@dataclass(frozen=True)
-class ProbEstimate:
-    """Estimated probability with per-direction detail.
-
-    ``std_error`` is the Monte Carlo standard error and is ``None`` in QMC
-    mode, where error is assessed by scramble replication instead.
-    ``per_direction`` holds (index, RadialHit, contribution) triples when
-    requested.
-    """
-
-    value: float
-    std_error: Optional[float]
-    n_infinite: int
-    per_direction: Optional[tuple]
+from .oracles import ConvexSetOracle, InequalitySystem
+from .radial import HitBatch, RootOptions, enlarged_hits, inequality_hits
 
 
 @dataclass(frozen=True)
@@ -46,63 +29,129 @@ class GradEstimate:
 
     ``tie_fraction`` is the fraction of directions whose active set has more
     than one element; with no ties the estimate is the gradient of the
-    common-random-numbers value estimator.  ``per_direction`` holds the raw
-    per-direction contributions, shape (n_directions, x_dim).
+    common-random-numbers value estimator.  ``w`` holds the per-direction
+    contributions, shape (n_directions, x_dim).
+
+    The growth check ``max_ratio`` is the largest |grad_x g| / |grad_z g|
+    over the finite boundary hits (|sensitivity| / |u| for a set oracle),
+    attained at a point of norm ``at_point_norm`` on constraint
+    ``at_constraint`` (-1 when no hit is finite); ``n_points`` counts the
+    finite hits.  Together with the chi density the ratio bounds the
+    per-direction weight, so a finite ratio is evidence the gradient
+    estimator is well posed near ``x``.
     """
 
     gradient: np.ndarray
     tie_fraction: float
-    per_direction: Optional[np.ndarray]
+    w: np.ndarray
+    max_ratio: float
+    at_point_norm: float
+    at_constraint: int
+    n_points: int
 
 
-def _check_dirs(dirs: DirectionSet, model: GaussianModel):
-    if dirs.n < 1:
-        raise ValueError("direction set is empty")
-    if dirs.dim != model.dim:
-        raise ValueError(f"direction dimension {dirs.dim} != model dimension {model.dim}")
+@dataclass(frozen=True)
+class ProbEstimate:
+    """Estimated probability and its error bar.
 
-
-def _solve_batch(target, x, model, dirs, opts, eps) -> HitBatch:
-    if isinstance(target, InequalitySystem):
-        if eps not in (None, 0, 0.0):
-            raise ValueError("eps enlargement applies to set oracles only")
-        return inequality_hits(target, x, dirs.directions, model, opts)
-    if isinstance(target, ConvexSetOracle):
-        return enlarged_hits(target, x, dirs.directions, 0.0 if eps is None else float(eps),
-                             model, opts)
-    raise TypeError(f"unsupported target {type(target).__name__}")
-
-
-def _materialize(batch: HitBatch, target, x, contrib) -> tuple:
-    records = []
-    kwargs = ({"system": target} if batch.mode == "inequality" else {"oracle": target})
-    for row in range(batch.rho.shape[0]):
-        hit = _hit_from_batch(batch, row, x=x, **kwargs)
-        records.append((row, hit, float(contrib[row])))
-    return tuple(records)
-
-
-def prob_value(target, x, model: GaussianModel, dirs: DirectionSet,
-               opts: RootOptions = None, eps: float = None,
-               keep_directions: bool = True) -> ProbEstimate:
-    """Estimate P[every constraint holds] at decision ``x``.
-
-    ``target`` is an :class:`InequalitySystem`, or a :class:`ConvexSetOracle`
-    together with an enlargement radius ``eps >= 0``.
+    ``std_error`` is the Monte Carlo standard error and is ``None`` in QMC
+    mode, where no error bar is computed.
     """
-    _check_dirs(dirs, model)
-    batch = _solve_batch(target, x, model, dirs, opts, eps)
-    law = RadialLaw(model.dim)
-    e = np.asarray(chi_cdf(law, batch.rho))
-    value = float(dirs.weights @ e)
-    if dirs.method is SphereMethod.MONTE_CARLO and dirs.n > 1:
-        std_error = float(np.std(e, ddof=1) / np.sqrt(dirs.n))
-    else:
-        std_error = None
-    per_direction = _materialize(batch, target, x, e) if keep_directions else None
-    return ProbEstimate(value=value, std_error=std_error,
-                        n_infinite=int((~batch.finite).sum()),
-                        per_direction=per_direction)
+
+    value: float
+    std_error: Optional[float]
+    n_infinite: int
+
+
+@dataclass(frozen=True)
+class Evaluation(ProbEstimate):
+    """Probability estimate at one decision, with the ray solve it reads.
+
+    ``e`` holds the per-direction contributions (the chi cdf at the radial
+    function).  ``hits`` is the ray solve; :meth:`gradient` reads it, so
+    value and gradient at one decision cost one solve.  Both are arrays
+    over the direction set; keep a :class:`ProbEstimate` instead where only
+    the estimate outlives the call.
+    """
+
+    e: np.ndarray
+    hits: HitBatch
+    target: object
+    x: np.ndarray
+    model: GaussianModel
+    dirs: DirectionSet
+    opts: RootOptions
+
+    def _normals(self):
+        """Yield (constraint, mask, decision normal, z normal) per active set.
+
+        The ray slope is the z normal against ``L v``: ``grad_z g`` for an
+        inequality system, the projection residual ``u`` (norm eps) for a
+        set oracle, whose decision normal is the oracle's sensitivity.
+        """
+        hits, x, target = self.hits, self.x, self.target
+        if hits.mode == "oracle":
+            mask = hits.finite
+            if mask.any():
+                Z = hits.boundary[mask]
+                P = target.project(x, Z)
+                U = Z - P
+                yield 0, mask, np.asarray(target.sensitivity(x, Z, P, U), dtype=float), U
+            return
+        for i in range(target.s):
+            mask = hits.act[i] & hits.finite
+            if mask.any():
+                Z = hits.boundary[mask]
+                yield (i, mask, np.asarray(target.grad_x_g(i, x, Z), dtype=float),
+                       np.asarray(target.grad_z_g(i, x, Z), dtype=float))
+
+    def gradient(self, tie_policy: str = "average") -> GradEstimate:
+        """Estimate the gradient from the hits of this evaluation.
+
+        Per finite direction the contribution is
+        ``-pdf(rho) * sum_{i active} lambda_i * n_i / <z_i, Lv>`` with
+        ``(n_i, z_i)`` the decision and z normals of :meth:`_normals`;
+        infinite directions contribute zero.  Ties are split uniformly
+        (``average``) or resolved to the smallest active index
+        (``min_index``); with ties present the result is one element of the
+        subdifferential hull rather than the gradient.  A set oracle needs
+        ``eps > 0`` and a sensitivity callback.
+        """
+        hits = self.hits
+        if hits.mode == "oracle":
+            if hits.eps <= 0:
+                raise ValueError("eps must be positive")
+            if self.target.sensitivity is None:
+                raise MissingSensitivity(
+                    f"{self.target.name}: enlarged gradients need a sensitivity callback")
+        pdf = np.asarray(chi_pdf(RadialLaw(self.model.dim), hits.rho))
+        lam = _tie_weights(hits, tie_policy)
+        w = np.zeros((self.dirs.n, self.target.x_dim))
+        max_ratio, at_norm, at_constraint = 0.0, 0.0, -1
+        for i, mask, gx, gz in self._normals():
+            slope = np.einsum("km,km->k", gz, hits.lv[mask])
+            if np.any(slope <= self.opts.slope_floor):
+                offender = int(np.flatnonzero(mask)[np.argmin(slope)])
+                raise TransversalityBreakdown(
+                    f"constraint {i}: ray slope {slope.min():.3e} at direction "
+                    f"{offender} is below the slope floor", direction_index=offender)
+            coef = -pdf[mask] * lam[i][mask] / slope
+            w[mask] += coef[:, None] * gx
+            gx_norm = np.linalg.norm(gx, axis=1)
+            gz_norm = np.linalg.norm(gz, axis=1)
+            ratio = np.where(gz_norm > 0, gx_norm / np.where(gz_norm > 0, gz_norm, np.inf),
+                             np.inf)
+            j = int(np.argmax(ratio))
+            if ratio[j] > max_ratio:
+                max_ratio = float(ratio[j])
+                at_norm = float(np.linalg.norm(hits.boundary[mask][j]))
+                at_constraint = i
+        # Domain caps are x-independent: they contribute nothing to the gradient
+        # but still take their share of the tie weight.
+        return GradEstimate(gradient=self.dirs.weights @ w,
+                            tie_fraction=float(np.mean(hits.n_active > 1)), w=w,
+                            max_ratio=max_ratio, at_point_norm=at_norm,
+                            at_constraint=at_constraint, n_points=int(hits.finite.sum()))
 
 
 def _tie_weights(batch: HitBatch, tie_policy: str) -> np.ndarray:
@@ -121,120 +170,34 @@ def _tie_weights(batch: HitBatch, tie_policy: str) -> np.ndarray:
     return lam
 
 
-def prob_gradient(system: InequalitySystem, x, model: GaussianModel,
-                  dirs: DirectionSet, opts: RootOptions = None,
-                  tie_policy: str = "average",
-                  keep_directions: bool = True) -> GradEstimate:
-    """Estimate the gradient of the probability of an inequality system.
+def evaluate(target, x, model: GaussianModel, dirs: DirectionSet,
+             eps: float = None, opts: RootOptions = None) -> Evaluation:
+    """Estimate P[every constraint holds] at decision ``x`` from one ray solve.
 
-    Per finite direction the contribution is
-    ``-pdf(rho) * sum_{i active} lambda_i * grad_x g_i / <grad_z g_i, Lv>``
-    evaluated at the boundary point; infinite directions contribute zero.
-    Ties are split uniformly (``average``) or resolved to the smallest
-    active index (``min_index``); with ties present the result is one
-    element of the subdifferential hull rather than the gradient.
+    ``target`` is an :class:`InequalitySystem`, or a :class:`ConvexSetOracle`
+    together with an enlargement radius ``eps >= 0``.  The gradient at the
+    same decision is read from the returned evaluation.
     """
-    _check_dirs(dirs, model)
+    if dirs.n < 1:
+        raise ValueError("direction set is empty")
+    if dirs.dim != model.dim:
+        raise ValueError(f"direction dimension {dirs.dim} != model dimension {model.dim}")
     opts = opts or RootOptions()
     x = np.asarray(x, dtype=float).reshape(-1)
-    batch = inequality_hits(system, x, dirs.directions, model, opts)
-    law = RadialLaw(model.dim)
-    pdf = np.asarray(chi_pdf(law, np.where(batch.finite, batch.rho, np.inf)))
-    lam = _tie_weights(batch, tie_policy)
-    n_dirs = dirs.n
-    w = np.zeros((n_dirs, system.x_dim))
-    for i in range(system.s):
-        mask = batch.act[i] & batch.finite
-        if not mask.any():
-            continue
-        Z = batch.boundary[mask]
-        gx = np.asarray(system.grad_x_g(i, x, Z), dtype=float)
-        gz = np.asarray(system.grad_z_g(i, x, Z), dtype=float)
-        slope = np.einsum("km,km->k", gz, batch.lv[mask])
-        if np.any(slope <= opts.slope_floor):
-            offender = int(np.flatnonzero(mask)[np.argmin(slope)])
-            raise TransversalityBreakdown(
-                f"constraint {i}: ray slope {slope.min():.3e} at direction "
-                f"{offender} is below the slope floor", direction_index=offender)
-        coef = -pdf[mask] * lam[i][mask] / slope
-        w[mask] += coef[:, None] * gx
-    # Domain caps are x-independent: they contribute nothing to the gradient
-    # but still take their share of the tie weight.
-    gradient = dirs.weights @ w
-    tie_fraction = float(np.mean(batch.n_active > 1))
-    return GradEstimate(gradient=gradient, tie_fraction=tie_fraction,
-                        per_direction=w if keep_directions else None)
-
-
-def prob_gradient_enlarged(oracle: ConvexSetOracle, x, eps: float,
-                           model: GaussianModel, dirs: DirectionSet,
-                           opts: RootOptions = None,
-                           keep_directions: bool = True) -> GradEstimate:
-    """Estimate the gradient of the eps-enlarged probability of a set oracle.
-
-    Requires the oracle's decision-space ``sensitivity`` callback; the
-    per-direction weight is ``pdf(rho_eps) / <u, Lv>`` with ``u`` the
-    projection residual of the boundary point (norm eps).
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if oracle.sensitivity is None:
-        raise MissingSensitivity(
-            f"{oracle.name}: enlarged gradients need a sensitivity callback")
-    _check_dirs(dirs, model)
-    opts = opts or RootOptions()
-    x = np.asarray(x, dtype=float).reshape(-1)
-    batch = enlarged_hits(oracle, x, dirs.directions, eps, model, opts)
-    law = RadialLaw(model.dim)
-    pdf = np.asarray(chi_pdf(law, np.where(batch.finite, batch.rho, np.inf)))
-    w = np.zeros((dirs.n, oracle.x_dim))
-    mask = batch.finite
-    if mask.any():
-        Z = batch.boundary[mask]
-        P = oracle.project(x, Z)
-        U = Z - P
-        slope = np.einsum("km,km->k", U, batch.lv[mask])
-        if np.any(slope <= opts.slope_floor):
-            offender = int(np.flatnonzero(mask)[np.argmin(slope)])
-            raise TransversalityBreakdown(
-                f"residual slope {slope.min():.3e} at direction {offender} "
-                "is below the slope floor", direction_index=offender)
-        xs = np.asarray(oracle.sensitivity(x, Z, P, U), dtype=float)
-        w[mask] = -(pdf[mask] / slope)[:, None] * xs
-    gradient = dirs.weights @ w
-    tie_fraction = 0.0
-    return GradEstimate(gradient=gradient, tie_fraction=tie_fraction,
-                        per_direction=w if keep_directions else None)
-
-
-def growth_report(system: InequalitySystem, x, dirs: DirectionSet,
-                  model: GaussianModel, opts: RootOptions = None) -> GrowthDiagnostic:
-    """Evaluate |grad_x g| / |grad_z g| at every finite boundary hit.
-
-    The worst ratio bounds the per-direction gradient weight together with
-    the chi density, so a finite report is evidence the gradient estimator
-    is well posed near ``x``.
-    """
-    _check_dirs(dirs, model)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    batch = inequality_hits(system, x, dirs.directions, model, opts)
-    max_ratio = 0.0
-    at_norm = 0.0
-    at_constraint = -1
-    n_points = int(batch.finite.sum())
-    for i in range(system.s):
-        mask = batch.act[i] & batch.finite
-        if not mask.any():
-            continue
-        Z = batch.boundary[mask]
-        gx = np.linalg.norm(np.asarray(system.grad_x_g(i, x, Z), dtype=float), axis=1)
-        gz = np.linalg.norm(np.asarray(system.grad_z_g(i, x, Z), dtype=float), axis=1)
-        ratio = gx / np.where(gz > 0, gz, np.inf)
-        ratio = np.where(gz > 0, ratio, np.inf)
-        j = int(np.argmax(ratio))
-        if ratio[j] > max_ratio:
-            max_ratio = float(ratio[j])
-            at_norm = float(np.linalg.norm(Z[j]))
-            at_constraint = i
-    return GrowthDiagnostic(max_ratio=max_ratio, at_point_norm=at_norm,
-                            at_constraint=at_constraint, n_points=n_points)
+    if isinstance(target, InequalitySystem):
+        if eps not in (None, 0, 0.0):
+            raise ValueError("eps enlargement applies to set oracles only")
+        hits = inequality_hits(target, x, dirs.directions, model, opts)
+    elif isinstance(target, ConvexSetOracle):
+        hits = enlarged_hits(target, x, dirs.directions, 0.0 if eps is None else float(eps),
+                             model, opts)
+    else:
+        raise TypeError(f"unsupported target {type(target).__name__}")
+    e = np.asarray(chi_cdf(RadialLaw(model.dim), hits.rho))
+    if dirs.method is SphereMethod.MONTE_CARLO and dirs.n > 1:
+        std_error = float(np.std(e, ddof=1) / np.sqrt(dirs.n))
+    else:
+        std_error = None
+    return Evaluation(value=float(dirs.weights @ e), std_error=std_error,
+                      n_infinite=int((~hits.finite).sum()), e=e, hits=hits,
+                      target=target, x=x, model=model, dirs=dirs, opts=opts)

@@ -70,16 +70,6 @@ class ConvexSetOracle:
     name: str = "set"
 
 
-@dataclass(frozen=True)
-class GrowthDiagnostic:
-    """Empirical growth check: max of |grad_x g| / |grad_z g| over boundary hits."""
-
-    max_ratio: float
-    at_point_norm: float
-    at_constraint: int
-    n_points: int
-
-
 def check_interior(system: InequalitySystem, x, mean) -> None:
     """Require g_i(x, mean) < 0 for every i and strict cap validity at the mean."""
     x = np.asarray(x, dtype=float).reshape(-1)

@@ -15,7 +15,6 @@ per-direction operations wrap batches of size one.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Optional
 
@@ -40,11 +39,6 @@ class RootOptions:
     max_bisections: int = 200
     newton_polish: bool = True
     slope_floor: float = 1e-12
-
-
-class DirectionKind(enum.Enum):
-    FINITE = "finite"
-    INFINITE = "infinite"
 
 
 @dataclass(frozen=True)
@@ -74,10 +68,8 @@ class HitBatch:
     lv: np.ndarray             # (N, m), rows L @ v
     act: np.ndarray            # (s + n_caps, N) bool; oracle mode: (1, N)
     n_active: np.ndarray       # (N,) int
-    n_real: int                # count of real constraints (s); 1 in oracle mode
     mode: str                  # "inequality" | "oracle"
     eps: float = 0.0
-    r_max: float = np.inf
 
 
 def _resolve_r_max(model: GaussianModel, opts: RootOptions) -> float:
@@ -196,8 +188,7 @@ def inequality_hits(system: InequalitySystem, x, dirs: np.ndarray,
     if finite.any():
         boundary[finite] = mean + rho[finite, None] * LV[finite]
     return HitBatch(rho=rho, finite=finite, boundary=boundary, lv=LV, act=act,
-                    n_active=n_active, n_real=system.s, mode="inequality",
-                    r_max=r_max)
+                    n_active=n_active, mode="inequality")
 
 
 def enlarged_hits(oracle: ConvexSetOracle, x, dirs: np.ndarray, eps: float,
@@ -241,8 +232,7 @@ def enlarged_hits(oracle: ConvexSetOracle, x, dirs: np.ndarray, eps: float,
     if finite.any():
         boundary[finite] = mean + rho[finite, None] * LV[finite]
     return HitBatch(rho=rho, finite=finite, boundary=boundary, lv=LV, act=act,
-                    n_active=act.sum(axis=0), n_real=1, mode="oracle", eps=eps,
-                    r_max=r_max)
+                    n_active=act.sum(axis=0), mode="oracle", eps=eps)
 
 
 def _require_unit(v):
@@ -300,8 +290,3 @@ def radial_root_enlarged(oracle: ConvexSetOracle, x, v, eps: float,
     v = _require_unit(v)
     batch = enlarged_hits(oracle, x, v[None, :], eps, model, opts)
     return _hit_from_batch(batch, 0, oracle=oracle, x=x)
-
-
-def classify_direction(hit: RadialHit) -> DirectionKind:
-    """A direction is finite when its ray leaves the (enlarged) feasible set."""
-    return DirectionKind.FINITE if hit.finite else DirectionKind.INFINITE

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InteriorViolated, LPInfeasible, NoFeasibleStart
-from .estimates import ProbEstimate, prob_gradient, prob_value
+from .estimates import ProbEstimate, evaluate
 from .gaussian import DirectionSet, GaussianModel
 from .oracles import InequalitySystem
 from .radial import RootOptions
@@ -129,27 +129,22 @@ def _lp_box_cut(cost, lower, upper, a, b):
     return x, gap <= 1e-9, False
 
 
-def _phat(problem, x, opts):
-    est = prob_value(problem.system, x, problem.model, problem.eval_dirs,
-                     opts=opts.root_opts, keep_directions=False)
-    return est.value
-
-
-def _ghat(problem, x, opts):
-    est = prob_gradient(problem.system, x, problem.model, problem.eval_dirs,
-                        opts=opts.root_opts, tie_policy=opts.tie_policy,
-                        keep_directions=False)
-    return est.gradient
+def _evaluate(problem, x, opts):
+    return evaluate(problem.system, x, problem.model, problem.eval_dirs,
+                    opts=opts.root_opts)
 
 
 def _feasibility_phase(problem, x, opts):
-    """Projected gradient ascent on phat until p + feas_margin is reached."""
+    """Projected gradient ascent on phat until p + feas_margin is reached.
+
+    Returns the reached point and its evaluation.
+    """
     p = problem.p_level
-    phat = _phat(problem, x, opts)
-    if phat >= p + opts.feas_margin:
-        return x, phat
+    ev = _evaluate(problem, x, opts)
+    if ev.value >= p + opts.feas_margin:
+        return x, ev
     for _ in range(opts.feas_steps):
-        g = _ghat(problem, x, opts)
+        g = ev.gradient(opts.tie_policy).gradient
         gnorm = np.linalg.norm(g)
         if gnorm == 0:
             break
@@ -160,20 +155,20 @@ def _feasibility_phase(problem, x, opts):
             if np.max(np.abs(x_try - x)) == 0:
                 break
             try:
-                p_try = _phat(problem, x_try, opts)
+                ev_try = _evaluate(problem, x_try, opts)
             except InteriorViolated:
                 alpha *= 0.5
                 continue
-            if p_try > phat + 1e-12:
-                x, phat, moved = x_try, p_try, True
+            if ev_try.value > ev.value + 1e-12:
+                x, ev, moved = x_try, ev_try, True
                 break
             alpha *= 0.5
         if not moved:
             break
-        if phat >= p + opts.feas_margin:
-            return x, phat
+        if ev.value >= p + opts.feas_margin:
+            return x, ev
     raise NoFeasibleStart(
-        f"feasibility phase stalled at phat = {phat:.6f} < {p} + {opts.feas_margin}")
+        f"feasibility phase stalled at phat = {ev.value:.6f} < {p} + {opts.feas_margin}")
 
 
 def solve(problem: ChanceProblem, opts: SolveOptions = None):
@@ -187,11 +182,12 @@ def solve(problem: ChanceProblem, opts: SolveOptions = None):
     p = problem.p_level
     x0 = (problem.start if problem.start is not None
           else 0.5 * (problem.lower + problem.upper))
-    x, phat = _feasibility_phase(problem, np.clip(x0, problem.lower, problem.upper), opts)
+    x, ev = _feasibility_phase(problem, np.clip(x0, problem.lower, problem.upper), opts)
+    phat = ev.value
+    g = ev.gradient(opts.tie_policy).gradient
 
     delta = opts.delta0
     trace = SolveTrace(records=[])
-    g = _ghat(problem, x, opts)
     trace.records.append(IterationRecord(0, x.copy(), float(problem.cost @ x),
                                          phat, np.inf, delta, True))
     for k in range(1, opts.max_iters + 1):
@@ -217,7 +213,8 @@ def solve(problem: ChanceProblem, opts: SolveOptions = None):
                 raise LPInfeasible("trust region exhausted without progress")
             continue
         try:
-            p_new = _phat(problem, x_lp, opts)
+            ev_new = _evaluate(problem, x_lp, opts)
+            p_new = ev_new.value
             interior_ok = True
         except InteriorViolated:
             p_new = -np.inf
@@ -227,7 +224,7 @@ def solve(problem: ChanceProblem, opts: SolveOptions = None):
             prev_cost = float(problem.cost @ x)
             new_cost = float(problem.cost @ x_lp)
             x, phat = x_lp, p_new
-            g = _ghat(problem, x, opts)
+            g = ev_new.gradient(opts.tie_policy).gradient
             if new_cost >= prev_cost - 1e-12:
                 # No cost progress: contract to break vertex zigzags.
                 delta = max(delta * opts.shrink, opts.delta_min)
@@ -237,7 +234,7 @@ def solve(problem: ChanceProblem, opts: SolveOptions = None):
             if interior_ok and not feasible and p_new > phat + 1e-12:
                 # Successful restoration step.
                 x, phat = x_lp, p_new
-                g = _ghat(problem, x, opts)
+                g = ev_new.gradient(opts.tie_policy).gradient
             else:
                 delta *= opts.shrink
                 if delta < opts.delta_min:
@@ -253,7 +250,12 @@ def solve(problem: ChanceProblem, opts: SolveOptions = None):
 
 
 def validate(x, problem: ChanceProblem, opts: SolveOptions = None) -> ProbEstimate:
-    """Independent probability estimate at ``x`` using the validation set."""
+    """Independent probability estimate at ``x`` using the validation set.
+
+    Only the estimate is returned, so a caller that keeps results does not
+    keep the large validation set's per-direction arrays alive.
+    """
     opts = opts or SolveOptions()
-    return prob_value(problem.system, x, problem.model, problem.validate_dirs,
-                      opts=opts.root_opts, keep_directions=False)
+    ev = evaluate(problem.system, x, problem.model, problem.validate_dirs,
+                  opts=opts.root_opts)
+    return ProbEstimate(value=ev.value, std_error=ev.std_error, n_infinite=ev.n_infinite)

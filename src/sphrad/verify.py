@@ -10,13 +10,12 @@ from __future__ import annotations
 import numpy as np
 from scipy import integrate, stats
 
-from .estimates import prob_gradient, prob_value
+from .estimates import evaluate
 from .gaussian import (DEFAULT_SEED, RadialLaw, SphereMethod, build_model,
                        chi_cdf, chi_pdf, sample_sphere)
 from .oracles import (make_ball, make_halfspace, make_hyperbolic_set,
                       make_hyperbolic_system, make_slab, slab_threshold)
 from .radial import radial_root_enlarged
-from . import estimates
 
 
 def _model(m):
@@ -86,8 +85,8 @@ def check_halfspace_analytic(quick=False):
     model = _model(2)
     dirs = sample_sphere(2, n, seed=DEFAULT_SEED, method=SphereMethod.QMC)
     sys_ = make_halfspace([1.0, 0.0])
-    v = prob_value(sys_, [1.0], model, dirs, keep_directions=False).value
-    g = prob_gradient(sys_, [1.0], model, dirs, keep_directions=False).gradient[0]
+    ev = evaluate(sys_, [1.0], model, dirs)
+    v, g = ev.value, ev.gradient().gradient[0]
     ev, eg = abs(v - stats.norm.cdf(1)), abs(g - stats.norm.pdf(1))
     tol = 1e-3 * scale
     ok = ev <= tol and eg <= tol
@@ -101,8 +100,8 @@ def check_slab_analytic(quick=False):
     dirs = sample_sphere(2, n, seed=DEFAULT_SEED, method=SphereMethod.QMC)
     sys_ = make_slab([1.0, 0.0], lambda x: x[0], lambda x: np.array([1.0]))
     tau = slab_threshold(-1.0)
-    v = prob_value(sys_, [-1.0], model, dirs, keep_directions=False).value
-    g = prob_gradient(sys_, [-1.0], model, dirs, keep_directions=False).gradient[0]
+    ev = evaluate(sys_, [-1.0], model, dirs)
+    v, g = ev.value, ev.gradient().gradient[0]
     v_true = 2 * stats.norm.cdf(tau) - 1
     g_true = 2 * stats.norm.pdf(tau) * (-np.exp(2) / tau)
     ev, eg = abs(v - v_true), abs(g - g_true)
@@ -167,9 +166,9 @@ def check_enlargement_limit(quick=False):
     msgs = []
     ok = True
     for oracle, x in ((make_ball(np.zeros(2)), [1.0]), (make_hyperbolic_set(), [1.0])):
-        vals = [prob_value(oracle, x, model, dirs, eps=e, keep_directions=False).value
+        vals = [evaluate(oracle, x, model, dirs, eps=e).value
                 for e in (0.5, 0.1, 0.01, 0.001)]
-        base = prob_value(oracle, x, model, dirs, eps=0.0, keep_directions=False).value
+        base = evaluate(oracle, x, model, dirs, eps=0.0).value
         mono = all(vals[i] >= vals[i + 1] - 1e-12 for i in range(3)) and vals[-1] >= base - 1e-12
         gap = abs(vals[-1] - base)
         if not (mono and gap <= tol):
@@ -184,17 +183,16 @@ def check_growth_diagnostics(quick=False):
     dirs = sample_sphere(2, n, seed=DEFAULT_SEED, method=SphereMethod.QMC)
     msgs = []
     ok = True
-    rep = estimates.growth_report(make_halfspace([1.0, 0.0]), [1.0], dirs, model)
+    rep = evaluate(make_halfspace([1.0, 0.0]), [1.0], model, dirs).gradient()
     if abs(rep.max_ratio - 1.0) > 1e-9:
         ok = False
     msgs.append(f"halfspace ratio {rep.max_ratio:.6f}")
-    rep = estimates.growth_report(make_hyperbolic_system(), [1.0], dirs, model)
+    rep = evaluate(make_hyperbolic_system(), [1.0], model, dirs).gradient()
     if not rep.max_ratio <= 1.0 / np.sqrt(1.0) + 1e-9:
         ok = False
     msgs.append(f"hyperbolic ratio {rep.max_ratio:.6f} <= 1")
-    rep = estimates.growth_report(
-        make_slab([1.0, 0.0], lambda x: x[0], lambda x: np.array([1.0])),
-        [-1.0], dirs, model)
+    rep = evaluate(make_slab([1.0, 0.0], lambda x: x[0], lambda x: np.array([1.0])),
+                   [-1.0], model, dirs).gradient()
     if not np.isfinite(rep.max_ratio):
         ok = False
     msgs.append(f"slab ratio {rep.max_ratio:.3f}")
@@ -207,10 +205,10 @@ def check_crn_identity(quick=False):
     dirs = sample_sphere(2, n, seed=3, method=SphereMethod.QMC)
     sys_ = make_halfspace([1.0, 0.0])
     x = np.array([1.0])
-    g = prob_gradient(sys_, x, model, dirs, keep_directions=False).gradient[0]
+    g = evaluate(sys_, x, model, dirs).gradient().gradient[0]
     h = 5e-5
-    fp = prob_value(sys_, x + h, model, dirs, keep_directions=False).value
-    fm = prob_value(sys_, x - h, model, dirs, keep_directions=False).value
+    fp = evaluate(sys_, x + h, model, dirs).value
+    fm = evaluate(sys_, x - h, model, dirs).value
     rel = abs((fp - fm) / (2 * h) - g) / max(abs(g), 1e-12)
     ok = rel <= 1e-6
     return ok, f"relative FD mismatch {rel:.2e}"

@@ -15,14 +15,14 @@ def fd_gradient(target, x, model, dirs, h0=1e-4, eps=None):
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
-        fp = sp.prob_value(target, xp, model, dirs, eps=eps, keep_directions=False).value
-        fm = sp.prob_value(target, xm, model, dirs, eps=eps, keep_directions=False).value
+        fp = sp.evaluate(target, xp, model, dirs, eps=eps).value
+        fm = sp.evaluate(target, xm, model, dirs, eps=eps).value
         fd[i] = (fp - fm) / (2 * h)
     return fd
 
 
 def fd_rel_error(system, x, model, dirs, h0=1e-4):
-    g = sp.prob_gradient(system, x, model, dirs, keep_directions=False).gradient
+    g = sp.evaluate(system, x, model, dirs).gradient().gradient
     fd = fd_gradient(system, x, model, dirs, h0=h0)
     return float(np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1e-12))
 

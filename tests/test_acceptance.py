@@ -48,8 +48,8 @@ def test_criterion_1_halfspace_analytic(capsys):
         sys_ = sp.make_halfspace(a)
         model = _model(m)
         dirs = _qmc(m)
-        v = sp.prob_value(sys_, [1.0], model, dirs, keep_directions=False).value
-        g = sp.prob_gradient(sys_, [1.0], model, dirs, keep_directions=False).gradient[0]
+        ev = sp.evaluate(sys_, [1.0], model, dirs)
+        v, g = ev.value, ev.gradient().gradient[0]
         dt = time.perf_counter() - t0
         ev = abs(v - stats.norm.cdf(1.0))
         eg = abs(g - stats.norm.pdf(1.0))
@@ -64,8 +64,8 @@ def test_criterion_2_slab_analytic(capsys):
     tau = np.sqrt(np.exp(2) - 1)
     model = _model(2)
     dirs = _qmc(2)
-    v = sp.prob_value(_slab(), [-1.0], model, dirs, keep_directions=False).value
-    g = sp.prob_gradient(_slab(), [-1.0], model, dirs, keep_directions=False).gradient[0]
+    ev = sp.evaluate(_slab(), [-1.0], model, dirs)
+    v, g = ev.value, ev.gradient().gradient[0]
     dt = time.perf_counter() - t0
     ev = abs(v - (2 * stats.norm.cdf(tau) - 1))
     eg = abs(g - 2 * stats.norm.pdf(tau) * (-np.exp(2) / tau))
@@ -86,7 +86,7 @@ def _crn_identity_check(system, x, model, dirs, h0=5e-5):
     an active-set crossover (a tie), which the criterion excludes."""
     x = np.asarray(x, dtype=float)
     _, ref = _value_and_pattern(system, x, model, dirs)
-    g = sp.prob_gradient(system, x, model, dirs, keep_directions=False)
+    g = sp.evaluate(system, x, model, dirs).gradient()
     if g.tie_fraction > 0:
         return False, np.inf
     fd = np.zeros_like(x)
@@ -110,7 +110,7 @@ def test_criterion_3_crn_gradient_identity(capsys):
     rng = np.random.default_rng(29)
     model2 = _model(2)
     dirs2 = sp.sample_sphere(2, 1000, seed=3, method=sp.SphereMethod.QMC)
-    params = sp.default_params()
+    params = sp.EnergyParams()
     emodel = sp.build_energy_covariance(params)
     esys = sp.make_energy_system(params)
     edirs = sp.sample_sphere(emodel.dim, 1000, seed=3, method=sp.SphereMethod.QMC)
@@ -156,15 +156,12 @@ def test_criterion_5_enlargement_limit(capsys):
             (sp.make_ball(np.zeros(2)), ("ball", None)),
             (sp.make_hyperbolic_set(), ("hyperbolic", sp.make_hyperbolic_system()))):
         name, exact_sys = exact_target
-        vals = [sp.prob_value(oracle, [1.0], model, dirs, eps=e,
-                              keep_directions=False).value
+        vals = [sp.evaluate(oracle, [1.0], model, dirs, eps=e).value
                 for e in (0.5, 0.1, 0.01, 0.001)]
         if exact_sys is None:
-            base = sp.prob_value(oracle, [1.0], model, dirs, eps=0.0,
-                                 keep_directions=False).value
+            base = sp.evaluate(oracle, [1.0], model, dirs, eps=0.0).value
         else:
-            base = sp.prob_value(exact_sys, [1.0], model, dirs,
-                                 keep_directions=False).value
+            base = sp.evaluate(exact_sys, [1.0], model, dirs).value
         mono = all(vals[i] >= vals[i + 1] - 1e-12 for i in range(3))
         mono &= vals[-1] >= base - 1e-9
         gap = abs(vals[-1] - base)
@@ -178,7 +175,7 @@ def test_criterion_6_hyperbolic_example(capsys):
     t0 = time.perf_counter()
     model = _model(2)
     sys_ = sp.make_hyperbolic_system()
-    est = sp.prob_value(sys_, [1.0], model, _qmc(2), keep_directions=False).value
+    est = sp.evaluate(sys_, [1.0], model, _qmc(2)).value
     # Rejection-sampling oracle, one million draws.
     rng = np.random.Generator(np.random.Philox(key=2718281828))
     Z = rng.standard_normal((10**6, 2))
@@ -189,9 +186,9 @@ def test_criterion_6_hyperbolic_example(capsys):
     # Derivative stability across five scrambles.
     grads, ses = [], []
     for seed in range(1, 6):
-        g = sp.prob_gradient(sys_, [1.0], model, _qmc(2, seed=seed))
+        g = sp.evaluate(sys_, [1.0], model, _qmc(2, seed=seed)).gradient()
         grads.append(g.gradient[0])
-        ses.append(g.per_direction[:, 0].std(ddof=1) / np.sqrt(g.per_direction.shape[0]))
+        ses.append(g.w[:, 0].std(ddof=1) / np.sqrt(g.w.shape[0]))
     spread = max(grads) - min(grads)
     se = float(np.mean(ses))
     grad_ok = spread <= 3 * se
@@ -216,18 +213,17 @@ def test_criterion_7_energy_case_study(capsys, energy_solution):
     t0 = time.perf_counter()
     val = sp.validate(x, problem)
     # Stationarity cross-check via the common-random-numbers identity.
-    g = sp.prob_gradient(problem.system, x, problem.model, problem.eval_dirs,
-                         keep_directions=False).gradient
+    g = sp.evaluate(problem.system, x, problem.model,
+                    problem.eval_dirs).gradient().gradient
     fd = np.zeros_like(x)
     for i in range(len(x)):
         h = 5e-6 * max(1.0, abs(x[i]))
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
-        fd[i] = (sp.prob_value(problem.system, xp, problem.model, problem.eval_dirs,
-                               keep_directions=False).value
-                 - sp.prob_value(problem.system, xm, problem.model, problem.eval_dirs,
-                                 keep_directions=False).value) / (2 * h)
+        fd[i] = (sp.evaluate(problem.system, xp, problem.model, problem.eval_dirs).value
+                 - sp.evaluate(problem.system, xm, problem.model,
+                               problem.eval_dirs).value) / (2 * h)
     rel = float(np.linalg.norm(fd - g) / np.linalg.norm(g))
     total = solve_time + (time.perf_counter() - t0)
     ok = (trace.status in ("converged", "box_optimum")
@@ -255,7 +251,7 @@ def test_criterion_8_cli_determinism(capsys, tmp_path):
         for run in (1, 2):
             out = tmp_path / f"{cmd}{run}.json"
             proc = _run_cli(cmd, "--fixture", "halfspace", "--x", "1",
-                            "--n", "2000", "--seed", "7", "--threads", "1",
+                            "--n", "2000", "--seed", "7",
                             "--out", str(out), *extra)
             ok &= proc.returncode == 0
             payloads.append(out.read_bytes())
@@ -265,7 +261,7 @@ def test_criterion_8_cli_determinism(capsys, tmp_path):
     # solve-energy (reduced instance; the determinism machinery is identical)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"energy": {"periods": 2}, "n": 800,
-                               "validate_n": 20000, "threads": 1}))
+                               "validate_n": 20000}))
     blobs = []
     for run in (1, 2):
         out_dir = tmp_path / f"energy{run}"
@@ -278,7 +274,7 @@ def test_criterion_8_cli_determinism(capsys, tmp_path):
     ok &= same
     details.append(f"solve-energy: identical={same}")
     # verify (stdout is the artifact)
-    outs = [_run_cli("verify", "--quick", "--threads", "1") for _ in (1, 2)]
+    outs = [_run_cli("verify", "--quick") for _ in (1, 2)]
     ok &= all(p.returncode == 0 for p in outs)
     same = outs[0].stdout == outs[1].stdout
     ok &= same

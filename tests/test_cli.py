@@ -126,7 +126,7 @@ class TestDeterminism:
         for name in ("a.json", "b.json"):
             out = tmp_path / name
             proc = run_cli("eval", "--fixture", "halfspace", "--x", "1",
-                           "--n", "2000", "--seed", "9", "--threads", "1",
+                           "--n", "2000", "--seed", "9",
                            "--out", str(out))
             assert proc.returncode == 0
             outs.append(out.read_bytes())
@@ -137,7 +137,7 @@ class TestDeterminism:
         for name in ("a.json", "b.json"):
             out = tmp_path / name
             proc = run_cli("grad", "--fixture", "slab", "--x", "-1", "--n", "1000",
-                           "--seed", "9", "--threads", "1", "--check-fd",
+                           "--seed", "9", "--check-fd",
                            "--out", str(out))
             assert proc.returncode == 0
             outs.append(out.read_bytes())

@@ -22,13 +22,13 @@ def _slab2():
 
 class TestProbValue:
     def test_halfspace_analytic(self):
-        est = sp.prob_value(sp.make_halfspace([1.0, 0.0]), [1.0], _model2(), _dirs())
+        est = sp.evaluate(sp.make_halfspace([1.0, 0.0]), [1.0], _model2(), _dirs())
         tol = max(1e-3, 3 * (est.std_error or 0.0))
         assert abs(est.value - stats.norm.cdf(1.0)) <= tol
 
     def test_slab_analytic(self):
         tau = sp.slab_threshold(-1.0)
-        est = sp.prob_value(_slab2(), [-1.0], _model2(), _dirs())
+        est = sp.evaluate(_slab2(), [-1.0], _model2(), _dirs())
         assert abs(est.value - (2 * stats.norm.cdf(tau) - 1)) <= 1e-3
 
     def test_slab_analytic_higher_dims(self):
@@ -42,39 +42,36 @@ class TestProbValue:
             sys_ = sp.make_slab(c, lambda x: x[0], lambda x: np.array([1.0]))
             model = sp.build_model(np.zeros(m), np.eye(m))
             dirs = _dirs(m=m)
-            v = sp.prob_value(sys_, [-1.0], model, dirs, keep_directions=False).value
-            g = sp.prob_gradient(sys_, [-1.0], model, dirs,
-                                 keep_directions=False).gradient[0]
+            ev = sp.evaluate(sys_, [-1.0], model, dirs)
+            v, g = ev.value, ev.gradient().gradient[0]
             assert abs(v - truth_v) <= 1e-3
             assert abs(g - truth_g) <= 1e-3
 
     def test_value_equals_weighted_contributions(self):
-        est = sp.prob_value(sp.make_hyperbolic_system(), [1.0], _model2(), _dirs(n=500))
-        es = np.array([e for _, _, e in est.per_direction])
+        est = sp.evaluate(sp.make_hyperbolic_system(), [1.0], _model2(), _dirs(n=500))
+        es = est.e
         assert est.value == pytest.approx(es.mean(), abs=1e-14)
         assert np.all((es >= 0) & (es <= 1))
-        for _, hit, e in est.per_direction:
-            if not hit.finite:
-                assert e == 1.0
+        assert np.all(es[~est.hits.finite] == 1.0)
 
     def test_infinite_only_system(self):
-        est = sp.prob_value(sp.make_constant(), [0.0], _model2(), _dirs(n=200))
+        est = sp.evaluate(sp.make_constant(), [0.0], _model2(), _dirs(n=200))
         assert est.value == 1.0
         assert est.n_infinite == 200
 
     def test_std_error_mc_only(self):
-        mc = sp.prob_value(sp.make_halfspace([1.0, 0.0]), [1.0], _model2(),
-                           _dirs(n=2000, method=sp.SphereMethod.MONTE_CARLO))
-        qmc = sp.prob_value(sp.make_halfspace([1.0, 0.0]), [1.0], _model2(),
-                            _dirs(n=2000, method=sp.SphereMethod.QMC))
+        mc = sp.evaluate(sp.make_halfspace([1.0, 0.0]), [1.0], _model2(),
+                         _dirs(n=2000, method=sp.SphereMethod.MONTE_CARLO))
+        qmc = sp.evaluate(sp.make_halfspace([1.0, 0.0]), [1.0], _model2(),
+                          _dirs(n=2000, method=sp.SphereMethod.QMC))
         assert mc.std_error is not None and mc.std_error > 0
         assert qmc.std_error is None
 
     def test_oracle_with_eps(self):
         # Enlarging a ball of radius x by eps gives the chi cdf at x + eps.
         law = RadialLaw(2)
-        est = sp.prob_value(sp.make_ball(np.zeros(2)), [1.0], _model2(), _dirs(),
-                            eps=0.5)
+        est = sp.evaluate(sp.make_ball(np.zeros(2)), [1.0], _model2(), _dirs(),
+                          eps=0.5)
         assert est.value == pytest.approx(sp.chi_cdf(law, 1.5), abs=1e-9)
 
     def test_empty_budget_rejected(self):
@@ -83,20 +80,21 @@ class TestProbValue:
 
     def test_eps_with_inequality_rejected(self):
         with pytest.raises(ValueError):
-            sp.prob_value(sp.make_halfspace([1.0, 0.0]), [1.0], _model2(), _dirs(n=16),
-                          eps=0.1)
+            sp.evaluate(sp.make_halfspace([1.0, 0.0]), [1.0], _model2(), _dirs(n=16),
+                        eps=0.1)
 
 
 class TestProbGradient:
     def test_halfspace_analytic(self):
-        est = sp.prob_gradient(sp.make_halfspace([1.0, 0.0]), [1.0], _model2(), _dirs())
+        est = sp.evaluate(sp.make_halfspace([1.0, 0.0]), [1.0], _model2(),
+                          _dirs()).gradient()
         assert abs(est.gradient[0] - stats.norm.pdf(1.0)) <= 1e-3
         assert est.tie_fraction == 0.0
 
     def test_slab_chain_rule(self):
         tau = sp.slab_threshold(-1.0)
         true_grad = 2 * stats.norm.pdf(tau) * (-np.exp(2) / tau)
-        est = sp.prob_gradient(_slab2(), [-1.0], _model2(), _dirs())
+        est = sp.evaluate(_slab2(), [-1.0], _model2(), _dirs()).gradient()
         assert abs(est.gradient[0] - true_grad) <= 1e-3
 
     def test_crn_identity(self):
@@ -109,13 +107,13 @@ class TestProbGradient:
             assert fd_rel_error(sys_, x, model, dirs, h0=5e-5) <= 1e-6
 
     def test_infinite_only_gradient_zero(self):
-        est = sp.prob_gradient(sp.make_constant(), [0.0], _model2(), _dirs(n=200))
+        est = sp.evaluate(sp.make_constant(), [0.0], _model2(), _dirs(n=200)).gradient()
         assert np.array_equal(est.gradient, np.zeros(1))
 
     def test_gradient_is_weighted_contribution_sum(self):
         dirs = _dirs(n=400)
-        est = sp.prob_gradient(sp.make_hyperbolic_system(), [1.0], _model2(), dirs)
-        assert np.allclose(est.gradient, dirs.weights @ est.per_direction, atol=1e-15)
+        est = sp.evaluate(sp.make_hyperbolic_system(), [1.0], _model2(), dirs).gradient()
+        assert np.allclose(est.gradient, dirs.weights @ est.w, atol=1e-15)
 
     def test_transversality_breakdown(self):
         # Cubic boundary with vanishing slope at its root.
@@ -129,7 +127,7 @@ class TestProbGradient:
                 [3.0 * (Z[:, 0] - 1.0) ** 2, np.zeros(Z.shape[0])], axis=1),
             name="degenerate")
         with pytest.raises(sp.TransversalityBreakdown):
-            sp.prob_gradient(sys_, [0.0], _model2(), _dirs(n=64))
+            sp.evaluate(sys_, [0.0], _model2(), _dirs(n=64)).gradient()
 
     def test_tie_policies_on_duplicated_constraint(self):
         # Two identical constraints tie on every finite direction; both
@@ -142,8 +140,9 @@ class TestProbGradient:
             grad_z_g=lambda i, x, Z: base.grad_z_g(0, x, Z),
             name="dup")
         dirs = _dirs(n=4000)
-        g_avg = sp.prob_gradient(dup, [1.0], _model2(), dirs, tie_policy="average")
-        g_min = sp.prob_gradient(dup, [1.0], _model2(), dirs, tie_policy="min_index")
+        ev = sp.evaluate(dup, [1.0], _model2(), dirs)
+        g_avg = ev.gradient(tie_policy="average")
+        g_min = ev.gradient(tie_policy="min_index")
         assert g_avg.tie_fraction > 0.4
         assert np.allclose(g_avg.gradient, g_min.gradient, atol=1e-12)
         assert abs(g_avg.gradient[0] - stats.norm.pdf(1.0)) <= 1e-3
@@ -154,10 +153,10 @@ class TestProbGradient:
         model = sp.build_energy_covariance(params)
         dirs = _dirs(n=2000, m=2)
         x = np.array([0.0, 15.0])
-        est = sp.prob_gradient(sys_, x, model, dirs)
+        val = sp.evaluate(sys_, x, model, dirs)
+        est = val.gradient()
         # Wind-power column: the cap boundary is x-independent, so only the
         # load constraint moves the estimate through its own column.
-        val = sp.prob_value(sys_, x, model, dirs, keep_directions=False)
         assert val.value < 1.0
         assert np.isfinite(est.gradient).all()
 
@@ -167,16 +166,19 @@ class TestEnlargedGradient:
         # d/dx P[|z| <= x + eps] = chi pdf at x + eps.
         law = RadialLaw(2)
         dirs = _dirs(n=4000, method=sp.SphereMethod.MONTE_CARLO, seed=21)
-        est = sp.prob_gradient_enlarged(sp.make_ball(np.zeros(2)), [1.0], 0.25,
-                                        _model2(), dirs)
+        est = sp.evaluate(sp.make_ball(np.zeros(2)), [1.0], _model2(), dirs,
+                          eps=0.25).gradient()
         expected = sp.chi_pdf(law, 1.25)
-        se = est.per_direction[:, 0].std(ddof=1) / np.sqrt(dirs.n)
+        se = est.w[:, 0].std(ddof=1) / np.sqrt(dirs.n)
         assert abs(est.gradient[0] - expected) <= max(3 * se, 1e-9)
+        # Growth check in oracle mode: |sensitivity| / |u| = |d/dx dist| = 1.
+        assert est.max_ratio == pytest.approx(1.0, abs=1e-12)
+        assert est.n_points == dirs.n
 
     def test_ball_matches_fd(self):
         dirs = _dirs(n=4000, method=sp.SphereMethod.MONTE_CARLO, seed=21)
         oracle = sp.make_ball(np.zeros(2))
-        est = sp.prob_gradient_enlarged(oracle, [1.0], 0.25, _model2(), dirs)
+        est = sp.evaluate(oracle, [1.0], _model2(), dirs, eps=0.25).gradient()
         fd = fd_gradient(oracle, [1.0], _model2(), dirs, h0=1e-5, eps=0.25)
         assert abs(fd[0] - est.gradient[0]) <= 1e-5
 
@@ -185,8 +187,8 @@ class TestEnlargedGradient:
         # derivative of the exact-set estimator.
         dirs = _dirs(n=10000)
         model = _model2()
-        grad_eps = sp.prob_gradient_enlarged(sp.make_hyperbolic_set(), [1.0], 0.01,
-                                             model, dirs)
+        grad_eps = sp.evaluate(sp.make_hyperbolic_set(), [1.0], model, dirs,
+                               eps=0.01).gradient()
         fd_exact = fd_gradient(sp.make_hyperbolic_system(), [1.0], model, dirs,
                                h0=1e-5)
         rel = abs(grad_eps.gradient[0] - fd_exact[0]) / abs(fd_exact[0])
@@ -197,12 +199,12 @@ class TestEnlargedGradient:
                                   contains=sp.make_ball(np.zeros(2)).contains,
                                   project=sp.make_ball(np.zeros(2)).project)
         with pytest.raises(sp.MissingSensitivity):
-            sp.prob_gradient_enlarged(bare, [1.0], 0.1, _model2(), _dirs(n=16))
+            sp.evaluate(bare, [1.0], _model2(), _dirs(n=16), eps=0.1).gradient()
 
     def test_nonpositive_eps_rejected(self):
         with pytest.raises(ValueError):
-            sp.prob_gradient_enlarged(sp.make_ball(np.zeros(2)), [1.0], 0.0,
-                                      _model2(), _dirs(n=16))
+            sp.evaluate(sp.make_ball(np.zeros(2)), [1.0], _model2(), _dirs(n=16),
+                        eps=0.0).gradient()
 
 
 class TestEnlargedValueOracle:
@@ -211,8 +213,7 @@ class TestEnlargedValueOracle:
         # distance eps of the body.
         eps = 0.01
         oracle = sp.make_hyperbolic_set()
-        est = sp.prob_value(oracle, [1.0], _model2(), _dirs(), eps=eps,
-                            keep_directions=False)
+        est = sp.evaluate(oracle, [1.0], _model2(), _dirs(), eps=eps)
         rng = np.random.Generator(np.random.Philox(key=424242))
         Z = rng.standard_normal((200000, 2))
         P = oracle.project([1.0], Z)
@@ -228,13 +229,11 @@ class TestEnlargementLimit:
         model = _model2()
         for oracle, exact in (
                 (sp.make_ball(np.zeros(2)),
-                 sp.prob_value(sp.make_ball(np.zeros(2)), [1.0], model, dirs,
-                               eps=0.0, keep_directions=False).value),
+                 sp.evaluate(sp.make_ball(np.zeros(2)), [1.0], model, dirs,
+                             eps=0.0).value),
                 (sp.make_hyperbolic_set(),
-                 sp.prob_value(sp.make_hyperbolic_system(), [1.0], model, dirs,
-                               keep_directions=False).value)):
-            vals = [sp.prob_value(oracle, [1.0], model, dirs, eps=e,
-                                  keep_directions=False).value
+                 sp.evaluate(sp.make_hyperbolic_system(), [1.0], model, dirs).value)):
+            vals = [sp.evaluate(oracle, [1.0], model, dirs, eps=e).value
                     for e in (0.5, 0.1, 0.01, 0.001)]
             assert all(vals[i] >= vals[i + 1] - 1e-12 for i in range(3))
             assert vals[-1] >= exact - 1e-9
@@ -243,18 +242,18 @@ class TestEnlargementLimit:
 
 class TestGrowthReport:
     def test_halfspace_ratio_one(self):
-        rep = sp.growth_report(sp.make_halfspace([1.0, 0.0]), [1.0], _dirs(n=500),
-                               _model2())
+        rep = sp.evaluate(sp.make_halfspace([1.0, 0.0]), [1.0], _model2(),
+                          _dirs(n=500)).gradient()
         assert rep.max_ratio == pytest.approx(1.0, abs=1e-12)
 
     def test_slab_ratio_closed_form(self):
         # At the boundary |c.z| = tau the ratio is (1 + tau^2) / tau.
         tau = sp.slab_threshold(-1.0)
-        rep = sp.growth_report(_slab2(), [-1.0], _dirs(n=2000), _model2())
+        rep = sp.evaluate(_slab2(), [-1.0], _model2(), _dirs(n=2000)).gradient()
         assert rep.max_ratio == pytest.approx((1 + tau**2) / tau, rel=1e-6)
 
     def test_hyperbolic_bound(self):
-        rep = sp.growth_report(sp.make_hyperbolic_system(), [1.0], _dirs(n=2000),
-                               _model2())
+        rep = sp.evaluate(sp.make_hyperbolic_system(), [1.0], _model2(),
+                          _dirs(n=2000)).gradient()
         assert rep.max_ratio <= 1.0 / np.sqrt(1.0) + 1e-9
         assert rep.n_points > 0

@@ -61,7 +61,7 @@ class TestSlab:
 
 
 def _all_systems():
-    params = sp.default_params()
+    params = sp.EnergyParams()
     return [
         (sp.make_halfspace([1.0, 0.0]), np.array([1.2]), 2),
         (_slab2(), np.array([-0.8]), 2),
@@ -212,11 +212,11 @@ class TestBallOracle:
 
 class TestEnergySystem:
     def test_mean_wind_power_bound(self):
-        params = sp.default_params()
+        params = sp.EnergyParams()
         assert params.wind_coeff * params.mu_wind**3 == pytest.approx(2.4220, abs=5e-4)
 
     def test_load_constraint_at_mean(self):
-        params = sp.default_params()
+        params = sp.EnergyParams()
         sys_ = sp.make_energy_system(params)
         x = np.r_[np.zeros(4), np.full(4, 20.0)]
         model = sp.build_energy_covariance(params)
@@ -224,7 +224,7 @@ class TestEnergySystem:
         assert g[0] == pytest.approx(-10.0)
 
     def test_decision_gradient_blocks(self):
-        params = sp.default_params()
+        params = sp.EnergyParams()
         sys_ = sp.make_energy_system(params)
         x = np.r_[np.full(4, 0.5), np.full(4, 12.0)]
         Z = np.zeros((1, 8))
@@ -236,7 +236,7 @@ class TestEnergySystem:
             assert np.array_equal(gx, expected)
 
     def test_interior_violation_reports_period(self):
-        params = sp.default_params()
+        params = sp.EnergyParams()
         sys_ = sp.make_energy_system(params)
         model = sp.build_energy_covariance(params)
         x = np.r_[np.full(4, 0.5), np.full(4, 12.0)]
@@ -254,16 +254,16 @@ class TestEnergyCovariance:
         assert np.allclose(model.covariance, [[1.54, off], [off, 1.0]], atol=1e-12)
 
     def test_default_diagonal(self):
-        model = sp.build_energy_covariance(sp.default_params())
+        model = sp.build_energy_covariance(sp.EnergyParams())
         assert np.allclose(np.diag(model.covariance),
                            [1.54, 1.54, 1.54, 1.54, 1, 1, 1, 1], atol=1e-12)
 
     def test_positive_definite(self):
-        model = sp.build_energy_covariance(sp.default_params())
+        model = sp.build_energy_covariance(sp.EnergyParams())
         assert np.linalg.eigvalsh(model.covariance).min() > 0
 
     def test_mean_vector(self):
-        model = sp.build_energy_covariance(sp.default_params())
+        model = sp.build_energy_covariance(sp.EnergyParams())
         assert np.allclose(model.mean, [4.23] * 4 + [10.0] * 4)
 
     def test_unsupported_cross_rule(self):

@@ -39,7 +39,6 @@ class TestInequalityRoots:
         assert not hit.finite
         assert hit.rho == np.inf
         assert hit.active == ()
-        assert sp.classify_direction(hit) is sp.DirectionKind.INFINITE
 
     def test_hyperbolic_closed_form(self):
         sys_ = sp.make_hyperbolic_system()

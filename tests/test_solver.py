@@ -124,8 +124,7 @@ class TestValidateConsistency:
         tau = sp.slab_threshold(x[0])
         truth = 2 * stats.norm.cdf(tau) - 1
         assert truth < 0.03
-        eval_est = sp.prob_value(problem.system, x, problem.model,
-                                 problem.eval_dirs, keep_directions=False)
+        eval_est = sp.evaluate(problem.system, x, problem.model, problem.eval_dirs)
         val_est = sp.validate(x, problem)
         assert abs(eval_est.value - truth) <= 1e-3
         assert abs(val_est.value - truth) <= 3 * val_est.std_error + 1e-4
@@ -164,3 +163,27 @@ class TestEnergyProblemSmall:
         assert abs(val.value - 0.8) <= 3 * val.std_error + 5e-3
         # wind commitment stays below the mean power bound
         assert np.all(x[:2] < params.wind_coeff * params.mu_wind**3)
+
+
+class TestOneSolvePerDecision:
+    def test_no_decision_solved_twice(self, monkeypatch):
+        # The reduced instance of the CLI determinism criterion: every
+        # decision's rays on the evaluation set are solved once, and the
+        # gradient reads the same hits as the value.
+        import sphrad.estimates as estimates
+        from sphrad.radial import inequality_hits
+
+        problem = sp.make_energy_problem(sp.EnergyParams(periods=2), n_dirs=800,
+                                         validate_n=20000)
+        solved = []
+
+        def recording(system, x, dirs, model, opts=None):
+            if dirs is problem.eval_dirs.directions:
+                solved.append(np.asarray(x, dtype=float).tobytes())
+            return inequality_hits(system, x, dirs, model, opts)
+
+        monkeypatch.setattr(estimates, "inequality_hits", recording)
+        _, trace = sp.solve(problem)
+        assert trace.status == "converged"
+        assert len(solved) >= len(trace.records)
+        assert len(set(solved)) == len(solved)
