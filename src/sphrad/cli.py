@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .energy import EnergyParams, make_energy_problem
 from .errors import ConfigError, NumericalError, SolverError
-from .estimates import evaluate
+from .estimates import evaluate, fd_gradient
 from .gaussian import DEFAULT_SEED, SphereMethod, build_model, sample_sphere
 from .oracles import (ConvexSetOracle, make_ball, make_constant,
                       make_halfspace, make_hyperbolic_set,
@@ -195,16 +195,7 @@ def cmd_grad(cfg: RunConfig) -> int:
                "gradient": [float(v) for v in est.gradient],
                "tie_fraction": est.tie_fraction}
     if cfg.check_fd:
-        x = np.asarray(cfg.x, dtype=float)
-        fd = np.zeros_like(x)
-        for i in range(x.shape[0]):
-            h = 5e-5 * max(1.0, abs(x[i]))
-            xp, xm = x.copy(), x.copy()
-            xp[i] += h
-            xm[i] -= h
-            fp = evaluate(target, xp, model, dirs, eps=eps).value
-            fm = evaluate(target, xm, model, dirs, eps=eps).value
-            fd[i] = (fp - fm) / (2 * h)
+        fd = fd_gradient(target, cfg.x, model, dirs, h0=5e-5, eps=eps)
         rel = float(np.linalg.norm(fd - est.gradient)
                     / max(np.linalg.norm(est.gradient), 1e-12))
         payload["fd_check"] = {"fd_gradient": [float(v) for v in fd], "rel_err": rel}
@@ -223,7 +214,7 @@ def cmd_solve_energy(cfg: RunConfig) -> int:
                                   validate_seed=cfg.validate_seed)
     opts = SolveOptions(**cfg.solver)
     x, trace = solve(problem, opts)
-    val = validate(x, problem, opts)
+    val = validate(x, problem)
 
     out_dir = Path(cfg.out or "energy_out")
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import MissingSensitivity, TransversalityBreakdown
 from .gaussian import DirectionSet, GaussianModel, RadialLaw, SphereMethod, chi_cdf, chi_pdf
 from .oracles import ConvexSetOracle, InequalitySystem
-from .radial import HitBatch, RootOptions, enlarged_hits, inequality_hits
+from .radial import SLOPE_FLOOR, HitBatch, enlarged_hits, inequality_hits
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,6 @@ class Evaluation(ProbEstimate):
     x: np.ndarray
     model: GaussianModel
     dirs: DirectionSet
-    opts: RootOptions
 
     def _normals(self):
         """Yield (constraint, mask, decision normal, z normal) per active set.
@@ -130,7 +129,7 @@ class Evaluation(ProbEstimate):
         max_ratio, at_norm, at_constraint = 0.0, 0.0, -1
         for i, mask, gx, gz in self._normals():
             slope = np.einsum("km,km->k", gz, hits.lv[mask])
-            if np.any(slope <= self.opts.slope_floor):
+            if np.any(slope <= SLOPE_FLOOR):
                 offender = int(np.flatnonzero(mask)[np.argmin(slope)])
                 raise TransversalityBreakdown(
                     f"constraint {i}: ray slope {slope.min():.3e} at direction "
@@ -171,7 +170,7 @@ def _tie_weights(batch: HitBatch, tie_policy: str) -> np.ndarray:
 
 
 def evaluate(target, x, model: GaussianModel, dirs: DirectionSet,
-             eps: float = None, opts: RootOptions = None) -> Evaluation:
+             eps: float = None) -> Evaluation:
     """Estimate P[every constraint holds] at decision ``x`` from one ray solve.
 
     ``target`` is an :class:`InequalitySystem`, or a :class:`ConvexSetOracle`
@@ -182,15 +181,14 @@ def evaluate(target, x, model: GaussianModel, dirs: DirectionSet,
         raise ValueError("direction set is empty")
     if dirs.dim != model.dim:
         raise ValueError(f"direction dimension {dirs.dim} != model dimension {model.dim}")
-    opts = opts or RootOptions()
     x = np.asarray(x, dtype=float).reshape(-1)
     if isinstance(target, InequalitySystem):
         if eps not in (None, 0, 0.0):
             raise ValueError("eps enlargement applies to set oracles only")
-        hits = inequality_hits(target, x, dirs.directions, model, opts)
+        hits = inequality_hits(target, x, dirs.directions, model)
     elif isinstance(target, ConvexSetOracle):
         hits = enlarged_hits(target, x, dirs.directions, 0.0 if eps is None else float(eps),
-                             model, opts)
+                             model)
     else:
         raise TypeError(f"unsupported target {type(target).__name__}")
     e = np.asarray(chi_cdf(RadialLaw(model.dim), hits.rho))
@@ -200,4 +198,23 @@ def evaluate(target, x, model: GaussianModel, dirs: DirectionSet,
         std_error = None
     return Evaluation(value=float(dirs.weights @ e), std_error=std_error,
                       n_infinite=int((~hits.finite).sum()), e=e, hits=hits,
-                      target=target, x=x, model=model, dirs=dirs, opts=opts)
+                      target=target, x=x, model=model, dirs=dirs)
+
+
+def fd_gradient(target, x, model: GaussianModel, dirs: DirectionSet,
+                h0: float = 1e-4, eps: float = None) -> np.ndarray:
+    """Central finite differences of the value on the same direction set.
+
+    Coordinate ``i`` steps by ``h0 * max(1, |x_i|)``.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    fd = np.zeros_like(x)
+    for i in range(x.shape[0]):
+        h = h0 * max(1.0, abs(x[i]))
+        xp, xm = x.copy(), x.copy()
+        xp[i] += h
+        xm[i] -= h
+        fp = evaluate(target, xp, model, dirs, eps=eps).value
+        fm = evaluate(target, xm, model, dirs, eps=eps).value
+        fd[i] = (fp - fm) / (2 * h)
+    return fd

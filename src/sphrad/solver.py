@@ -17,7 +17,7 @@ deterministic for a given problem and options.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,7 +26,10 @@ from .errors import InteriorViolated, LPInfeasible, NoFeasibleStart
 from .estimates import ProbEstimate, evaluate
 from .gaussian import DirectionSet, GaussianModel
 from .oracles import InequalitySystem
-from .radial import RootOptions
+
+DELTA_MIN = 1e-12        # trust radius below which the solve gives up
+GROW = 2.0               # trust radius factor after a cost-improving step
+SHRINK = 0.5             # factor after a rejected or non-improving step
 
 
 @dataclass(frozen=True)
@@ -64,14 +67,10 @@ class SolveOptions:
     prob_band: float = 5e-3          # |phat - p| window accepted at convergence
     infeas_tol: float = 1e-3         # accepted iterates keep phat >= p - infeas_tol
     delta0: float = 1.0
-    delta_min: float = 1e-12
     delta_max: float = 8.0
-    grow: float = 2.0
-    shrink: float = 0.5
     feas_steps: int = 500
     feas_margin: float = 5e-3
     tie_policy: str = "average"
-    root_opts: RootOptions = field(default_factory=RootOptions)
 
 
 @dataclass
@@ -129,9 +128,8 @@ def _lp_box_cut(cost, lower, upper, a, b):
     return x, gap <= 1e-9, False
 
 
-def _evaluate(problem, x, opts):
-    return evaluate(problem.system, x, problem.model, problem.eval_dirs,
-                    opts=opts.root_opts)
+def _evaluate(problem, x):
+    return evaluate(problem.system, x, problem.model, problem.eval_dirs)
 
 
 def _feasibility_phase(problem, x, opts):
@@ -140,7 +138,7 @@ def _feasibility_phase(problem, x, opts):
     Returns the reached point and its evaluation.
     """
     p = problem.p_level
-    ev = _evaluate(problem, x, opts)
+    ev = _evaluate(problem, x)
     if ev.value >= p + opts.feas_margin:
         return x, ev
     for _ in range(opts.feas_steps):
@@ -155,7 +153,7 @@ def _feasibility_phase(problem, x, opts):
             if np.max(np.abs(x_try - x)) == 0:
                 break
             try:
-                ev_try = _evaluate(problem, x_try, opts)
+                ev_try = _evaluate(problem, x_try)
             except InteriorViolated:
                 alpha *= 0.5
                 continue
@@ -208,12 +206,12 @@ def solve(problem: ChanceProblem, opts: SolveOptions = None):
             if abs(phat - p) <= opts.prob_band or cut_slack:
                 trace.status = "box_optimum" if cut_slack else "converged"
                 return x, trace
-            delta *= opts.shrink
-            if delta < opts.delta_min:
+            delta *= SHRINK
+            if delta < DELTA_MIN:
                 raise LPInfeasible("trust region exhausted without progress")
             continue
         try:
-            ev_new = _evaluate(problem, x_lp, opts)
+            ev_new = _evaluate(problem, x_lp)
             p_new = ev_new.value
             interior_ok = True
         except InteriorViolated:
@@ -227,17 +225,17 @@ def solve(problem: ChanceProblem, opts: SolveOptions = None):
             g = ev_new.gradient(opts.tie_policy).gradient
             if new_cost >= prev_cost - 1e-12:
                 # No cost progress: contract to break vertex zigzags.
-                delta = max(delta * opts.shrink, opts.delta_min)
+                delta = max(delta * SHRINK, DELTA_MIN)
             else:
-                delta = min(delta * opts.grow, opts.delta_max)
+                delta = min(delta * GROW, opts.delta_max)
         else:
             if interior_ok and not feasible and p_new > phat + 1e-12:
                 # Successful restoration step.
                 x, phat = x_lp, p_new
                 g = ev_new.gradient(opts.tie_policy).gradient
             else:
-                delta *= opts.shrink
-                if delta < opts.delta_min:
+                delta *= SHRINK
+                if delta < DELTA_MIN:
                     raise LPInfeasible("trust region exhausted while rejecting steps")
         trace.records.append(IterationRecord(k, x.copy(), float(problem.cost @ x),
                                              phat, step, delta, accept))
@@ -249,13 +247,11 @@ def solve(problem: ChanceProblem, opts: SolveOptions = None):
     return x, trace
 
 
-def validate(x, problem: ChanceProblem, opts: SolveOptions = None) -> ProbEstimate:
+def validate(x, problem: ChanceProblem) -> ProbEstimate:
     """Independent probability estimate at ``x`` using the validation set.
 
     Only the estimate is returned, so a caller that keeps results does not
     keep the large validation set's per-direction arrays alive.
     """
-    opts = opts or SolveOptions()
-    ev = evaluate(problem.system, x, problem.model, problem.validate_dirs,
-                  opts=opts.root_opts)
+    ev = evaluate(problem.system, x, problem.model, problem.validate_dirs)
     return ProbEstimate(value=ev.value, std_error=ev.std_error, n_infinite=ev.n_infinite)

@@ -10,16 +10,21 @@ from __future__ import annotations
 import numpy as np
 from scipy import integrate, stats
 
-from .estimates import evaluate
+from .estimates import evaluate, fd_gradient
 from .gaussian import (DEFAULT_SEED, RadialLaw, SphereMethod, build_model,
                        chi_cdf, chi_pdf, sample_sphere)
 from .oracles import (make_ball, make_halfspace, make_hyperbolic_set,
                       make_hyperbolic_system, make_slab, slab_threshold)
-from .radial import radial_root_enlarged
+from .radial import enlarged_hits
 
 
 def _model(m):
     return build_model(np.zeros(m), np.eye(m))
+
+
+def _rho(oracle, x, v, eps, model):
+    """Enlarged radial function along one direction (inf if never left)."""
+    return float(enlarged_hits(oracle, x, v[None, :], eps, model).rho[0])
 
 
 def check_chi_normalization(quick=False):
@@ -122,34 +127,31 @@ def check_radial_lemmas(quick=False):
         theta = rng.uniform(0, 2 * np.pi)
         v = np.array([np.cos(theta), np.sin(theta)])
         eps1, eps2 = sorted(rng.uniform(0.01, 0.5, 2))
-        h0 = radial_root_enlarged(oracle, x, v, 0.0, model)
-        h1 = radial_root_enlarged(oracle, x, v, eps1, model)
-        h2 = radial_root_enlarged(oracle, x, v, eps2, model)
-        if not (h0.rho <= h1.rho + 1e-9 <= h2.rho + 2e-9):
+        r0, r1, r2 = (_rho(oracle, x, v, e, model) for e in (0.0, eps1, eps2))
+        if not (r0 <= r1 + 1e-9 <= r2 + 2e-9):
             failures.append(f"nesting at instance {j}")
-        if not h0.finite:
+        if not np.isfinite(r0):
             continue            # the ray never leaves the body
         Z = lambda r: model.mean + r * v
         d = lambda r: float(np.linalg.norm(Z(r) - oracle.project(x, Z(r)[None, :])[0]))
         # distance monotone past the plain root
-        r1 = h0.rho * 1.05 + 0.01
-        r2 = r1 * 1.5 + 0.1
-        if not d(r1) < d(r2):
+        ra = r0 * 1.05 + 0.01
+        rb = ra * 1.5 + 0.1
+        if not d(ra) < d(rb):
             failures.append(f"monotonicity at instance {j}")
         # uniqueness: residual at the eps root, and strict crossing
-        if h1.finite:
-            res = abs(d(h1.rho) - eps1)
-            if res > 1e-8 or not (d(h1.rho * (1 - 1e-4)) < eps1 < d(h1.rho * (1 + 1e-4))):
+        if np.isfinite(r1):
+            res = abs(d(r1) - eps1)
+            if res > 1e-8 or not (d(r1 * (1 - 1e-4)) < eps1 < d(r1 * (1 + 1e-4))):
                 failures.append(f"uniqueness at instance {j} (res {res:.1e})")
         # continuity under (eps, x, v) perturbation, away from the cone of
         # infinite directions where the radial function blows up
-        if h1.finite and h1.rho <= 5.0:
+        if r1 <= 5.0:
             prev = np.inf
             for delta in (1e-2, 1e-3, 1e-4):
                 vp = v + delta * np.array([1.0, -1.0])
                 vp /= np.linalg.norm(vp)
-                hp = radial_root_enlarged(oracle, [x[0] + delta], vp, eps1 + delta, model)
-                gap = abs(hp.rho - h1.rho)
+                gap = abs(_rho(oracle, [x[0] + delta], vp, eps1 + delta, model) - r1)
                 if gap > prev + 1e-9 or (delta == 1e-4 and gap > 1e-2):
                     failures.append(f"continuity at instance {j} (delta {delta}, gap {gap:.1e})")
                     break
@@ -206,10 +208,8 @@ def check_crn_identity(quick=False):
     sys_ = make_halfspace([1.0, 0.0])
     x = np.array([1.0])
     g = evaluate(sys_, x, model, dirs).gradient().gradient[0]
-    h = 5e-5
-    fp = evaluate(sys_, x + h, model, dirs).value
-    fm = evaluate(sys_, x - h, model, dirs).value
-    rel = abs((fp - fm) / (2 * h) - g) / max(abs(g), 1e-12)
+    fd = fd_gradient(sys_, x, model, dirs, h0=5e-5)[0]
+    rel = abs(fd - g) / max(abs(g), 1e-12)
     ok = rel <= 1e-6
     return ok, f"relative FD mismatch {rel:.2e}"
 

@@ -3,22 +3,8 @@
 import numpy as np
 
 import sphrad as sp
+from sphrad.estimates import fd_gradient
 from sphrad.radial import inequality_hits
-
-
-def fd_gradient(target, x, model, dirs, h0=1e-4, eps=None):
-    """Central finite differences of the value estimator, same direction set."""
-    x = np.asarray(x, dtype=float)
-    fd = np.zeros_like(x)
-    for i in range(x.shape[0]):
-        h = h0 * max(1.0, abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        fp = sp.evaluate(target, xp, model, dirs, eps=eps).value
-        fm = sp.evaluate(target, xm, model, dirs, eps=eps).value
-        fd[i] = (fp - fm) / (2 * h)
-    return fd
 
 
 def fd_rel_error(system, x, model, dirs, h0=1e-4):

@@ -177,10 +177,10 @@ class TestOneSolvePerDecision:
                                          validate_n=20000)
         solved = []
 
-        def recording(system, x, dirs, model, opts=None):
+        def recording(system, x, dirs, model):
             if dirs is problem.eval_dirs.directions:
                 solved.append(np.asarray(x, dtype=float).tobytes())
-            return inequality_hits(system, x, dirs, model, opts)
+            return inequality_hits(system, x, dirs, model)
 
         monkeypatch.setattr(estimates, "inequality_hits", recording)
         _, trace = sp.solve(problem)
