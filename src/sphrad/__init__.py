@@ -14,8 +14,7 @@ from .oracles import (AffineDomainCap, ConvexSetOracle, InequalitySystem,
                       build_energy_covariance, make_ball, make_constant,
                       make_energy_system, make_halfspace, make_hyperbolic_set,
                       make_hyperbolic_system, make_slab, slab_threshold)
-from .solver import (ChanceProblem, IterationRecord, SolveOptions, SolveTrace,
-                     solve, validate)
+from .solver import ChanceProblem, IterationRecord, SolveTrace, solve, validate
 from .energy import EnergyParams, make_energy_problem, starting_point
 
 __version__ = "0.1.0"

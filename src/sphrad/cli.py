@@ -3,8 +3,9 @@
 Subcommands: ``eval`` (probability estimate), ``grad`` (gradient estimate),
 ``solve-energy`` (the dispatch case study), ``verify`` (self checks).
 Configuration comes from an optional JSON file plus flag overrides; flags
-win.  Exit codes: 0 success, 2 configuration error, 3 numerical error,
-4 solver error, 5 verification failure.
+win.  Each subcommand takes only the settings it reads (``COMMAND_FIELDS``),
+as flags and as config-file keys.  Exit codes: 0 success, 2 configuration
+error, 3 numerical error, 4 solver error, 5 verification failure.
 
 All persisted artifacts are deterministic byte-for-byte for a fixed
 configuration: they carry seeds and the tool version, never timestamps.
@@ -30,16 +31,45 @@ from .gaussian import DEFAULT_SEED, SphereMethod, build_model, sample_sphere
 from .oracles import (ConvexSetOracle, make_ball, make_constant,
                       make_halfspace, make_hyperbolic_set,
                       make_hyperbolic_system, make_slab)
-from .solver import SolveOptions, solve, validate
+from .solver import solve, validate
 from .verify import run_all
 
-_SOLVER_KEYS = {"max_iters", "step_tol", "prob_band", "infeas_tol", "delta0",
-                "delta_max", "feas_steps", "feas_margin", "tie_policy"}
+#: The RunConfig fields each subcommand reads.  The subcommand's flags and
+#: the keys its config file may hold both come from this list; ``energy``
+#: is a config-file key only.
+COMMAND_FIELDS = {
+    "eval": ("fixture", "x", "eps", "n", "seed", "method", "dim", "out",
+             "directions_csv"),
+    "grad": ("fixture", "x", "eps", "n", "seed", "method", "tie_policy", "dim",
+             "out", "check_fd"),
+    "solve-energy": ("n", "seed", "method", "out", "validate_n", "validate_seed",
+                     "energy"),
+    "verify": ("quick",),
+}
+
+_FLAGS = {
+    "fixture": dict(help="halfspace | slab | hyperbolic | ball | constant"),
+    "x": dict(help="comma separated decision vector"),
+    "eps": dict(type=float, help="enlargement radius (hyperbolic and ball fixtures)"),
+    "n": dict(type=int, help="number of sphere directions"),
+    "seed": dict(type=int, help="direction seed"),
+    "method": dict(choices=["mc", "qmc"], help="sphere sampling method"),
+    "tie_policy": dict(choices=["average", "min_index"],
+                       help="subdifferential element reported at ties"),
+    "dim": dict(type=int, help="ambient dimension for synthetic fixtures"),
+    "out": dict(help="output path (a directory for solve-energy)"),
+    "directions_csv": dict(help="write per-direction records to this CSV"),
+    "check_fd": dict(action="store_true", default=None,
+                     help="emit a finite-difference cross check"),
+    "validate_n": dict(type=int, help="number of validation directions"),
+    "validate_seed": dict(type=int, help="validation direction seed"),
+    "quick": dict(action="store_true", default=None, help="run the short checks"),
+}
 
 
 @dataclass
 class RunConfig:
-    """Validated run configuration; unknown keys are rejected."""
+    """Validated run configuration."""
 
     fixture: str = "halfspace"
     x: list = field(default_factory=lambda: [1.0])
@@ -56,29 +86,31 @@ class RunConfig:
     validate_n: int = 200000
     validate_seed: int = None
     energy: dict = field(default_factory=dict)
-    solver: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.method not in ("mc", "qmc"):
             raise ConfigError(f"method must be 'mc' or 'qmc', got {self.method!r}")
         if self.tie_policy not in ("average", "min_index"):
             raise ConfigError(f"unknown tie policy {self.tie_policy!r}")
-        if self.n < 1:
-            raise ConfigError("n must be a positive direction count")
-        if self.eps is not None and self.eps < 0:
-            raise ConfigError("eps must be nonnegative")
-        if self.dim < 1:
-            raise ConfigError("dim must be >= 1")
+        for name, low in (("n", 1), ("seed", 0), ("dim", 1), ("validate_n", 1),
+                          ("validate_seed", 0)):
+            value = getattr(self, name)
+            if (not (isinstance(value, int) and value >= low)
+                    and (name, value) != ("validate_seed", None)):
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        if self.eps is not None and not (isinstance(self.eps, (int, float))
+                                         and self.eps >= 0):
+            raise ConfigError(f"eps must be a nonnegative number, got {self.eps!r}")
+        if isinstance(self.x, str) or not all(isinstance(v, (int, float)) for v in self.x):
+            raise ConfigError(f"x must be a list of numbers, got {self.x!r}")
         self.x = [float(v) for v in self.x]
         bad = set(self.energy) - {f.name for f in dataclasses.fields(EnergyParams)}
         if bad:
             raise ConfigError(f"unknown energy parameter keys: {sorted(bad)}")
-        bad = set(self.solver) - _SOLVER_KEYS
-        if bad:
-            raise ConfigError(f"unknown solver option keys: {sorted(bad)}")
 
     @classmethod
-    def from_sources(cls, config_path=None, overrides=None) -> "RunConfig":
+    def from_sources(cls, command, config_path=None, overrides=None) -> "RunConfig":
+        """Merge a config file holding only keys ``command`` reads and flag overrides."""
         data = {}
         if config_path is not None:
             try:
@@ -87,14 +119,11 @@ class RunConfig:
                 raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
             if not isinstance(raw, dict):
                 raise ConfigError("config file must hold a JSON object")
-            known = {f.name for f in dataclasses.fields(cls)}
-            unknown = set(raw) - known
-            if unknown:
-                raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            unread = set(raw) - set(COMMAND_FIELDS[command])
+            if unread:
+                raise ConfigError(f"config keys not read by {command}: {sorted(unread)}")
             data.update(raw)
-        for key, value in (overrides or {}).items():
-            if value is not None:
-                data[key] = value
+        data.update(overrides or {})
         try:
             return cls(**data)
         except TypeError as exc:
@@ -105,8 +134,6 @@ class RunConfig:
 
 
 def _parse_x(text):
-    if text is None:
-        return None
     try:
         return [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
@@ -114,29 +141,32 @@ def _parse_x(text):
 
 
 def _build_fixture(cfg: RunConfig):
-    """Return (target, model, eps) for the requested fixture."""
+    """Return (target, model, dirs, eps); settings the fixture ignores are rejected."""
     m = cfg.dim
+    if cfg.fixture in ("halfspace", "slab", "constant") and cfg.eps is not None:
+        raise ConfigError(f"eps applies to hyperbolic and ball, not to {cfg.fixture}")
+    if cfg.fixture == "hyperbolic" and m != 2:
+        raise ConfigError(f"the hyperbolic fixture is two-dimensional, got dim {m}")
+    e1 = np.eye(m)[0]
     if cfg.fixture == "halfspace":
-        a = np.zeros(m)
-        a[0] = 1.0
-        return make_halfspace(a), build_model(np.zeros(m), np.eye(m)), None
-    if cfg.fixture == "slab":
-        c = np.zeros(m)
-        c[0] = 1.0
-        sys_ = make_slab(c, lambda x: x[0], lambda x: np.array([1.0]))
-        return sys_, build_model(np.zeros(m), np.eye(m)), None
-    if cfg.fixture == "hyperbolic":
-        model = build_model(np.zeros(2), np.eye(2))
-        if cfg.eps is None:
-            return make_hyperbolic_system(), model, None
-        return make_hyperbolic_set(), model, cfg.eps
-    if cfg.fixture == "ball":
-        model = build_model(np.zeros(m), np.eye(m))
-        return make_ball(np.zeros(m), z_dim=m), model, (cfg.eps or 0.0)
-    if cfg.fixture == "constant":
-        return make_constant(z_dim=m), build_model(np.zeros(m), np.eye(m)), None
-    raise ConfigError(f"unknown fixture {cfg.fixture!r} "
-                      "(choose halfspace, slab, hyperbolic, ball, constant)")
+        target = make_halfspace(e1)
+    elif cfg.fixture == "slab":
+        target = make_slab(e1, lambda x: x[0], lambda x: np.array([1.0]))
+    elif cfg.fixture == "hyperbolic":
+        target = make_hyperbolic_system() if cfg.eps is None else make_hyperbolic_set()
+    elif cfg.fixture == "ball":
+        target = make_ball(np.zeros(m), z_dim=m)
+    elif cfg.fixture == "constant":
+        target = make_constant(z_dim=m)
+    else:
+        raise ConfigError(f"unknown fixture {cfg.fixture!r} "
+                          "(choose halfspace, slab, hyperbolic, ball, constant)")
+    if len(cfg.x) != target.x_dim:
+        raise ConfigError(f"x has {len(cfg.x)} entries, {cfg.fixture} takes {target.x_dim}")
+    model = build_model(np.zeros(m), np.eye(m))
+    dirs = sample_sphere(m, cfg.n, seed=cfg.seed, method=SphereMethod(cfg.method))
+    eps = 0.0 if cfg.fixture == "ball" and cfg.eps is None else cfg.eps
+    return target, model, dirs, eps
 
 
 def _dump_json(payload: dict, out):
@@ -171,8 +201,7 @@ def _common_payload(cfg: RunConfig) -> dict:
 
 
 def cmd_eval(cfg: RunConfig) -> int:
-    target, model, eps = _build_fixture(cfg)
-    dirs = sample_sphere(model.dim, cfg.n, seed=cfg.seed, method=SphereMethod(cfg.method))
+    target, model, dirs, eps = _build_fixture(cfg)
     ev = evaluate(target, cfg.x, model, dirs, eps=eps)
     payload = {"command": "eval", **_common_payload(cfg),
                "value": ev.value, "std_error": ev.std_error,
@@ -185,8 +214,7 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def cmd_grad(cfg: RunConfig) -> int:
-    target, model, eps = _build_fixture(cfg)
-    dirs = sample_sphere(model.dim, cfg.n, seed=cfg.seed, method=SphereMethod(cfg.method))
+    target, model, dirs, eps = _build_fixture(cfg)
     if isinstance(target, ConvexSetOracle) and (not eps or eps <= 0):
         raise ConfigError("gradient of a set oracle needs --eps > 0")
     est = evaluate(target, cfg.x, model, dirs, eps=eps).gradient(cfg.tie_policy)
@@ -212,8 +240,7 @@ def cmd_solve_energy(cfg: RunConfig) -> int:
                                   method=SphereMethod(cfg.method), seed=cfg.seed,
                                   validate_n=cfg.validate_n,
                                   validate_seed=cfg.validate_seed)
-    opts = SolveOptions(**cfg.solver)
-    x, trace = solve(problem, opts)
+    x, trace = solve(problem)
     val = validate(x, problem)
 
     out_dir = Path(cfg.out or "energy_out")
@@ -255,20 +282,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if all_ok else 5
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON configuration file; flags override it")
-    p.add_argument("--fixture", help="halfspace | slab | hyperbolic | ball | constant")
-    p.add_argument("--x", help="comma separated decision vector")
-    p.add_argument("--eps", type=float, help="enlargement radius for set oracles")
-    p.add_argument("--n", type=int, help="number of sphere directions")
-    p.add_argument("--seed", type=int, help="direction seed")
-    p.add_argument("--method", choices=["mc", "qmc"], help="sphere sampling method")
-    p.add_argument("--tie-policy", dest="tie_policy", choices=["average", "min_index"])
-    p.add_argument("--dim", type=int, help="ambient dimension for synthetic fixtures")
-    p.add_argument("--out", help="output path")
-    p.add_argument("--quick", action="store_true", default=None)
-    p.add_argument("--directions-csv", dest="directions_csv",
-                   help="write per-direction records to this CSV")
+_COMMANDS = {"eval": cmd_eval, "grad": cmd_grad, "solve-energy": cmd_solve_energy,
+             "verify": cmd_verify}
 
 
 def _build_parser():
@@ -276,39 +291,26 @@ def _build_parser():
                                      description="spherical-radial probability toolbox")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("eval", "grad"):
-        p = sub.add_parser(name)
-        _add_common(p)
-        if name == "grad":
-            p.add_argument("--check-fd", dest="check_fd", action="store_true",
-                           default=None, help="emit a finite-difference cross check")
-    p = sub.add_parser("solve-energy")
-    _add_common(p)
-    p.add_argument("--validate-n", dest="validate_n", type=int)
-    p.add_argument("--validate-seed", dest="validate_seed", type=int)
-    p = sub.add_parser("verify")
-    _add_common(p)
+    for command, fields in COMMAND_FIELDS.items():
+        p = sub.add_parser(command)
+        if command != "verify":          # verify's one switch needs no file
+            p.add_argument("--config", help="JSON configuration file; flags override it")
+        for name in fields:
+            if name in _FLAGS:
+                p.add_argument("--" + name.replace("_", "-"), dest=name, **_FLAGS[name])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     overrides = {k: v for k, v in vars(args).items()
                  if k not in ("command", "config") and v is not None}
-    if "x" in overrides:
-        overrides["x"] = _parse_x(overrides["x"])
     try:
-        cfg = RunConfig.from_sources(args.config, overrides)
-        if args.command == "eval":
-            return cmd_eval(cfg)
-        if args.command == "grad":
-            return cmd_grad(cfg)
-        if args.command == "solve-energy":
-            return cmd_solve_energy(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        if "x" in overrides:
+            overrides["x"] = _parse_x(overrides["x"])
+        cfg = RunConfig.from_sources(args.command, getattr(args, "config", None),
+                                     overrides)
+        return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 2

@@ -181,16 +181,18 @@ def evaluate(target, x, model: GaussianModel, dirs: DirectionSet,
         raise ValueError("direction set is empty")
     if dirs.dim != model.dim:
         raise ValueError(f"direction dimension {dirs.dim} != model dimension {model.dim}")
+    if not isinstance(target, (InequalitySystem, ConvexSetOracle)):
+        raise TypeError(f"unsupported target {type(target).__name__}")
     x = np.asarray(x, dtype=float).reshape(-1)
+    if x.shape[0] != target.x_dim:
+        raise ValueError(f"decision has {x.shape[0]} entries, x_dim is {target.x_dim}")
     if isinstance(target, InequalitySystem):
         if eps not in (None, 0, 0.0):
             raise ValueError("eps enlargement applies to set oracles only")
         hits = inequality_hits(target, x, dirs.directions, model)
-    elif isinstance(target, ConvexSetOracle):
+    else:
         hits = enlarged_hits(target, x, dirs.directions, 0.0 if eps is None else float(eps),
                              model)
-    else:
-        raise TypeError(f"unsupported target {type(target).__name__}")
     e = np.asarray(chi_cdf(RadialLaw(model.dim), hits.rho))
     if dirs.method is SphereMethod.MONTE_CARLO and dirs.n > 1:
         std_error = float(np.std(e, ddof=1) / np.sqrt(dirs.n))

@@ -9,10 +9,10 @@ the linearized subproblem
 
 which, being a box plus a single cut, is solved exactly by a greedy
 active-set walk (a continuous knapsack).  Steps whose true estimate falls
-below ``p - infeas_tol`` are rejected and shrink the trust radius; accepted
+below ``p - INFEAS_TOL`` are rejected and shrink the trust radius; accepted
 steps that fail to improve the cost also shrink it, which removes vertex
 zigzagging.  Because the direction set is fixed, the whole solve is
-deterministic for a given problem and options.
+deterministic for a given problem.
 """
 
 from __future__ import annotations
@@ -27,9 +27,17 @@ from .estimates import ProbEstimate, evaluate
 from .gaussian import DirectionSet, GaussianModel
 from .oracles import InequalitySystem
 
+MAX_ITERS = 2000         # iterations before the solve stops at the cap
+STEP_TOL = 1e-4          # accepted step length (inf-norm) counted as converged
+PROB_BAND = 5e-3         # |phat - p| window accepted at convergence
+INFEAS_TOL = 1e-3        # accepted iterates keep phat >= p - INFEAS_TOL
+DELTA0 = 1.0             # initial trust radius
+DELTA_MAX = 8.0          # largest trust radius
 DELTA_MIN = 1e-12        # trust radius below which the solve gives up
 GROW = 2.0               # trust radius factor after a cost-improving step
 SHRINK = 0.5             # factor after a rejected or non-improving step
+FEAS_STEPS = 500         # gradient ascent steps of the feasibility phase
+FEAS_MARGIN = 5e-3       # the feasibility phase stops at phat >= p + FEAS_MARGIN
 
 
 @dataclass(frozen=True)
@@ -58,19 +66,6 @@ class ChanceProblem:
         if (self.eval_dirs.seed == self.validate_dirs.seed
                 and self.eval_dirs.method == self.validate_dirs.method):
             raise ValueError("evaluation and validation direction seeds must differ")
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    max_iters: int = 2000
-    step_tol: float = 1e-4
-    prob_band: float = 5e-3          # |phat - p| window accepted at convergence
-    infeas_tol: float = 1e-3         # accepted iterates keep phat >= p - infeas_tol
-    delta0: float = 1.0
-    delta_max: float = 8.0
-    feas_steps: int = 500
-    feas_margin: float = 5e-3
-    tie_policy: str = "average"
 
 
 @dataclass
@@ -132,17 +127,17 @@ def _evaluate(problem, x):
     return evaluate(problem.system, x, problem.model, problem.eval_dirs)
 
 
-def _feasibility_phase(problem, x, opts):
-    """Projected gradient ascent on phat until p + feas_margin is reached.
+def _feasibility_phase(problem, x):
+    """Projected gradient ascent on phat until p + FEAS_MARGIN is reached.
 
     Returns the reached point and its evaluation.
     """
     p = problem.p_level
     ev = _evaluate(problem, x)
-    if ev.value >= p + opts.feas_margin:
+    if ev.value >= p + FEAS_MARGIN:
         return x, ev
-    for _ in range(opts.feas_steps):
-        g = ev.gradient(opts.tie_policy).gradient
+    for _ in range(FEAS_STEPS):
+        g = ev.gradient().gradient
         gnorm = np.linalg.norm(g)
         if gnorm == 0:
             break
@@ -163,32 +158,31 @@ def _feasibility_phase(problem, x, opts):
             alpha *= 0.5
         if not moved:
             break
-        if ev.value >= p + opts.feas_margin:
+        if ev.value >= p + FEAS_MARGIN:
             return x, ev
     raise NoFeasibleStart(
-        f"feasibility phase stalled at phat = {ev.value:.6f} < {p} + {opts.feas_margin}")
+        f"feasibility phase stalled at phat = {ev.value:.6f} < {p} + {FEAS_MARGIN}")
 
 
-def solve(problem: ChanceProblem, opts: SolveOptions = None):
+def solve(problem: ChanceProblem):
     """Run the trust-region SLP loop; returns (x_final, SolveTrace).
 
     Raises :class:`NoFeasibleStart` when no point with phat >= p can be
     found and :class:`LPInfeasible` when the subproblem stays infeasible
     after restoration and trust-region shrinking.
     """
-    opts = opts or SolveOptions()
     p = problem.p_level
     x0 = (problem.start if problem.start is not None
           else 0.5 * (problem.lower + problem.upper))
-    x, ev = _feasibility_phase(problem, np.clip(x0, problem.lower, problem.upper), opts)
+    x, ev = _feasibility_phase(problem, np.clip(x0, problem.lower, problem.upper))
     phat = ev.value
-    g = ev.gradient(opts.tie_policy).gradient
+    g = ev.gradient().gradient
 
-    delta = opts.delta0
+    delta = DELTA0
     trace = SolveTrace(records=[])
     trace.records.append(IterationRecord(0, x.copy(), float(problem.cost @ x),
                                          phat, np.inf, delta, True))
-    for k in range(1, opts.max_iters + 1):
+    for k in range(1, MAX_ITERS + 1):
         lk = np.maximum(problem.lower, x - delta)
         uk = np.minimum(problem.upper, x + delta)
         b = p - phat + g @ x
@@ -203,7 +197,7 @@ def solve(problem: ChanceProblem, opts: SolveOptions = None):
         if step == 0.0:
             trace.records.append(IterationRecord(k, x.copy(), float(problem.cost @ x),
                                                  phat, 0.0, delta, True))
-            if abs(phat - p) <= opts.prob_band or cut_slack:
+            if abs(phat - p) <= PROB_BAND or cut_slack:
                 trace.status = "box_optimum" if cut_slack else "converged"
                 return x, trace
             delta *= SHRINK
@@ -217,29 +211,29 @@ def solve(problem: ChanceProblem, opts: SolveOptions = None):
         except InteriorViolated:
             p_new = -np.inf
             interior_ok = False
-        accept = interior_ok and feasible and p_new >= p - opts.infeas_tol
+        accept = interior_ok and feasible and p_new >= p - INFEAS_TOL
         if accept:
             prev_cost = float(problem.cost @ x)
             new_cost = float(problem.cost @ x_lp)
             x, phat = x_lp, p_new
-            g = ev_new.gradient(opts.tie_policy).gradient
+            g = ev_new.gradient().gradient
             if new_cost >= prev_cost - 1e-12:
                 # No cost progress: contract to break vertex zigzags.
                 delta = max(delta * SHRINK, DELTA_MIN)
             else:
-                delta = min(delta * GROW, opts.delta_max)
+                delta = min(delta * GROW, DELTA_MAX)
         else:
             if interior_ok and not feasible and p_new > phat + 1e-12:
                 # Successful restoration step.
                 x, phat = x_lp, p_new
-                g = ev_new.gradient(opts.tie_policy).gradient
+                g = ev_new.gradient().gradient
             else:
                 delta *= SHRINK
                 if delta < DELTA_MIN:
                     raise LPInfeasible("trust region exhausted while rejecting steps")
         trace.records.append(IterationRecord(k, x.copy(), float(problem.cost @ x),
                                              phat, step, delta, accept))
-        if accept and step <= opts.step_tol and (abs(phat - p) <= opts.prob_band
+        if accept and step <= STEP_TOL and (abs(phat - p) <= PROB_BAND
                                                  or cut_slack):
             trace.status = "box_optimum" if cut_slack else "converged"
             return x, trace

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sphrad.cli import RunConfig
+from sphrad.cli import RunConfig, main
 from sphrad.errors import ConfigError
 
 
@@ -20,15 +20,22 @@ def run_cli(*args, cwd=None):
 class TestRunConfig:
     def test_round_trip_identity(self):
         cfg = RunConfig(fixture="slab", x=[-1.0], n=500, seed=4, method="mc",
-                        energy={"periods": 2}, solver={"max_iters": 50})
+                        energy={"periods": 2})
         again = RunConfig(**cfg.to_dict())
         assert again.to_dict() == cfg.to_dict()
 
     def test_unknown_keys_rejected(self, tmp_path):
+        # Valid values throughout: each key is rejected only for being unread.
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"fixture": "halfspace", "bogus": 1}))
-        with pytest.raises(ConfigError):
-            RunConfig.from_sources(str(path))
+        for command, key, value in (
+                ("eval", "bogus", 1), ("eval", "solver", {}),
+                ("eval", "tie_policy", "average"), ("eval", "validate_n", 5),
+                ("grad", "energy", {}), ("grad", "directions_csv", "d.csv"),
+                ("solve-energy", "fixture", "slab"), ("solve-energy", "x", [1.0]),
+                ("verify", "n", 5)):
+            path.write_text(json.dumps({key: value}))
+            with pytest.raises(ConfigError, match=f"not read by {command}"):
+                RunConfig.from_sources(command, str(path))
 
     def test_unknown_energy_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -37,12 +44,41 @@ class TestRunConfig:
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"n": 100, "seed": 1}))
-        cfg = RunConfig.from_sources(str(path), {"seed": 2})
+        cfg = RunConfig.from_sources("eval", str(path), {"seed": 2})
         assert cfg.n == 100 and cfg.seed == 2
 
     def test_bad_method_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig(method="sobol")
+
+
+class TestCommandFlags:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--tie-policy", "min_index"], ["eval", "--check-fd"],
+        ["eval", "--validate-n", "5"], ["eval", "--quick"],
+        ["grad", "--directions-csv", "d.csv"], ["grad", "--validate-seed", "3"],
+        ["solve-energy", "--tie-policy", "min_index"], ["solve-energy", "--fixture", "slab"],
+        ["solve-energy", "--x", "1"], ["solve-energy", "--eps", "0.1"],
+        ["solve-energy", "--dim", "3"], ["solve-energy", "--check-fd"],
+        ["verify", "--n", "5"], ["verify", "--out", "v.json"],
+        ["verify", "--config", "cfg.json"]])
+    def test_flag_not_read_by_command_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--fixture", "halfspace", "--x", "1", "--eps", "0.3"],
+        ["grad", "--fixture", "slab", "--x", "-1", "--eps", "0"],
+        ["eval", "--fixture", "constant", "--x", "0", "--eps", "0.1"],
+        ["grad", "--fixture", "hyperbolic", "--x", "1", "--dim", "3"],
+        ["eval", "--fixture", "hyperbolic", "--x", "1", "--eps", "0.1", "--dim", "8"],
+        ["eval", "--fixture", "halfspace", "--x", "1,2"],
+        ["grad", "--fixture", "ball", "--x", "1,2", "--eps", "0.1"]])
+    def test_ignored_setting_exit_2(self, argv, capsys):
+        assert main(argv + ["--n", "16"]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
 
 class TestEvalCommand:
@@ -55,10 +91,17 @@ class TestEvalCommand:
         assert abs(payload["value"] - stats.norm.cdf(1.0)) <= 1e-3
         assert payload["seed"] == 7 and payload["version"]
 
-    def test_malformed_config_exit_2(self, tmp_path):
+    @pytest.mark.parametrize("config, argv", [
+        ({"definitely_not_a_key": True}, ["eval"]),
+        ({"x": "1,2"}, ["eval"]),
+        ({}, ["solve-energy", "--validate-n", "0"]),
+        ({}, ["eval", "--seed", "-1"]),
+        ({}, ["eval", "--x", "1,a"])],
+        ids=["unknown-key", "x-string", "validate-n-0", "seed-negative", "x-unparsable"])
+    def test_malformed_config_exit_2(self, tmp_path, config, argv):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"definitely_not_a_key": True}))
-        proc = run_cli("eval", "--config", str(path))
+        path.write_text(json.dumps(config))
+        proc = run_cli(*argv, "--config", str(path))
         assert proc.returncode == 2
         assert "configuration error" in proc.stderr
 

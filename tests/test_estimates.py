@@ -83,6 +83,12 @@ class TestProbValue:
             sp.evaluate(sp.make_halfspace([1.0, 0.0]), [1.0], _model2(), _dirs(n=16),
                         eps=0.1)
 
+    @pytest.mark.parametrize("target", [sp.make_halfspace([1.0, 0.0]),
+                                        sp.make_ball(np.zeros(2))])
+    def test_decision_length_checked(self, target):
+        with pytest.raises(ValueError, match="decision has 2 entries"):
+            sp.evaluate(target, [1.0, 2.0], _model2(), _dirs(n=16))
+
 
 class TestProbGradient:
     def test_halfspace_analytic(self):

@@ -3,7 +3,7 @@ import pytest
 from scipy import optimize, stats
 
 import sphrad as sp
-from sphrad.solver import _lp_box_cut
+from sphrad.solver import INFEAS_TOL, _lp_box_cut
 
 
 def _model2():
@@ -63,10 +63,9 @@ class TestHalfspaceSolve:
     def test_monotone_feasibility(self):
         problem = _halfspace_problem(start=[3.0])
         _, trace = sp.solve(problem)
-        opts = sp.SolveOptions()
         for rec in trace.records:
             if rec.accepted:
-                assert rec.phat >= problem.p_level - opts.infeas_tol
+                assert rec.phat >= problem.p_level - INFEAS_TOL
 
     def test_determinism(self):
         problem = _halfspace_problem(start=[3.0])
