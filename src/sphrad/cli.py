@@ -14,6 +14,7 @@ configuration: they carry seeds and the tool version, never timestamps.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -169,16 +170,27 @@ def _build_fixture(cfg: RunConfig):
     return target, model, dirs, eps
 
 
+@contextlib.contextmanager
+def _output(path):
+    """Open ``path`` for writing; an ``OSError`` becomes a configuration error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _dump_json(payload: dict, out):
     text = json.dumps(payload, indent=2) + "\n"
     if out:
-        Path(out).write_text(text, encoding="utf-8", newline="\n")
+        with _output(out) as fh:
+            fh.write(text)
     sys.stdout.write(text)
 
 
 def _dump_directions_csv(path, ev):
     hits = ev.hits
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["index", "rho", "e", "finite", "active"])
         for idx, (rho, e, finite, act) in enumerate(zip(
@@ -244,7 +256,10 @@ def cmd_solve_energy(cfg: RunConfig) -> int:
     val = validate(x, problem)
 
     out_dir = Path(cfg.out or "energy_out")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create {out_dir}: {exc}") from exc
     meta = {"version": __version__, "n": cfg.n, "seed": cfg.seed,
             "method": cfg.method, "validate_n": cfg.validate_n,
             "validate_seed": problem.validate_dirs.seed,
@@ -256,18 +271,16 @@ def cmd_solve_energy(cfg: RunConfig) -> int:
                 "cost": float(problem.cost @ x),
                 "phat": final.phat,
                 "validation": {"value": val.value, "std_error": val.std_error}}
-    (out_dir / "solution.json").write_text(json.dumps(solution, indent=2) + "\n",
-                                           encoding="utf-8", newline="\n")
-    with open(out_dir / "trace.jsonl", "w", encoding="utf-8", newline="\n") as fh:
+    with _output(out_dir / "trace.jsonl") as fh:
         fh.write(json.dumps({"meta": meta}) + "\n")
         for row in trace.to_jsonl_rows():
             fh.write(json.dumps(row) + "\n")
-    with open(out_dir / "iterations.csv", "w", encoding="utf-8", newline="") as fh:
+    with _output(out_dir / "iterations.csv") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["iteration", "cost", "phat"])
         for rec in trace.records:
             writer.writerow([rec.k, repr(rec.cost), repr(rec.phat)])
-    sys.stdout.write(json.dumps(solution, indent=2) + "\n")
+    _dump_json(solution, out_dir / "solution.json")
     return 0
 
 

@@ -39,6 +39,11 @@ class InequalitySystem:
 
     ``eval_g(i, x, Z)`` maps ``Z`` of shape (k, m) to values of shape (k,);
     ``grad_x_g`` returns (k, n) and ``grad_z_g`` returns (k, m).
+
+    ``halfspaces``, when given, declares that every sublevel set is a
+    halfspace in z: ``halfspaces(x)`` returns ``(W, t)`` of shapes (s, m) and
+    (s,) with ``{z : g_i(x, z) <= 0} = {z : W[i] . z <= t[i]}``.  The radial
+    solver then finds the ray roots in closed form instead of by scanning.
     """
 
     s: int
@@ -49,6 +54,7 @@ class InequalitySystem:
     grad_z_g: Callable
     domain_caps: tuple = ()
     name: str = "system"
+    halfspaces: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -120,9 +126,12 @@ def make_halfspace(a) -> InequalitySystem:
     def grad_z_g(i, x, Z):
         return np.broadcast_to(a, Z.shape).copy()
 
+    def halfspaces(x):
+        return a[None, :], np.asarray(x, dtype=float).reshape(-1)[:1]
+
     return InequalitySystem(s=1, x_dim=1, z_dim=m, eval_g=eval_g,
                             grad_x_g=grad_x_g, grad_z_g=grad_z_g,
-                            name="halfspace")
+                            name="halfspace", halfspaces=halfspaces)
 
 
 def make_slab(c, f, f_grad, x_dim: int = 1) -> InequalitySystem:
@@ -357,10 +366,14 @@ def make_energy_system(params) -> InequalitySystem:
 
     Wind-speed positivity enters as an affine domain cap per period rather
     than an extra inequality, which keeps the ray geometry well behaved when
-    p_wind[t] is at zero.
+    p_wind[t] is at zero.  Both sublevel sets are halfspaces in z (wind:
+    ``z1[t] >= cbrt(p_wind[t] / c)``, as ``c > 0``) and are declared through
+    ``halfspaces``, so every ray root is explicit.
     """
     T = int(params.periods)
     c = float(params.wind_coeff)
+    if not c > 0:
+        raise ValueError("wind_coeff must be positive")
     m = 2 * T
 
     def split(x):
@@ -396,13 +409,19 @@ def make_energy_system(params) -> InequalitySystem:
             out[:, i] = 1.0
         return out
 
+    W = np.diag(np.r_[np.full(T, -1.0), np.ones(T)])
+
+    def halfspaces(x):
+        pw, pg = split(x)
+        return W, np.r_[-np.cbrt(pw / c), pw + pg]
+
     caps = tuple(
         AffineDomainCap(a=np.eye(m)[t], b=0.0, label=f"wind speed t={t} >= 0")
         for t in range(T)
     )
     return InequalitySystem(s=2 * T, x_dim=2 * T, z_dim=m, eval_g=eval_g,
                             grad_x_g=grad_x_g, grad_z_g=grad_z_g,
-                            domain_caps=caps, name="energy")
+                            domain_caps=caps, name="energy", halfspaces=halfspaces)
 
 
 def build_energy_covariance(params) -> GaussianModel:

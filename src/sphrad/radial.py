@@ -3,9 +3,12 @@
 For a direction ``v`` the ray ``r -> mean + r * L @ v`` leaves the feasible
 region at the radial function value: the largest radius whose point still
 satisfies every constraint (or stays within distance ``eps`` of the body, in
-enlarged mode).  Quasi-convexity in ``z`` makes the feasible radii an
-interval starting at zero, so a doubling scan followed by bisection and a
-Newton polish is reliable.  A second sign change is reported as
+enlarged mode).  Where a system declares its sublevel sets as halfspaces
+(``InequalitySystem.halfspaces``), and for affine domain caps, the root is
+explicit and solved in closed form.  Other constraints go through a
+doubling scan followed by bisection and a Newton polish, which
+quasi-convexity in ``z`` makes reliable: the feasible radii form an interval
+starting at zero.  A second sign change is reported as
 :class:`BracketFailure` only when it straddles a scan point r = 1, 2, 4, ...;
 two sign changes inside one doubling interval go unnoticed, and bisection
 may then return the later root.
@@ -109,6 +112,18 @@ def _scan_and_bisect(eval_h, n_dirs, r_search, polish_slope=None):
     return rho
 
 
+def _halfspace_roots(LV, w, t, mean, limit):
+    """Radii where the rays ``mean + r * LV[k]`` leave ``{z : w . z <= t}``.
+
+    ``inf`` where a ray never leaves the halfspace or leaves it at or beyond
+    ``limit``.
+    """
+    speed = LV @ w
+    rho = np.full(LV.shape[0], np.inf)
+    np.divide(t - w @ mean, speed, out=rho, where=speed > 0)
+    return np.where(rho < limit, rho, np.inf)
+
+
 def _rays(x, dirs, model: GaussianModel):
     """Return the decision vector and the rows ``L v`` of unit directions."""
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -137,27 +152,29 @@ def inequality_hits(system: InequalitySystem, x, dirs: np.ndarray,
     n_caps = len(system.domain_caps)
     rho_cap = np.full((n_caps, n_dirs), np.inf)
     for k, cap in enumerate(system.domain_caps):
-        denom = LV @ cap.a
-        val0 = float(cap.a @ mean + cap.b)
-        exits = denom < 0
-        rho_cap[k, exits] = -val0 / denom[exits]
+        rho_cap[k] = _halfspace_roots(LV, -cap.a, cap.b, mean, np.inf)
     r_dom = rho_cap.min(axis=0) if n_caps else np.full(n_dirs, np.inf)
     # Real roots are searched strictly inside the validity window, so a root
     # exactly on a cap is attributed to the cap (whose geometry is regular).
     r_search = np.minimum(r_max, r_dom * (1.0 - 1e-10))
 
     rho_real = np.empty((system.s, n_dirs))
-    for i in range(system.s):
-        def eval_h(r, idx, _i=i):
-            Z = mean + r[:, None] * LV[idx]
-            return np.asarray(system.eval_g(_i, x, Z), dtype=float)
+    if system.halfspaces is not None:
+        W, t = system.halfspaces(x)
+        for i in range(system.s):
+            rho_real[i] = _halfspace_roots(LV, W[i], t[i], mean, r_search)
+    else:
+        for i in range(system.s):
+            def eval_h(r, idx, _i=i):
+                Z = mean + r[:, None] * LV[idx]
+                return np.asarray(system.eval_g(_i, x, Z), dtype=float)
 
-        def slope(r, idx, _i=i):
-            Z = mean + r[:, None] * LV[idx]
-            gz = np.asarray(system.grad_z_g(_i, x, Z), dtype=float)
-            return np.einsum("km,km->k", gz, LV[idx])
+            def slope(r, idx, _i=i):
+                Z = mean + r[:, None] * LV[idx]
+                gz = np.asarray(system.grad_z_g(_i, x, Z), dtype=float)
+                return np.einsum("km,km->k", gz, LV[idx])
 
-        rho_real[i] = _scan_and_bisect(eval_h, n_dirs, r_search, polish_slope=slope)
+            rho_real[i] = _scan_and_bisect(eval_h, n_dirs, r_search, polish_slope=slope)
 
     stacked = np.vstack([rho_real, rho_cap]) if n_caps else rho_real
     rho = stacked.min(axis=0)

@@ -136,6 +136,19 @@ class TestEvalCommand:
         assert enlarged >= plain - 1e-12
 
 
+class TestOutputErrors:
+    @pytest.mark.parametrize("argv, flag", [
+        (["eval", "--fixture", "halfspace", "--x", "1", "--n", "10"], "--out"),
+        (["eval", "--fixture", "halfspace", "--x", "1", "--n", "10"], "--directions-csv"),
+        (["solve-energy", "--n", "100", "--validate-n", "100"], "--out")],
+        ids=["eval-out", "eval-directions-csv", "solve-energy-out"])
+    def test_unwritable_output_exit_2(self, tmp_path, capsys, argv, flag):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(argv + [flag, str(blocker / "sub")]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+
 class TestGradCommand:
     def test_halfspace_with_fd_check(self, tmp_path):
         out = tmp_path / "grad.json"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -18,6 +20,26 @@ def _dirs(n=10000, m=2, seed=sp.DEFAULT_SEED, method=sp.SphereMethod.QMC):
 
 def _slab2():
     return sp.make_slab([1.0, 0.0], lambda x: x[0], lambda x: np.array([1.0]))
+
+
+class TestRayWork:
+    def test_energy_evaluation_evaluates_g_only_at_the_mean(self):
+        # Every energy constraint is a declared halfspace, so value and
+        # gradient call eval_g once per constraint, on the mean, for the
+        # interior check, and never along a ray.
+        params = sp.EnergyParams()
+        system = sp.make_energy_system(params)
+        rows = []
+
+        def eval_g(i, x, Z):
+            rows.append(Z.shape[0])
+            return system.eval_g(i, x, Z)
+
+        counted = dataclasses.replace(system, eval_g=eval_g)
+        x = np.r_[np.full(4, 1.5), np.full(4, 11.0)]
+        ev = sp.evaluate(counted, x, sp.build_energy_covariance(params), _dirs(m=8))
+        ev.gradient()
+        assert rows == [1] * system.s
 
 
 class TestProbValue:

@@ -32,6 +32,32 @@ class TestHalfspace:
             sp.make_halfspace([2.0, 0.0])
 
 
+class TestDeclaredHalfspaces:
+    @pytest.mark.parametrize("fixture", ["halfspace", "energy"])
+    def test_sublevel_sets_agree_with_g(self, fixture):
+        # Away from the boundary, W[i] . z <= t[i] exactly where g_i <= 0.
+        rng = np.random.default_rng(3)
+        if fixture == "halfspace":
+            sys_, x = sp.make_halfspace(np.ones(3) / np.sqrt(3)), np.array([0.4])
+            Z = rng.normal(scale=2.0, size=(4000, 3))
+        else:
+            params = sp.EnergyParams()
+            sys_ = sp.make_energy_system(params)
+            x = np.r_[-0.5, 0.0, 1.5, 2.0, np.full(4, 11.0)]
+            Z = sp.build_energy_covariance(params).mean + rng.normal(scale=3.0,
+                                                                    size=(4000, 8))
+        W, t = sys_.halfspaces(x)
+        assert W.shape == (sys_.s, sys_.z_dim) and t.shape == (sys_.s,)
+        for i in range(sys_.s):
+            g = sys_.eval_g(i, x, Z)
+            clear = np.abs(g) > 1e-9
+            assert np.array_equal((Z @ W[i] <= t[i])[clear], (g <= 0)[clear])
+
+    def test_energy_needs_positive_wind_coefficient(self):
+        with pytest.raises(ValueError):
+            sp.make_energy_system(sp.EnergyParams(wind_coeff=0.0))
+
+
 class TestSlab:
     def test_log_term_vanishes(self):
         sys_ = _slab2()

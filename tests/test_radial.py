@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,6 +177,58 @@ class TestDomainCaps:
             hit = _ineq(sys_, [1.0], [np.cos(theta), np.sin(theta)], model)
             if hit.finite[0]:
                 assert all(i < sys_.s for i in _active(hit))
+
+
+def _energy_case(decision):
+    """Energy system, model and decision; ``tied`` adds a direction on which
+    period 0's wind and load constraints are hit at the same radius."""
+    params = sp.EnergyParams()
+    system = sp.make_energy_system(params)
+    model = sp.build_energy_covariance(params)
+    T = params.periods
+    if decision == "start":
+        return system, model, sp.starting_point(params), None
+    x = np.r_[np.full(T, 1.5), np.full(T, 11.0)]
+    if decision == "interior":
+        return system, model, x, None
+    zstar = model.mean.copy()
+    zstar[0] = np.cbrt(x[0] / params.wind_coeff)
+    zstar[T] = x[0] + x[T]
+    d = np.linalg.solve(model.factor_L, zstar - model.mean)
+    return system, model, x, d / np.linalg.norm(d)
+
+
+class TestHalfspaceClosedForm:
+    """Declared halfspaces are solved in closed form; the scan on the same
+    system with the declaration removed is the reference."""
+
+    @pytest.mark.parametrize("method, n", [(sp.SphereMethod.QMC, 10000),
+                                           (sp.SphereMethod.MONTE_CARLO, 50000)],
+                             ids=["qmc-10k", "mc-50k"])
+    @pytest.mark.parametrize("case", ["energy-start", "energy-interior", "energy-tied",
+                                      "halfspace-dim8"])
+    def test_matches_scan(self, case, method, n):
+        tie = None
+        if case == "halfspace-dim8":
+            rng = np.random.default_rng(8)
+            a = rng.normal(size=8)
+            B = rng.normal(size=(8, 8))
+            system = sp.make_halfspace(a / np.linalg.norm(a))
+            model = sp.build_model(np.zeros(8), B @ B.T / 8 + np.eye(8))
+            x = np.array([0.7])
+        else:
+            system, model, x, tie = _energy_case(case.split("-")[1])
+        assert system.halfspaces is not None
+        dirs = sp.sample_sphere(model.dim, n, seed=5, method=method).directions
+        if tie is not None:
+            dirs = np.vstack([dirs, tie])
+        fast = inequality_hits(system, x, dirs, model)
+        scan = inequality_hits(dataclasses.replace(system, halfspaces=None), x, dirs, model)
+        assert np.array_equal(fast.finite, scan.finite)
+        assert np.array_equal(fast.act, scan.act)
+        np.testing.assert_allclose(fast.rho, scan.rho, rtol=1e-12, atol=0)
+        if tie is not None:
+            assert tuple(np.flatnonzero(fast.act[:, -1])) == (0, 4)
 
 
 class TestEnlargedRoots:
