@@ -82,26 +82,25 @@ class Evaluation(ProbEstimate):
     dirs: DirectionSet
 
     def _normals(self):
-        """Yield (constraint, mask, decision normal, z normal) per active set.
+        """Yield (constraint, mask, boundary points, decision normal, z normal)
+        per active set, with the points ``mean + rho L v`` of the masked rows.
 
         The ray slope is the z normal against ``L v``: ``grad_z g`` for an
         inequality system, the projection residual ``u`` (norm eps) for a
         set oracle, whose decision normal is the oracle's sensitivity.
         """
         hits, x, target = self.hits, self.x, self.target
-        if hits.mode == "oracle":
-            mask = hits.finite
-            if mask.any():
-                Z = hits.boundary[mask]
+        oracle = hits.mode == "oracle"
+        for i, mask in enumerate([hits.finite] if oracle else hits.act[:target.s] & hits.finite):
+            if not mask.any():
+                continue
+            Z = self.model.mean + hits.rho[mask, None] * hits.lv[mask]
+            if oracle:
                 P = target.project(x, Z)
                 U = Z - P
-                yield 0, mask, np.asarray(target.sensitivity(x, Z, P, U), dtype=float), U
-            return
-        for i in range(target.s):
-            mask = hits.act[i] & hits.finite
-            if mask.any():
-                Z = hits.boundary[mask]
-                yield (i, mask, np.asarray(target.grad_x_g(i, x, Z), dtype=float),
+                yield 0, mask, Z, np.asarray(target.sensitivity(x, Z, P, U), dtype=float), U
+            else:
+                yield (i, mask, Z, np.asarray(target.grad_x_g(i, x, Z), dtype=float),
                        np.asarray(target.grad_z_g(i, x, Z), dtype=float))
 
     def gradient(self, tie_policy: str = "average") -> GradEstimate:
@@ -127,7 +126,7 @@ class Evaluation(ProbEstimate):
         lam = _tie_weights(hits, tie_policy)
         w = np.zeros((self.dirs.n, self.target.x_dim))
         max_ratio, at_norm, at_constraint = 0.0, 0.0, -1
-        for i, mask, gx, gz in self._normals():
+        for i, mask, Z, gx, gz in self._normals():
             slope = np.einsum("km,km->k", gz, hits.lv[mask])
             if np.any(slope <= SLOPE_FLOOR):
                 offender = int(np.flatnonzero(mask)[np.argmin(slope)])
@@ -143,7 +142,7 @@ class Evaluation(ProbEstimate):
             j = int(np.argmax(ratio))
             if ratio[j] > max_ratio:
                 max_ratio = float(ratio[j])
-                at_norm = float(np.linalg.norm(hits.boundary[mask][j]))
+                at_norm = float(np.linalg.norm(Z[j]))
                 at_constraint = i
         # Domain caps are x-independent: they contribute nothing to the gradient
         # but still take their share of the tie weight.

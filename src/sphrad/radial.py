@@ -3,15 +3,16 @@
 For a direction ``v`` the ray ``r -> mean + r * L @ v`` leaves the feasible
 region at the radial function value: the largest radius whose point still
 satisfies every constraint (or stays within distance ``eps`` of the body, in
-enlarged mode).  Where a system declares its sublevel sets as halfspaces
-(``InequalitySystem.halfspaces``), and for affine domain caps, the root is
-explicit and solved in closed form.  Other constraints go through a
-doubling scan followed by bisection and a Newton polish, which
-quasi-convexity in ``z`` makes reliable: the feasible radii form an interval
-starting at zero.  A second sign change is reported as
-:class:`BracketFailure` only when it straddles a scan point r = 1, 2, 4, ...;
-two sign changes inside one doubling interval go unnoticed, and bisection
-may then return the later root.
+enlarged mode).  Declared halfspaces (``InequalitySystem.halfspaces``) and
+affine domain caps have explicit roots.  Other constraints go through a
+doubling scan that brackets the root, then a safeguarded Newton iteration
+from the bracket's outer end that bisects where a step would leave the
+bracket.  Quasi-convexity in ``z`` makes this reliable: the feasible radii
+form an interval starting at zero (in oracle mode, distance minus ``eps`` is
+convex in r, so Newton from the outer end does not overshoot).  A second
+sign change is reported as :class:`BracketFailure` only when it straddles a
+scan point r = 1, 2, 4, ...; two inside one doubling interval go unnoticed,
+and a later root may then be returned.
 
 Every solve runs over a batch of directions, one unit vector per row.
 """
@@ -29,12 +30,12 @@ from .oracles import (ConvexSetOracle, InequalitySystem, check_interior,
 
 TIE_REL = 1e-7            # constraints within rho * (1 + TIE_REL) + TIE_ABS tie
 TIE_ABS = 1e-9
-SLOPE_FLOOR = 1e-12       # smallest ray slope trusted by Newton and the gradient
+SLOPE_FLOOR = 1e-12       # smallest ray slope trusted by a Newton step and the gradient
 # Safety caps that never bind: the scan runs from r = 1 to the chi cutoff
-# (at most 12.33 for m <= 48, so 5 doublings) and bisection reaches its
-# 1e-13 relative width in under 50 halvings.
+# (at most 12.33 for m <= 48, so 5 doublings), and even bisection alone
+# would reach the 1e-13 relative root width in under 50 steps.
 MAX_BRACKET_DOUBLINGS = 64
-MAX_BISECTIONS = 200
+MAX_ROOT_STEPS = 200
 
 
 @dataclass
@@ -43,7 +44,6 @@ class HitBatch:
 
     rho: np.ndarray            # (N,), +inf on infinite directions
     finite: np.ndarray         # (N,) bool
-    boundary: np.ndarray       # (N, m); rows valid only where finite
     lv: np.ndarray             # (N, m), rows L @ v
     act: np.ndarray            # (s + n_caps, N) bool; oracle mode: (1, N)
     n_active: np.ndarray       # (N,) int
@@ -51,12 +51,12 @@ class HitBatch:
     eps: float = 0.0
 
 
-def _scan_and_bisect(eval_h, n_dirs, r_search, polish_slope=None):
+def _roots(ray, n_dirs, r_search):
     """Find the positive root of ``h`` along each ray within ``[0, r_search]``.
 
-    ``eval_h(r, idx)`` evaluates the batched ray function at radii ``r`` for
-    direction rows ``idx``; it must be negative at 0.  Returns radii with
-    ``inf`` where no root exists in the window.
+    ``ray(r, idx)`` evaluates the batched ray function at radii ``r`` for
+    direction rows ``idx``; it must be negative at 0.  ``ray(r, idx, True)``
+    returns ``(h, dh/dr)``.  Radii are ``inf`` where the window has no root.
     """
     all_idx = np.arange(n_dirs)
     lo = np.zeros(n_dirs)
@@ -67,7 +67,7 @@ def _scan_and_bisect(eval_h, n_dirs, r_search, polish_slope=None):
     # The grid is scanned to the window end even after a bracket is found, so
     # a second sign change that straddles a later grid point is detected.
     for _ in range(MAX_BRACKET_DOUBLINGS):
-        h = eval_h(r_cur, all_idx)
+        h = ray(r_cur, all_idx)
         regression = found & (h <= 0) & (r_cur > hi)
         if regression.any():
             raise BracketFailure(
@@ -83,33 +83,49 @@ def _scan_and_bisect(eval_h, n_dirs, r_search, polish_slope=None):
             break
         prev_r = r_cur
         r_cur = np.minimum(2.0 * r_cur, r_search)
+    del all_idx, prev_r, r_cur, h, regression, newly    # (N,) arrays, freed early
 
-    rho = np.full(n_dirs, np.inf)
     idx = np.flatnonzero(found)
-    if idx.size == 0:
-        return rho
-    lo_f, hi_f = lo[idx], hi[idx]
-    for _ in range(MAX_BISECTIONS):
-        if np.all(hi_f - lo_f <= 1e-13 * np.maximum(1.0, hi_f)):
+    lo, hi = lo[idx], hi[idx]
+    r = hi.copy()                               # start at the outer end, h > 0
+    newton = np.zeros(idx.size, dtype=bool)     # r came from a Newton step
+    live = np.arange(idx.size)
+    for _ in range(MAX_ROOT_STEPS):
+        if live.size == 0:
             break
-        mid = 0.5 * (lo_f + hi_f)
-        pos = eval_h(mid, idx) > 0
-        hi_f = np.where(pos, mid, hi_f)
-        lo_f = np.where(pos, lo_f, mid)
-    r = 0.5 * (lo_f + hi_f)
-    if polish_slope is not None:
-        hr = eval_h(r, idx)
-        for _ in range(3):
-            slope = polish_slope(r, idx)
-            ok = np.abs(slope) > SLOPE_FLOOR
-            cand = r - np.where(ok, hr / np.where(ok, slope, 1.0), 0.0)
-            cand = np.clip(cand, 0.0, r_search[idx])
-            hc = eval_h(cand, idx)
-            better = ok & (np.abs(hc) < np.abs(hr))
-            r = np.where(better, cand, r)
-            hr = np.where(better, hc, hr)
+        h, dh = ray(r[live], idx[live], True)
+        live = live[~_newton_step(live, h, dh, r, lo, hi, newton)]
+    rho = np.full(n_dirs, np.inf)
     rho[idx] = r
     return rho
+
+
+def _newton_step(rows, h, dh, r, lo, hi, newton):
+    """Move ``rows`` one safeguarded Newton step from ``r[rows]``, where the
+    ray function is ``h`` with slope ``dh``, in place; return the stopped rows.
+
+    A row stops when its step or bracket is within ``1e-13 * max(1, hi)``,
+    never on h == 0: at eps = 0, h vanishes on the whole feasible segment.
+    """
+    r_k = r[rows]
+    out = h > 0
+    lo_k = np.where(out, lo[rows], r_k)
+    hi_k = np.where(out, r_k, hi[rows])
+    tol = 1e-13 * np.maximum(1.0, hi_k)
+    ok = dh > SLOPE_FLOOR
+    step = np.divide(-h, dh, out=np.zeros_like(h), where=ok)
+    cand = r_k + step
+    mid = 0.5 * (lo_k + hi_k)
+    conv = ok & (np.abs(step) <= tol)
+    done = conv | (hi_k - lo_k <= tol)
+    take = ok & (cand > lo_k) & (cand < hi_k)
+    # A Newton iterate that lands inside is probed just beyond, not bisected
+    # from: at eps = 0 it is usually within rounding of the root.
+    probe = np.where(newton[rows] & ~out, np.minimum(lo_k + 0.5 * tol, mid), mid)
+    r[rows] = np.where(done, np.where(conv, np.clip(cand, lo_k, hi_k), mid),
+                       np.where(take, cand, probe))
+    lo[rows], hi[rows], newton[rows] = lo_k, hi_k, take
+    return done
 
 
 def _halfspace_roots(LV, w, t, mean, limit):
@@ -132,12 +148,6 @@ def _rays(x, dirs, model: GaussianModel):
     if off.any():
         raise ValueError(f"direction {int(np.flatnonzero(off)[0])} is not a unit vector")
     return x, V @ model.factor_L.T
-
-
-def _boundary(rho, finite, LV, model: GaussianModel):
-    boundary = np.full(LV.shape, np.nan)
-    boundary[finite] = model.mean + rho[finite, None] * LV[finite]
-    return boundary
 
 
 def inequality_hits(system: InequalitySystem, x, dirs: np.ndarray,
@@ -165,16 +175,15 @@ def inequality_hits(system: InequalitySystem, x, dirs: np.ndarray,
             rho_real[i] = _halfspace_roots(LV, W[i], t[i], mean, r_search)
     else:
         for i in range(system.s):
-            def eval_h(r, idx, _i=i):
+            def ray(r, idx, slope=False, _i=i):
                 Z = mean + r[:, None] * LV[idx]
-                return np.asarray(system.eval_g(_i, x, Z), dtype=float)
-
-            def slope(r, idx, _i=i):
-                Z = mean + r[:, None] * LV[idx]
+                h = np.asarray(system.eval_g(_i, x, Z), dtype=float)
+                if not slope:
+                    return h
                 gz = np.asarray(system.grad_z_g(_i, x, Z), dtype=float)
-                return np.einsum("km,km->k", gz, LV[idx])
+                return h, np.einsum("km,km->k", gz, LV[idx])
 
-            rho_real[i] = _scan_and_bisect(eval_h, n_dirs, r_search, polish_slope=slope)
+            rho_real[i] = _roots(ray, n_dirs, r_search)
 
     stacked = np.vstack([rho_real, rho_cap]) if n_caps else rho_real
     rho = stacked.min(axis=0)
@@ -182,17 +191,13 @@ def inequality_hits(system: InequalitySystem, x, dirs: np.ndarray,
     rho = np.where(finite, rho, np.inf)
     thresh = np.where(finite, rho * (1.0 + TIE_REL) + TIE_ABS, -np.inf)
     act = stacked <= thresh[None, :]
-    return HitBatch(rho=rho, finite=finite, boundary=_boundary(rho, finite, LV, model),
-                    lv=LV, act=act, n_active=act.sum(axis=0), mode="inequality")
+    return HitBatch(rho=rho, finite=finite, lv=LV, act=act, n_active=act.sum(axis=0),
+                    mode="inequality")
 
 
 def enlarged_hits(oracle: ConvexSetOracle, x, dirs: np.ndarray, eps: float,
                   model: GaussianModel) -> HitBatch:
-    """Solve rays against the eps-enlargement of a projection oracle.
-
-    ``eps = 0`` recovers the plain body; the root is then located by
-    membership bisection alone.
-    """
+    """Solve rays against the eps-enlargement of a projection oracle (eps >= 0)."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     x, LV = _rays(x, dirs, model)
@@ -201,23 +206,17 @@ def enlarged_hits(oracle: ConvexSetOracle, x, dirs: np.ndarray, eps: float,
     mean = model.mean
     r_max = RadialLaw(model.dim).r_max
 
-    def eval_h(r, idx):
-        Z = mean + r[:, None] * LV[idx]
-        P = oracle.project(x, Z)
-        return np.linalg.norm(Z - P, axis=1) - eps
+    def ray(r, idx, slope=False):
+        U = mean + r[:, None] * LV[idx]
+        U -= oracle.project(x, U)
+        dist = np.linalg.norm(U, axis=1)
+        if not slope:
+            return dist - eps
+        return dist - eps, np.einsum("km,km->k", U, LV[idx]) / np.maximum(dist, 1e-300)
 
-    def slope(r, idx):
-        Z = mean + r[:, None] * LV[idx]
-        P = oracle.project(x, Z)
-        U = Z - P
-        norms = np.linalg.norm(U, axis=1)
-        safe = np.maximum(norms, 1e-300)
-        return np.einsum("km,km->k", U / safe[:, None], LV[idx])
-
-    rho = _scan_and_bisect(eval_h, n_dirs, np.full(n_dirs, r_max),
-                           polish_slope=slope if eps > 0 else None)
+    rho = _roots(ray, n_dirs, np.full(n_dirs, r_max))
     finite = rho < r_max
     rho = np.where(finite, rho, np.inf)
     act = finite[None, :].copy()
-    return HitBatch(rho=rho, finite=finite, boundary=_boundary(rho, finite, LV, model),
-                    lv=LV, act=act, n_active=act.sum(axis=0), mode="oracle", eps=eps)
+    return HitBatch(rho=rho, finite=finite, lv=LV, act=act, n_active=act.sum(axis=0),
+                    mode="oracle", eps=eps)

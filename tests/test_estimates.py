@@ -41,6 +41,41 @@ class TestRayWork:
         ev.gradient()
         assert rows == [1] * system.s
 
+    @pytest.mark.parametrize("case, bound", [
+        ("hyperbolic-set-eps0.05", 10), ("hyperbolic-set-eps0", 15),
+        ("ball-dim8-eps0.05", 10), ("ball-dim8-eps0", 10),
+        ("slab-dim8", 14), ("hyperbolic-system", 14)])
+    def test_callback_rows_per_ray(self, case, bound):
+        # Rays on the doubling scan: callback rows per ray of one evaluate,
+        # plus its gradient where eps > 0 or the target is a system.
+        c = np.zeros(8)
+        c[0] = 1.0
+        target, x, m, eps, names = {
+            "hyperbolic-set-eps0.05": (sp.make_hyperbolic_set(), 2.25, 2, 0.05, ["project"]),
+            "hyperbolic-set-eps0": (sp.make_hyperbolic_set(), 2.25, 2, 0.0, ["project"]),
+            "ball-dim8-eps0.05": (sp.make_ball(np.zeros(8)), 3.0, 8, 0.05, ["project"]),
+            "ball-dim8-eps0": (sp.make_ball(np.zeros(8)), 3.0, 8, 0.0, ["project"]),
+            "slab-dim8": (sp.make_slab(c, lambda x: x[0], lambda x: np.array([1.0])),
+                          -0.5, 8, None, ["eval_g", "grad_z_g"]),
+            "hyperbolic-system": (sp.make_hyperbolic_system(), 2.25, 2, None,
+                                  ["eval_g", "grad_z_g"]),
+        }[case]
+        rows = []
+
+        def counting(fn):
+            def wrapped(*args):
+                rows.append(np.shape(args[-1])[0])
+                return fn(*args)
+            return wrapped
+
+        counted = dataclasses.replace(
+            target, **{name: counting(getattr(target, name)) for name in names})
+        dirs = _dirs(m=m)
+        ev = sp.evaluate(counted, [x], sp.build_model(np.zeros(m), np.eye(m)), dirs, eps=eps)
+        if eps != 0.0:
+            ev.gradient()
+        assert sum(rows) / dirs.n <= bound
+
 
 class TestProbValue:
     def test_halfspace_analytic(self):

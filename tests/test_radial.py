@@ -24,6 +24,11 @@ def _enl(oracle, x, v, eps, model):
     return enlarged_hits(oracle, x, np.asarray(v, dtype=float)[None, :], eps, model)
 
 
+def _point(hits, model):
+    """Boundary point ``mean + rho L v`` of a one-row solve, shape (1, m)."""
+    return model.mean + hits.rho[:, None] * hits.lv
+
+
 def _active(hits):
     return tuple(int(i) for i in np.flatnonzero(hits.act[:, 0]))
 
@@ -34,19 +39,21 @@ class TestRootConstants:
         assert radial.TIE_ABS == 1e-9
         assert radial.SLOPE_FLOOR == 1e-12
         assert radial.MAX_BRACKET_DOUBLINGS == 64
-        assert radial.MAX_BISECTIONS == 200
+        assert radial.MAX_ROOT_STEPS == 200
 
 
 class TestInequalityRoots:
     def test_halfspace_axis_direction(self):
         sys_ = sp.make_halfspace([1.0, 0.0])
-        hit = _ineq(sys_, [3.0], [1.0, 0.0], _model2())
+        model = _model2()
+        hit = _ineq(sys_, [3.0], [1.0, 0.0], model)
         assert hit.finite[0]
         assert hit.rho[0] == pytest.approx(3.0, abs=1e-9)
         assert _active(hit) == (0,)
-        assert np.allclose(hit.boundary[0], [3.0, 0.0], atol=1e-9)
-        gx = sys_.grad_x_g(0, [3.0], hit.boundary[:1])[0]
-        gz = sys_.grad_z_g(0, [3.0], hit.boundary[:1])[0]
+        z = _point(hit, model)
+        assert np.allclose(z[0], [3.0, 0.0], atol=1e-9)
+        gx = sys_.grad_x_g(0, [3.0], z)[0]
+        gz = sys_.grad_z_g(0, [3.0], z)[0]
         assert gx[0] == -1.0 and np.allclose(gz, [1.0, 0.0])
 
     def test_halfspace_orthogonal_direction_infinite(self):
@@ -84,7 +91,7 @@ class TestInequalityRoots:
                 active = _active(hit)
                 if hit.finite[0] and all(i < sys_.s for i in active):
                     for i in active:
-                        g = sys_.eval_g(i, x, hit.boundary[:1])[0]
+                        g = sys_.eval_g(i, x, _point(hit, model))[0]
                         assert abs(g) <= 1e-9
 
     def test_interior_violation_raised(self):
@@ -234,9 +241,10 @@ class TestHalfspaceClosedForm:
 class TestEnlargedRoots:
     def test_ball_closed_form(self):
         oracle = sp.make_ball(np.zeros(2))
-        hit = _enl(oracle, [1.0], [0.6, 0.8], 0.5, _model2())
+        model = _model2()
+        hit = _enl(oracle, [1.0], [0.6, 0.8], 0.5, model)
         assert hit.rho[0] == pytest.approx(1.5, abs=1e-9)
-        z = hit.boundary[0]
+        z = _point(hit, model)[0]
         u = z - oracle.project([1.0], z[None, :])[0]
         assert np.allclose(u / np.linalg.norm(u), [0.6, 0.8], atol=1e-8)
 
@@ -270,7 +278,7 @@ class TestEnlargedRoots:
         oracle = sp.make_hyperbolic_set()
         model = _model2()
         hit = _enl(oracle, [1.0], [-0.8, -0.6], 0.25, model)
-        z = hit.boundary[0]
+        z = _point(hit, model)[0]
         P = oracle.project([1.0], z[None, :])[0]
         assert abs(np.linalg.norm(z - P) - 0.25) <= 1e-9
 
@@ -291,6 +299,79 @@ class TestEnlargedRoots:
         h_hi = _enl(oracle, [x], v, hi, model)
         assert h_lo.rho[0] <= h_hi.rho[0] + 1e-9
         assert h_lo.rho[0] == pytest.approx(x + lo, abs=1e-8)
+
+
+def _hyperbolic_exit(V, x):
+    """First positive root of (r v1 + 2)(r v2 + 2) = x per row of V, or inf."""
+    a, b, c = V[:, 0] * V[:, 1], 2.0 * (V[:, 0] + V[:, 1]), 4.0 - x
+    disc = b * b - 4.0 * a * c
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(b < 0, 2.0 * c / (sq - b), -(b + sq) / (2.0 * a))
+    return np.where((disc >= 0) & (r > 0), r, np.inf)
+
+
+class TestClosedFormRoots:
+    """Roots of the scanned rays against closed forms that do not use the
+    ray solver; the model is standard, so ``L v = v``."""
+
+    @staticmethod
+    def _case(m):
+        model = sp.build_model(np.zeros(m), np.eye(m))
+        dirs = sp.sample_sphere(m, 10000, seed=sp.DEFAULT_SEED,
+                                method=sp.SphereMethod.QMC).directions
+        return model, dirs, sp.RadialLaw(m).r_max
+
+    @staticmethod
+    def _agree(hits, closed, r_max):
+        assert np.array_equal(hits.finite, closed < r_max)
+        f = hits.finite
+        np.testing.assert_allclose(hits.rho[f], closed[f], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("m", [2, 8])
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    def test_ball_centered_at_mean(self, m, eps):
+        model, dirs, r_max = self._case(m)
+        hits = enlarged_hits(sp.make_ball(np.zeros(m)), [3.0], dirs, eps, model)
+        self._agree(hits, np.full(dirs.shape[0], 3.0 + eps), r_max)
+
+    @pytest.mark.parametrize("m", [2, 8])
+    def test_slab(self, m):
+        model, dirs, r_max = self._case(m)
+        c = np.zeros(m)
+        c[0] = 1.0
+        slab = sp.make_slab(c, lambda x: x[0], lambda x: np.array([1.0]))
+        hits = inequality_hits(slab, [-0.5], dirs, model)
+        with np.errstate(divide="ignore"):
+            closed = sp.slab_threshold(-0.5) / np.abs(dirs @ c)
+        self._agree(hits, closed, r_max)
+
+    @pytest.mark.parametrize("x", [0.75, 2.25, 3.25])
+    def test_hyperbolic_system_and_set(self, x):
+        model, dirs, r_max = self._case(2)
+        closed = _hyperbolic_exit(dirs, x)
+        self._agree(inequality_hits(sp.make_hyperbolic_system(), [x], dirs, model),
+                    closed, r_max)
+        oracle = sp.make_hyperbolic_set()
+        hits = enlarged_hits(oracle, [x], dirs, 0.0, model)
+        self._agree(hits, closed, r_max)
+        # Membership on both sides of the root: a solve that stopped where the
+        # distance first reads 0 would return points deep inside.
+        f = hits.finite
+        Z = hits.rho[f, None] * dirs[f]
+        assert oracle.contains([x], Z * (1 - 1e-9)).all()
+        assert not oracle.contains([x], Z * (1 + 1e-9)).any()
+
+    @pytest.mark.parametrize("x", [0.75, 2.25, 3.25])
+    def test_hyperbolic_set_enlarged_distance(self, x):
+        model, dirs, _ = self._case(2)
+        oracle = sp.make_hyperbolic_set()
+        hits = enlarged_hits(oracle, [x], dirs, 0.05, model)
+        f = hits.finite
+        assert f.any()
+        Z = hits.rho[f, None] * dirs[f]
+        dist = np.linalg.norm(Z - oracle.project([x], Z), axis=1)
+        assert np.max(np.abs(dist - 0.05)) <= 1e-12
 
 
 class TestBatchConsistency:
