@@ -10,7 +10,7 @@ constraint must hold with probability at least ``p_level``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,13 +34,20 @@ class EnergyParams:
     wind_cap: float = 8.0
     gen_cap: float = 20.0
     p_level: float = 0.8
-    cross_rule: str = "elementwise_product"
 
     def __post_init__(self):
+        if not all(np.isfinite(getattr(self, f.name)) for f in fields(self)):
+            raise ValueError("energy parameters must be finite")
         if not 0.0 < self.p_level < 1.0:
             raise ValueError("p_level must lie in (0, 1)")
         if self.periods < 1:
             raise ValueError("periods must be >= 1")
+        for name in ("wind_coeff", "var_wind", "var_load"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("wind_cap", "gen_cap"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative")
 
 
 def starting_point(params: EnergyParams) -> np.ndarray:

@@ -33,20 +33,16 @@ class GradEstimate:
     contributions, shape (n_directions, x_dim).
 
     The growth check ``max_ratio`` is the largest |grad_x g| / |grad_z g|
-    over the finite boundary hits (|sensitivity| / |u| for a set oracle),
-    attained at a point of norm ``at_point_norm`` on constraint
-    ``at_constraint`` (-1 when no hit is finite); ``n_points`` counts the
-    finite hits.  Together with the chi density the ratio bounds the
-    per-direction weight, so a finite ratio is evidence the gradient
-    estimator is well posed near ``x``.
+    over the finite boundary hits (|sensitivity| / |u| for a set oracle);
+    ``n_points`` counts the finite hits.  Together with the chi density the
+    ratio bounds the per-direction weight, so a finite ratio is evidence the
+    gradient estimator is well posed near ``x``.
     """
 
     gradient: np.ndarray
     tie_fraction: float
     w: np.ndarray
     max_ratio: float
-    at_point_norm: float
-    at_constraint: int
     n_points: int
 
 
@@ -69,7 +65,8 @@ class Evaluation(ProbEstimate):
 
     ``e`` holds the per-direction contributions (the chi cdf at the radial
     function).  ``hits`` is the ray solve; :meth:`gradient` reads it, so
-    value and gradient at one decision cost one solve.  Both are arrays
+    value and gradient at one decision cost one solve.  ``eps`` is the
+    enlargement radius, 0 for an inequality system.  Both are arrays
     over the direction set; keep a :class:`ProbEstimate` instead where only
     the estimate outlives the call.
     """
@@ -80,27 +77,30 @@ class Evaluation(ProbEstimate):
     x: np.ndarray
     model: GaussianModel
     dirs: DirectionSet
+    eps: float
 
     def _normals(self):
-        """Yield (constraint, mask, boundary points, decision normal, z normal)
-        per active set, with the points ``mean + rho L v`` of the masked rows.
+        """Yield (constraint, mask, rows ``L v``, decision normal, z normal) per
+        active set, the normals taken at the boundary points ``mean + rho L v``
+        of the masked rows.
 
         The ray slope is the z normal against ``L v``: ``grad_z g`` for an
         inequality system, the projection residual ``u`` (norm eps) for a
         set oracle, whose decision normal is the oracle's sensitivity.
         """
         hits, x, target = self.hits, self.x, self.target
-        oracle = hits.mode == "oracle"
-        for i, mask in enumerate([hits.finite] if oracle else hits.act[:target.s] & hits.finite):
+        oracle = isinstance(target, ConvexSetOracle)
+        for i, mask in enumerate((hits.act if oracle else hits.act[:target.s]) & hits.finite):
             if not mask.any():
                 continue
-            Z = self.model.mean + hits.rho[mask, None] * hits.lv[mask]
+            LV = self.dirs.directions[mask] @ self.model.factor_L.T
+            Z = self.model.mean + hits.rho[mask, None] * LV
             if oracle:
                 P = target.project(x, Z)
                 U = Z - P
-                yield 0, mask, Z, np.asarray(target.sensitivity(x, Z, P, U), dtype=float), U
+                yield i, mask, LV, np.asarray(target.sensitivity(x, Z, P, U), dtype=float), U
             else:
-                yield (i, mask, Z, np.asarray(target.grad_x_g(i, x, Z), dtype=float),
+                yield (i, mask, LV, np.asarray(target.grad_x_g(i, x, Z), dtype=float),
                        np.asarray(target.grad_z_g(i, x, Z), dtype=float))
 
     def gradient(self, tie_policy: str = "average") -> GradEstimate:
@@ -115,57 +115,37 @@ class Evaluation(ProbEstimate):
         subdifferential hull rather than the gradient.  A set oracle needs
         ``eps > 0`` and a sensitivity callback.
         """
+        if tie_policy not in ("average", "min_index"):
+            raise ValueError(f"unknown tie policy {tie_policy!r}")
         hits = self.hits
-        if hits.mode == "oracle":
-            if hits.eps <= 0:
+        if isinstance(self.target, ConvexSetOracle):
+            if self.eps <= 0:
                 raise ValueError("eps must be positive")
             if self.target.sensitivity is None:
                 raise MissingSensitivity(
                     f"{self.target.name}: enlarged gradients need a sensitivity callback")
         pdf = np.asarray(chi_pdf(RadialLaw(self.model.dim), hits.rho))
-        lam = _tie_weights(hits, tie_policy)
+        # Domain caps are x-independent: they contribute nothing to the gradient
+        # but still take their share of the tie weight.
+        n_active = hits.act.sum(axis=0)
+        first = np.argmax(hits.act, axis=0)
         w = np.zeros((self.dirs.n, self.target.x_dim))
-        max_ratio, at_norm, at_constraint = 0.0, 0.0, -1
-        for i, mask, Z, gx, gz in self._normals():
-            slope = np.einsum("km,km->k", gz, hits.lv[mask])
-            if np.any(slope <= SLOPE_FLOOR):
+        max_ratio = 0.0
+        for i, mask, LV, gx, gz in self._normals():
+            slope = np.einsum("km,km->k", gz, LV)
+            if not np.all(slope > SLOPE_FLOOR):     # NaN slopes fail too
                 offender = int(np.flatnonzero(mask)[np.argmin(slope)])
                 raise TransversalityBreakdown(
                     f"constraint {i}: ray slope {slope.min():.3e} at direction "
                     f"{offender} is below the slope floor", direction_index=offender)
-            coef = -pdf[mask] * lam[i][mask] / slope
-            w[mask] += coef[:, None] * gx
-            gx_norm = np.linalg.norm(gx, axis=1)
-            gz_norm = np.linalg.norm(gz, axis=1)
-            ratio = np.where(gz_norm > 0, gx_norm / np.where(gz_norm > 0, gz_norm, np.inf),
-                             np.inf)
-            j = int(np.argmax(ratio))
-            if ratio[j] > max_ratio:
-                max_ratio = float(ratio[j])
-                at_norm = float(np.linalg.norm(Z[j]))
-                at_constraint = i
-        # Domain caps are x-independent: they contribute nothing to the gradient
-        # but still take their share of the tie weight.
+            lam = 1 / n_active[mask] if tie_policy == "average" else first[mask] == i
+            w[mask] += (-pdf[mask] * lam / slope)[:, None] * gx
+            # slope > 0 implies |z_i| > 0.
+            ratio = np.linalg.norm(gx, axis=1) / np.linalg.norm(gz, axis=1)
+            max_ratio = max(max_ratio, float(ratio.max()))
         return GradEstimate(gradient=self.dirs.weights @ w,
-                            tie_fraction=float(np.mean(hits.n_active > 1)), w=w,
-                            max_ratio=max_ratio, at_point_norm=at_norm,
-                            at_constraint=at_constraint, n_points=int(hits.finite.sum()))
-
-
-def _tie_weights(batch: HitBatch, tie_policy: str) -> np.ndarray:
-    """Per (row, direction) multiplier lambda over the active set."""
-    n_rows, n_dirs = batch.act.shape
-    lam = np.zeros((n_rows, n_dirs))
-    if tie_policy == "average":
-        denom = np.maximum(batch.n_active, 1)
-        lam[:, :] = batch.act / denom[None, :]
-    elif tie_policy == "min_index":
-        any_active = batch.act.any(axis=0)
-        first = np.argmax(batch.act, axis=0)
-        lam[first[any_active], np.flatnonzero(any_active)] = 1.0
-    else:
-        raise ValueError(f"unknown tie policy {tie_policy!r}")
-    return lam
+                            tie_fraction=float(np.mean(n_active > 1)), w=w,
+                            max_ratio=max_ratio, n_points=int(hits.finite.sum()))
 
 
 def evaluate(target, x, model: GaussianModel, dirs: DirectionSet,
@@ -183,15 +163,15 @@ def evaluate(target, x, model: GaussianModel, dirs: DirectionSet,
     if not isinstance(target, (InequalitySystem, ConvexSetOracle)):
         raise TypeError(f"unsupported target {type(target).__name__}")
     x = np.asarray(x, dtype=float).reshape(-1)
+    eps = 0.0 if eps is None else float(eps)
     if x.shape[0] != target.x_dim:
         raise ValueError(f"decision has {x.shape[0]} entries, x_dim is {target.x_dim}")
     if isinstance(target, InequalitySystem):
-        if eps not in (None, 0, 0.0):
+        if eps != 0:
             raise ValueError("eps enlargement applies to set oracles only")
         hits = inequality_hits(target, x, dirs.directions, model)
     else:
-        hits = enlarged_hits(target, x, dirs.directions, 0.0 if eps is None else float(eps),
-                             model)
+        hits = enlarged_hits(target, x, dirs.directions, eps, model)
     e = np.asarray(chi_cdf(RadialLaw(model.dim), hits.rho))
     if dirs.method is SphereMethod.MONTE_CARLO and dirs.n > 1:
         std_error = float(np.std(e, ddof=1) / np.sqrt(dirs.n))
@@ -199,7 +179,7 @@ def evaluate(target, x, model: GaussianModel, dirs: DirectionSet,
         std_error = None
     return Evaluation(value=float(dirs.weights @ e), std_error=std_error,
                       n_infinite=int((~hits.finite).sum()), e=e, hits=hits,
-                      target=target, x=x, model=model, dirs=dirs)
+                      target=target, x=x, model=model, dirs=dirs, eps=eps)
 
 
 def fd_gradient(target, x, model: GaussianModel, dirs: DirectionSet,

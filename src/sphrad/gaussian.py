@@ -51,15 +51,17 @@ class GaussianModel:
 def build_model(mean, covariance) -> GaussianModel:
     """Validate and factor a Gaussian model.
 
-    Raises :class:`NotPositiveDefinite` when the Cholesky factorization
-    fails (a pivot is not strictly positive), which signals an invalid
-    covariance assembly.
+    Raises ``ValueError`` on a non-finite entry and :class:`NotPositiveDefinite`
+    when the Cholesky factorization fails (a pivot is not strictly positive),
+    which signals an invalid covariance assembly.
     """
     mean = np.asarray(mean, dtype=float).reshape(-1)
     cov = np.asarray(covariance, dtype=float)
     m = mean.shape[0]
     if cov.shape != (m, m):
         raise ValueError(f"covariance shape {cov.shape} does not match mean length {m}")
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise ValueError("mean and covariance must be finite")
     scale = 1.0 + np.abs(cov).max()
     if np.abs(cov - cov.T).max() > 1e-10 * scale:
         raise ValueError("covariance is not symmetric within 1e-10")

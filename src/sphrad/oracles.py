@@ -435,8 +435,6 @@ def build_energy_covariance(params) -> GaussianModel:
     T = int(params.periods)
     if T < 1:
         raise ValueError("periods must be >= 1")
-    if getattr(params, "cross_rule", "elementwise_product") != "elementwise_product":
-        raise ValueError(f"unsupported cross_rule {params.cross_rule!r}")
     lag = np.abs(np.subtract.outer(np.arange(T), np.arange(T)))
     c_wind = float(params.rho_wind) ** lag
     c_load = float(params.rho_load) ** lag

@@ -40,15 +40,12 @@ MAX_ROOT_STEPS = 200
 
 @dataclass
 class HitBatch:
-    """Vectorized ray-solve results for a direction set (internal)."""
+    """Ray-solve results for a direction set (internal).  ``act`` marks the
+    rows whose radius attains ``rho`` within the tie band."""
 
-    rho: np.ndarray            # (N,), +inf on infinite directions
+    rho: np.ndarray            # (N,), +inf where no exit precedes the chi cutoff
     finite: np.ndarray         # (N,) bool
-    lv: np.ndarray             # (N, m), rows L @ v
-    act: np.ndarray            # (s + n_caps, N) bool; oracle mode: (1, N)
-    n_active: np.ndarray       # (N,) int
-    mode: str                  # "inequality" | "oracle"
-    eps: float = 0.0
+    act: np.ndarray            # (s + n_caps, N) bool, caps last; oracle mode: (1, N)
 
 
 def _roots(ray, n_dirs, r_search):
@@ -140,6 +137,16 @@ def _halfspace_roots(LV, w, t, mean, limit):
     return np.where(rho < limit, rho, np.inf)
 
 
+def _classify(radii, r_max) -> HitBatch:
+    """Hits from stacked per-row radii (rows, N): the smallest radius, finite
+    below ``r_max``, and the rows that attain it within the tie band."""
+    rho = radii.min(axis=0)
+    finite = rho < r_max
+    rho = np.where(finite, rho, np.inf)
+    thresh = np.where(finite, rho * (1.0 + TIE_REL) + TIE_ABS, -np.inf)
+    return HitBatch(rho=rho, finite=finite, act=radii <= thresh)
+
+
 def _rays(x, dirs, model: GaussianModel):
     """Return the decision vector and the rows ``L v`` of unit directions."""
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -185,14 +192,7 @@ def inequality_hits(system: InequalitySystem, x, dirs: np.ndarray,
 
             rho_real[i] = _roots(ray, n_dirs, r_search)
 
-    stacked = np.vstack([rho_real, rho_cap]) if n_caps else rho_real
-    rho = stacked.min(axis=0)
-    finite = rho < r_max
-    rho = np.where(finite, rho, np.inf)
-    thresh = np.where(finite, rho * (1.0 + TIE_REL) + TIE_ABS, -np.inf)
-    act = stacked <= thresh[None, :]
-    return HitBatch(rho=rho, finite=finite, lv=LV, act=act, n_active=act.sum(axis=0),
-                    mode="inequality")
+    return _classify(np.vstack([rho_real, rho_cap]), r_max)
 
 
 def enlarged_hits(oracle: ConvexSetOracle, x, dirs: np.ndarray, eps: float,
@@ -214,9 +214,4 @@ def enlarged_hits(oracle: ConvexSetOracle, x, dirs: np.ndarray, eps: float,
             return dist - eps
         return dist - eps, np.einsum("km,km->k", U, LV[idx]) / np.maximum(dist, 1e-300)
 
-    rho = _roots(ray, n_dirs, np.full(n_dirs, r_max))
-    finite = rho < r_max
-    rho = np.where(finite, rho, np.inf)
-    act = finite[None, :].copy()
-    return HitBatch(rho=rho, finite=finite, lv=LV, act=act, n_active=act.sum(axis=0),
-                    mode="oracle", eps=eps)
+    return _classify(_roots(ray, n_dirs, np.full(n_dirs, r_max))[None, :], r_max)

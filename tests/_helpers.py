@@ -1,4 +1,5 @@
-"""Shared test utilities: finite differences and tie-window filtering."""
+"""Shared test utilities: finite differences, tie-window filtering and the
+energy test decisions."""
 
 import numpy as np
 
@@ -31,3 +32,22 @@ def window_tie_free(system, x, model, dirs, h0=1e-4):
             if not (np.array_equal(a, ref[0]) and np.array_equal(f, ref[1])):
                 return False
     return True
+
+
+def energy_case(decision):
+    """Energy system, model and decision; ``tied`` adds a direction on which
+    period 0's wind and load constraints are hit at the same radius."""
+    params = sp.EnergyParams()
+    system = sp.make_energy_system(params)
+    model = sp.build_energy_covariance(params)
+    T = params.periods
+    if decision == "start":
+        return system, model, sp.starting_point(params), None
+    x = np.r_[np.full(T, 1.5), np.full(T, 11.0)]
+    if decision == "interior":
+        return system, model, x, None
+    zstar = model.mean.copy()
+    zstar[0] = np.cbrt(x[0] / params.wind_coeff)
+    zstar[T] = x[0] + x[T]
+    d = np.linalg.solve(model.factor_L, zstar - model.mean)
+    return system, model, x, d / np.linalg.norm(d)

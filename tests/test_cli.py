@@ -219,6 +219,19 @@ class TestSolveEnergyCommand:
             it_rows = list(csv.DictReader(fh))
         assert len(it_rows) == len(rows)
 
+    @pytest.mark.parametrize("energy", [
+        {"wind_coeff": 0}, {"wind_cap": -1}, {"gen_cap": -1}, {"var_wind": -1},
+        {"var_load": -1}, {"mu_wind": float("nan")},
+        {"cross_rule": "elementwise_product"}],
+        ids=["wind-coeff-0", "wind-cap-negative", "gen-cap-negative",
+             "var-wind-negative", "var-load-negative", "mu-wind-nan", "cross-rule"])
+    def test_bad_energy_parameter_exit_2(self, tmp_path, capsys, energy):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"energy": energy, "n": 500, "validate_n": 1000}))
+        assert main(["solve-energy", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_infeasible_level_exit_4(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

@@ -7,7 +7,7 @@ from scipy import stats
 import sphrad as sp
 from sphrad.gaussian import RadialLaw
 
-from _helpers import fd_gradient, fd_rel_error, window_tie_free
+from _helpers import energy_case, fd_gradient, fd_rel_error, window_tie_free
 
 
 def _model2():
@@ -192,6 +192,14 @@ class TestProbGradient:
         with pytest.raises(sp.TransversalityBreakdown):
             sp.evaluate(sys_, [0.0], _model2(), _dirs(n=64)).gradient()
 
+    def test_nan_slope_breakdown(self):
+        # A z normal that turns NaN at the boundary must not pass the slope
+        # floor and leave NaN weights in the gradient.
+        sys_ = dataclasses.replace(sp.make_halfspace([1.0, 0.0]),
+                                   grad_z_g=lambda i, x, Z: np.full((Z.shape[0], 2), np.nan))
+        with pytest.raises(sp.TransversalityBreakdown):
+            sp.evaluate(sys_, [1.0], _model2(), _dirs(n=64)).gradient()
+
     def test_tie_policies_on_duplicated_constraint(self):
         # Two identical constraints tie on every finite direction; both
         # policies must reproduce the single-constraint gradient.
@@ -210,6 +218,26 @@ class TestProbGradient:
         assert np.allclose(g_avg.gradient, g_min.gradient, atol=1e-12)
         assert abs(g_avg.gradient[0] - stats.norm.pdf(1.0)) <= 1e-3
 
+    def test_tie_policies_split_a_tied_energy_direction(self):
+        # Period 0's wind (row 0) and load (row 4) constraints tie on the
+        # appended direction: min_index keeps the wind term alone, average
+        # takes the mean of the two terms -pdf(rho) n_i / <z_i, L v>.
+        system, model, x, tie = energy_case("tied")
+        V = np.vstack([_dirs(n=2000, m=8).directions, tie])
+        dirs = sp.DirectionSet(V, np.full(len(V), 1 / len(V)), sp.DEFAULT_SEED,
+                               sp.SphereMethod.QMC)
+        ev = sp.evaluate(system, x, model, dirs)
+        assert tuple(np.flatnonzero(ev.hits.act[:, -1])) == (0, 4)
+        rho = ev.hits.rho[-1:]
+        lv = tie[None, :] @ model.factor_L.T
+        z = model.mean + rho[:, None] * lv
+        pdf = sp.chi_pdf(RadialLaw(8), rho)[0]
+        wind, load = (-pdf * system.grad_x_g(i, x, z)[0]
+                      / (system.grad_z_g(i, x, z)[0] @ lv[0]) for i in (0, 4))
+        assert np.array_equal(ev.gradient("min_index").w[-1], wind)
+        np.testing.assert_allclose(ev.gradient("average").w[-1], (wind + load) / 2,
+                                   rtol=0, atol=1e-15)
+
     def test_cap_hits_contribute_zero(self):
         params = sp.EnergyParams(periods=1)
         sys_ = sp.make_energy_system(params)
@@ -217,11 +245,16 @@ class TestProbGradient:
         dirs = _dirs(n=2000, m=2)
         x = np.array([0.0, 15.0])
         val = sp.evaluate(sys_, x, model, dirs)
-        est = val.gradient()
-        # Wind-power column: the cap boundary is x-independent, so only the
-        # load constraint moves the estimate through its own column.
+        # Rows: wind, load, then the wind-speed cap.  The cap boundary is
+        # x-independent, so a direction that only the cap stops adds nothing.
+        act = val.hits.act
+        cap_only = val.hits.finite & act[2] & ~act[:2].any(axis=0)
+        assert cap_only.sum() > 0
+        for policy in ("average", "min_index"):
+            est = val.gradient(policy)
+            assert np.all(est.w[cap_only] == 0)
+            assert np.isfinite(est.gradient).all()
         assert val.value < 1.0
-        assert np.isfinite(est.gradient).all()
 
 
 class TestEnlargedGradient:

@@ -39,6 +39,16 @@ class TestBuildModel:
         with pytest.raises(ValueError):
             sp.build_model(np.zeros(2), [[1.0, 0.2], [0.1, 1.0]])
 
+    @pytest.mark.parametrize("mean, cov", [
+        (np.zeros(2), [[np.nan, 0.0], [0.0, 1.0]]),
+        (np.zeros(2), [[np.inf, 0.0], [0.0, 1.0]]),
+        ([0.0, np.nan], np.eye(2))], ids=["nan-cov", "inf-cov", "nan-mean"])
+    def test_non_finite_rejected(self, mean, cov):
+        # Every comparison with NaN is False, so only an explicit check
+        # keeps a NaN entry out of the factor.
+        with pytest.raises(ValueError, match="finite"):
+            sp.build_model(mean, cov)
+
 
 class TestChiLaw:
     def test_cdf_m2_closed_form(self):

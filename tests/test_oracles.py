@@ -291,8 +291,3 @@ class TestEnergyCovariance:
     def test_mean_vector(self):
         model = sp.build_energy_covariance(sp.EnergyParams())
         assert np.allclose(model.mean, [4.23] * 4 + [10.0] * 4)
-
-    def test_unsupported_cross_rule(self):
-        params = sp.EnergyParams(cross_rule="other")
-        with pytest.raises(ValueError):
-            sp.build_energy_covariance(params)

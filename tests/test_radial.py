@@ -9,6 +9,8 @@ import sphrad as sp
 from sphrad import radial
 from sphrad.radial import enlarged_hits, inequality_hits
 
+from _helpers import energy_case
+
 
 def _model2():
     return sp.build_model(np.zeros(2), np.eye(2))
@@ -24,9 +26,9 @@ def _enl(oracle, x, v, eps, model):
     return enlarged_hits(oracle, x, np.asarray(v, dtype=float)[None, :], eps, model)
 
 
-def _point(hits, model):
-    """Boundary point ``mean + rho L v`` of a one-row solve, shape (1, m)."""
-    return model.mean + hits.rho[:, None] * hits.lv
+def _point(hits, model, v):
+    """Boundary point ``mean + rho L v`` of a one-row solve along ``v``, shape (1, m)."""
+    return model.mean + hits.rho[:, None] * (np.atleast_2d(v) @ model.factor_L.T)
 
 
 def _active(hits):
@@ -50,7 +52,7 @@ class TestInequalityRoots:
         assert hit.finite[0]
         assert hit.rho[0] == pytest.approx(3.0, abs=1e-9)
         assert _active(hit) == (0,)
-        z = _point(hit, model)
+        z = _point(hit, model, [1.0, 0.0])
         assert np.allclose(z[0], [3.0, 0.0], atol=1e-9)
         gx = sys_.grad_x_g(0, [3.0], z)[0]
         gz = sys_.grad_z_g(0, [3.0], z)[0]
@@ -91,7 +93,7 @@ class TestInequalityRoots:
                 active = _active(hit)
                 if hit.finite[0] and all(i < sys_.s for i in active):
                     for i in active:
-                        g = sys_.eval_g(i, x, _point(hit, model))[0]
+                        g = sys_.eval_g(i, x, _point(hit, model, v))[0]
                         assert abs(g) <= 1e-9
 
     def test_interior_violation_raised(self):
@@ -186,25 +188,6 @@ class TestDomainCaps:
                 assert all(i < sys_.s for i in _active(hit))
 
 
-def _energy_case(decision):
-    """Energy system, model and decision; ``tied`` adds a direction on which
-    period 0's wind and load constraints are hit at the same radius."""
-    params = sp.EnergyParams()
-    system = sp.make_energy_system(params)
-    model = sp.build_energy_covariance(params)
-    T = params.periods
-    if decision == "start":
-        return system, model, sp.starting_point(params), None
-    x = np.r_[np.full(T, 1.5), np.full(T, 11.0)]
-    if decision == "interior":
-        return system, model, x, None
-    zstar = model.mean.copy()
-    zstar[0] = np.cbrt(x[0] / params.wind_coeff)
-    zstar[T] = x[0] + x[T]
-    d = np.linalg.solve(model.factor_L, zstar - model.mean)
-    return system, model, x, d / np.linalg.norm(d)
-
-
 class TestHalfspaceClosedForm:
     """Declared halfspaces are solved in closed form; the scan on the same
     system with the declaration removed is the reference."""
@@ -224,7 +207,7 @@ class TestHalfspaceClosedForm:
             model = sp.build_model(np.zeros(8), B @ B.T / 8 + np.eye(8))
             x = np.array([0.7])
         else:
-            system, model, x, tie = _energy_case(case.split("-")[1])
+            system, model, x, tie = energy_case(case.split("-")[1])
         assert system.halfspaces is not None
         dirs = sp.sample_sphere(model.dim, n, seed=5, method=method).directions
         if tie is not None:
@@ -244,7 +227,7 @@ class TestEnlargedRoots:
         model = _model2()
         hit = _enl(oracle, [1.0], [0.6, 0.8], 0.5, model)
         assert hit.rho[0] == pytest.approx(1.5, abs=1e-9)
-        z = _point(hit, model)[0]
+        z = _point(hit, model, [0.6, 0.8])[0]
         u = z - oracle.project([1.0], z[None, :])[0]
         assert np.allclose(u / np.linalg.norm(u), [0.6, 0.8], atol=1e-8)
 
@@ -278,7 +261,7 @@ class TestEnlargedRoots:
         oracle = sp.make_hyperbolic_set()
         model = _model2()
         hit = _enl(oracle, [1.0], [-0.8, -0.6], 0.25, model)
-        z = _point(hit, model)[0]
+        z = _point(hit, model, [-0.8, -0.6])[0]
         P = oracle.project([1.0], z[None, :])[0]
         assert abs(np.linalg.norm(z - P) - 0.25) <= 1e-9
 
