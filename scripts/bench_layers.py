@@ -1,0 +1,141 @@
+#!/usr/bin/env python3
+"""Time the layers of the energy dispatch case study and count its work.
+
+Builds ``make_energy_problem()`` at its defaults, solves it once, and at the
+solved dispatch reports the median wall time of ``--repeats`` runs of each
+layer:
+
+- ``unit_check``: the unit-norm check of the 10k evaluation directions;
+- ``closed_form_roots``: ``radial.inequality_hits`` on those directions
+  (interior check, every closed-form root, tie classification);
+- ``evaluate`` and ``gradient`` at the solved dispatch;
+- ``validate``: the 200k-direction validation;
+- ``solve``: the full solve from the starting point.
+
+Counts are deterministic, the same on any machine: ray batches and gradient
+calls of one solve, and the ``eval_g`` rows it asks for.  ``--baseline``
+takes a file this script wrote on another checkout and embeds its layers
+and counts, with the ratio baseline / this run per layer.
+
+    PYTHONPATH=src python scripts/bench_layers.py --out bench.json
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")     # one BLAS thread, as perfbench runs
+
+import argparse
+import dataclasses
+import json
+import platform
+import statistics
+import sys
+import time
+
+import numpy as np
+import scipy
+
+import sphrad as sp
+from sphrad import estimates, radial, solver
+
+
+def median_ms(fn, repeats):
+    fn()                                            # warm-up, not timed
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return 1e3 * statistics.median(times)
+
+
+def solve_counts(problem):
+    """Ray batches, gradient calls and eval_g rows of one solve."""
+    counts = {"ray_batches": 0, "gradient_calls": 0, "eval_g_rows": 0}
+    hits, gradient, eval_g = (estimates.inequality_hits, estimates.Evaluation.gradient,
+                              problem.system.eval_g)
+
+    def counted_hits(*args, **kwargs):
+        counts["ray_batches"] += 1
+        return hits(*args, **kwargs)
+
+    def counted_gradient(self, *args, **kwargs):
+        counts["gradient_calls"] += 1
+        return gradient(self, *args, **kwargs)
+
+    def counted_eval_g(i, x, Z):
+        counts["eval_g_rows"] += Z.shape[0]
+        return eval_g(i, x, Z)
+
+    system = dataclasses.replace(problem.system, eval_g=counted_eval_g)
+    estimates.inequality_hits, estimates.Evaluation.gradient = counted_hits, counted_gradient
+    try:
+        x, trace = solver.solve(dataclasses.replace(problem, system=system))
+    finally:
+        estimates.inequality_hits, estimates.Evaluation.gradient = hits, gradient
+    return x, trace, counts
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--repeats", type=int, default=15, help="timed runs per layer")
+    parser.add_argument("--baseline", help="a file this script wrote on another checkout")
+    args = parser.parse_args()
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+
+    problem = sp.make_energy_problem()
+    x, trace, counts = solve_counts(problem)
+    system, model, dirs = problem.system, problem.model, problem.eval_dirs
+    V = dirs.directions
+    # Checkouts from before the stacked root product check units in
+    # ``_rays``, which also forms ``V @ L.T``.
+    unit_rows = getattr(radial, "_unit_rows", None)
+    unit_check = ((lambda: unit_rows(x, V)) if unit_rows is not None
+                  else (lambda: radial._rays(x, V, model)))
+    ev = estimates.evaluate(system, x, model, dirs)
+    layers = {
+        "unit_check": unit_check,
+        "closed_form_roots": lambda: radial.inequality_hits(system, x, V, model),
+        "evaluate": lambda: estimates.evaluate(system, x, model, dirs),
+        "gradient": lambda: ev.gradient(),
+        "validate": lambda: solver.validate(x, problem),
+        "solve": lambda: solver.solve(problem),
+    }
+    layers_ms = {name: round(median_ms(fn, args.repeats), 4) for name, fn in layers.items()}
+    for name, ms in layers_ms.items():
+        print(f"{name:18s} {ms:10.3f} ms")
+    print(f"counts: {counts}")
+
+    report = {
+        "workload": "energy_dispatch: make_energy_problem() defaults, layers at the "
+                    "solved dispatch",
+        "machine": {"nproc": os.cpu_count(), "machine": platform.machine(),
+                    "python": platform.python_version(), "numpy": np.__version__,
+                    "scipy": scipy.__version__,
+                    "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]},
+        "repeats": args.repeats,
+        "solve": {"status": trace.status, "iterations": len(trace.records) - 1,
+                  "cost": float(problem.cost @ x)},
+        "counts": counts,
+        "layers_ms": layers_ms,
+    }
+    if args.baseline:
+        with open(args.baseline, encoding="utf-8") as fh:
+            base = json.load(fh)
+        report["baseline"] = {k: base[k] for k in ("machine", "repeats", "solve", "counts",
+                                                   "layers_ms")}
+        report["speedup"] = {name: round(base["layers_ms"][name] / ms, 3)
+                             for name, ms in layers_ms.items()}
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

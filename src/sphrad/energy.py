@@ -48,6 +48,9 @@ class EnergyParams:
         for name in ("wind_cap", "gen_cap"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
+        for name in ("rho_wind", "rho_load", "rho_cross"):
+            if not -1.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in (-1, 1)")
 
 
 def starting_point(params: EnergyParams) -> np.ndarray:

@@ -80,9 +80,9 @@ class Evaluation(ProbEstimate):
     eps: float
 
     def _normals(self):
-        """Yield (constraint, mask, rows ``L v``, decision normal, z normal) per
-        active set, the normals taken at the boundary points ``mean + rho L v``
-        of the masked rows.
+        """Yield (constraint, rows, rows ``L v``, decision normal, z normal) per
+        active set, ``rows`` the finite directions where the constraint is
+        active and the normals taken at their boundary points ``mean + rho L v``.
 
         The ray slope is the z normal against ``L v``: ``grad_z g`` for an
         inequality system, the projection residual ``u`` (norm eps) for a
@@ -91,16 +91,17 @@ class Evaluation(ProbEstimate):
         hits, x, target = self.hits, self.x, self.target
         oracle = isinstance(target, ConvexSetOracle)
         for i, mask in enumerate((hits.act if oracle else hits.act[:target.s]) & hits.finite):
-            if not mask.any():
+            rows = np.flatnonzero(mask)
+            if rows.size == 0:
                 continue
-            LV = self.dirs.directions[mask] @ self.model.factor_L.T
-            Z = self.model.mean + hits.rho[mask, None] * LV
+            LV = self.dirs.directions[rows] @ self.model.factor_L.T
+            Z = self.model.mean + hits.rho[rows, None] * LV
             if oracle:
                 P = target.project(x, Z)
                 U = Z - P
-                yield i, mask, LV, np.asarray(target.sensitivity(x, Z, P, U), dtype=float), U
+                yield i, rows, LV, np.asarray(target.sensitivity(x, Z, P, U), dtype=float), U
             else:
-                yield (i, mask, LV, np.asarray(target.grad_x_g(i, x, Z), dtype=float),
+                yield (i, rows, LV, np.asarray(target.grad_x_g(i, x, Z), dtype=float),
                        np.asarray(target.grad_z_g(i, x, Z), dtype=float))
 
     def gradient(self, tie_policy: str = "average") -> GradEstimate:
@@ -128,18 +129,18 @@ class Evaluation(ProbEstimate):
         # Domain caps are x-independent: they contribute nothing to the gradient
         # but still take their share of the tie weight.
         n_active = hits.act.sum(axis=0)
-        first = np.argmax(hits.act, axis=0)
+        first = np.argmax(hits.act, axis=0) if tie_policy == "min_index" else None
         w = np.zeros((self.dirs.n, self.target.x_dim))
         max_ratio = 0.0
-        for i, mask, LV, gx, gz in self._normals():
+        for i, rows, LV, gx, gz in self._normals():
             slope = np.einsum("km,km->k", gz, LV)
             if not np.all(slope > SLOPE_FLOOR):     # NaN slopes fail too
-                offender = int(np.flatnonzero(mask)[np.argmin(slope)])
+                offender = int(rows[np.argmin(slope)])
                 raise TransversalityBreakdown(
                     f"constraint {i}: ray slope {slope.min():.3e} at direction "
                     f"{offender} is below the slope floor", direction_index=offender)
-            lam = 1 / n_active[mask] if tie_policy == "average" else first[mask] == i
-            w[mask] += (-pdf[mask] * lam / slope)[:, None] * gx
+            lam = 1 / n_active[rows] if first is None else first[rows] == i
+            w[rows] += (-pdf[rows] * lam / slope)[:, None] * gx
             # slope > 0 implies |z_i| > 0.
             ratio = np.linalg.norm(gx, axis=1) / np.linalg.norm(gz, axis=1)
             max_ratio = max(max_ratio, float(ratio.max()))

@@ -4,7 +4,8 @@ For a direction ``v`` the ray ``r -> mean + r * L @ v`` leaves the feasible
 region at the radial function value: the largest radius whose point still
 satisfies every constraint (or stays within distance ``eps`` of the body, in
 enlarged mode).  Declared halfspaces (``InequalitySystem.halfspaces``) and
-affine domain caps have explicit roots.  Other constraints go through a
+affine domain caps have explicit roots, all from one product of their
+stacked rows with the batch's directions.  Other constraints go through a
 doubling scan that brackets the root, then a safeguarded Newton iteration
 from the bracket's outer end that bisects where a step would leave the
 bracket.  Quasi-convexity in ``z`` makes this reliable: the feasible radii
@@ -110,7 +111,8 @@ def _newton_step(rows, h, dh, r, lo, hi, newton):
     hi_k = np.where(out, r_k, hi[rows])
     tol = 1e-13 * np.maximum(1.0, hi_k)
     ok = dh > SLOPE_FLOOR
-    step = np.divide(-h, dh, out=np.zeros_like(h), where=ok)
+    with np.errstate(all="ignore"):
+        step = np.where(ok, -h / dh, 0.0)
     cand = r_k + step
     mid = 0.5 * (lo_k + hi_k)
     conv = ok & (np.abs(step) <= tol)
@@ -125,18 +127,6 @@ def _newton_step(rows, h, dh, r, lo, hi, newton):
     return done
 
 
-def _halfspace_roots(LV, w, t, mean, limit):
-    """Radii where the rays ``mean + r * LV[k]`` leave ``{z : w . z <= t}``.
-
-    ``inf`` where a ray never leaves the halfspace or leaves it at or beyond
-    ``limit``.
-    """
-    speed = LV @ w
-    rho = np.full(LV.shape[0], np.inf)
-    np.divide(t - w @ mean, speed, out=rho, where=speed > 0)
-    return np.where(rho < limit, rho, np.inf)
-
-
 def _classify(radii, r_max) -> HitBatch:
     """Hits from stacked per-row radii (rows, N): the smallest radius, finite
     below ``r_max``, and the rows that attain it within the tie band."""
@@ -147,52 +137,57 @@ def _classify(radii, r_max) -> HitBatch:
     return HitBatch(rho=rho, finite=finite, act=radii <= thresh)
 
 
-def _rays(x, dirs, model: GaussianModel):
-    """Return the decision vector and the rows ``L v`` of unit directions."""
+def _unit_rows(x, dirs):
+    """Return the decision vector and the unit directions as rows."""
     x = np.asarray(x, dtype=float).reshape(-1)
     V = np.atleast_2d(np.asarray(dirs, dtype=float))
-    off = np.abs(np.linalg.norm(V, axis=1) - 1.0) > 1e-9
+    off = np.abs(np.sqrt(np.einsum("km,km->k", V, V)) - 1.0) > 1e-9
     if off.any():
         raise ValueError(f"direction {int(np.flatnonzero(off)[0])} is not a unit vector")
-    return x, V @ model.factor_L.T
+    return x, V
 
 
 def inequality_hits(system: InequalitySystem, x, dirs: np.ndarray,
                     model: GaussianModel) -> HitBatch:
     """Solve every ray of ``dirs`` (rows, unit vectors) against the system."""
-    x, LV = _rays(x, dirs, model)
+    x, V = _unit_rows(x, dirs)
     check_interior(system, x, model.mean)
-    n_dirs = LV.shape[0]
+    n_dirs = V.shape[0]
     mean = model.mean
     r_max = RadialLaw(model.dim).r_max
 
-    n_caps = len(system.domain_caps)
-    rho_cap = np.full((n_caps, n_dirs), np.inf)
-    for k, cap in enumerate(system.domain_caps):
-        rho_cap[k] = _halfspace_roots(LV, -cap.a, cap.b, mean, np.inf)
-    r_dom = rho_cap.min(axis=0) if n_caps else np.full(n_dirs, np.inf)
+    # Rays leave {z : w . z <= t} at (t - w . mean) / (w . L v) where that speed
+    # is positive; declared rows and caps (-a, b), caps last, are one product.
+    s = system.s
+    declared = system.halfspaces is not None
+    W, t = system.halfspaces(x) if declared else (np.empty((0, model.dim)), np.empty(0))
+    caps = system.domain_caps
+    W = np.vstack([W, *(-cap.a for cap in caps)])
+    t = np.r_[t, [cap.b for cap in caps]]
+    speed = (W @ model.factor_L) @ V.T
+    with np.errstate(all="ignore"):
+        radii = np.where(speed > 0, (t - W @ mean)[:, None] / speed, np.inf)
+    r_dom = radii[W.shape[0] - len(caps):].min(axis=0) if caps else np.full(n_dirs, np.inf)
     # Real roots are searched strictly inside the validity window, so a root
     # exactly on a cap is attributed to the cap (whose geometry is regular).
     r_search = np.minimum(r_max, r_dom * (1.0 - 1e-10))
 
-    rho_real = np.empty((system.s, n_dirs))
-    if system.halfspaces is not None:
-        W, t = system.halfspaces(x)
-        for i in range(system.s):
-            rho_real[i] = _halfspace_roots(LV, W[i], t[i], mean, r_search)
-    else:
-        for i in range(system.s):
-            def ray(r, idx, slope=False, _i=i):
-                Z = mean + r[:, None] * LV[idx]
-                h = np.asarray(system.eval_g(_i, x, Z), dtype=float)
-                if not slope:
-                    return h
-                gz = np.asarray(system.grad_z_g(_i, x, Z), dtype=float)
-                return h, np.einsum("km,km->k", gz, LV[idx])
+    if declared:
+        radii[:s] = np.where(radii[:s] < r_search, radii[:s], np.inf)
+        return _classify(radii, r_max)
+    LV = V @ model.factor_L.T
+    rho_real = np.empty((s, n_dirs))
+    for i in range(s):
+        def ray(r, idx, slope=False, _i=i):
+            Z = mean + r[:, None] * LV[idx]
+            h = np.asarray(system.eval_g(_i, x, Z), dtype=float)
+            if not slope:
+                return h
+            gz = np.asarray(system.grad_z_g(_i, x, Z), dtype=float)
+            return h, np.einsum("km,km->k", gz, LV[idx])
 
-            rho_real[i] = _roots(ray, n_dirs, r_search)
-
-    return _classify(np.vstack([rho_real, rho_cap]), r_max)
+        rho_real[i] = _roots(ray, n_dirs, r_search)
+    return _classify(np.vstack([rho_real, radii]), r_max)
 
 
 def enlarged_hits(oracle: ConvexSetOracle, x, dirs: np.ndarray, eps: float,
@@ -200,8 +195,9 @@ def enlarged_hits(oracle: ConvexSetOracle, x, dirs: np.ndarray, eps: float,
     """Solve rays against the eps-enlargement of a projection oracle (eps >= 0)."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    x, LV = _rays(x, dirs, model)
+    x, V = _unit_rows(x, dirs)
     check_oracle_interior(oracle, x, model.mean)
+    LV = V @ model.factor_L.T
     n_dirs = LV.shape[0]
     mean = model.mean
     r_max = RadialLaw(model.dim).r_max

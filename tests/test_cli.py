@@ -222,15 +222,27 @@ class TestSolveEnergyCommand:
     @pytest.mark.parametrize("energy", [
         {"wind_coeff": 0}, {"wind_cap": -1}, {"gen_cap": -1}, {"var_wind": -1},
         {"var_load": -1}, {"mu_wind": float("nan")},
-        {"cross_rule": "elementwise_product"}],
+        {"cross_rule": "elementwise_product"}, {"rho_wind": 1.5}, {"rho_load": -1},
+        {"rho_cross": 1}],
         ids=["wind-coeff-0", "wind-cap-negative", "gen-cap-negative",
-             "var-wind-negative", "var-load-negative", "mu-wind-nan", "cross-rule"])
+             "var-wind-negative", "var-load-negative", "mu-wind-nan", "cross-rule",
+             "rho-wind-1.5", "rho-load-minus-1", "rho-cross-1"])
     def test_bad_energy_parameter_exit_2(self, tmp_path, capsys, energy):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"energy": energy, "n": 500, "validate_n": 1000}))
         assert main(["solve-energy", "--config", str(cfg),
                      "--out", str(tmp_path / "run")]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_indefinite_correlations_exit_3(self, tmp_path, capsys):
+        # Each correlation lies in (-1, 1), yet together they leave the
+        # covariance indefinite: a numerical error, not a configuration one.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"energy": {"rho_cross": -0.9}, "n": 500,
+                                   "validate_n": 1000}))
+        assert main(["solve-energy", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 3
+        assert "NotPositiveDefinite" in capsys.readouterr().err
 
     def test_infeasible_level_exit_4(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -188,6 +188,39 @@ class TestDomainCaps:
                 assert all(i < sys_.s for i in _active(hit))
 
 
+def _dense_affine_case():
+    """Three dense declared rows and two domain caps under a correlated model.
+
+    Every row and cap has a zero or sign-fixed last entry, and the factor is
+    lower triangular, so along the extra direction e_4 row 0's ray speed is
+    exactly 0 and no other row or cap is ever left: that ray is infinite.
+    """
+    rng = np.random.default_rng(11)
+    W = rng.normal(size=(3, 5))
+    W[:, -1] = [0.0, -0.4, -0.2]
+    W /= np.linalg.norm(W, axis=1)[:, None]
+    c = np.array([0.3, 0.0, 0.8])
+    caps = (sp.AffineDomainCap(a=np.array([0.6, -0.8, 0.0, 0.0, 0.0]), b=1.1),
+            sp.AffineDomainCap(a=np.array([0.0, 0.5, 0.5, -0.5, 0.5]), b=1.4))
+
+    def eval_g(i, x, Z):
+        return Z @ W[i] - (x[0] + c[i])
+
+    def grad_x_g(i, x, Z):
+        return np.full((Z.shape[0], 1), -1.0)
+
+    def grad_z_g(i, x, Z):
+        return np.broadcast_to(W[i], Z.shape).copy()
+
+    system = sp.InequalitySystem(
+        s=3, x_dim=1, z_dim=5, eval_g=eval_g, grad_x_g=grad_x_g, grad_z_g=grad_z_g,
+        domain_caps=caps, name="dense-affine",
+        halfspaces=lambda x: (W, np.asarray(x, dtype=float)[0] + c))
+    B = rng.normal(size=(5, 5))
+    model = sp.build_model(np.full(5, 0.1), B @ B.T / 5 + np.eye(5))
+    return system, model, np.array([1.2]), np.eye(5)[-1]
+
+
 class TestHalfspaceClosedForm:
     """Declared halfspaces are solved in closed form; the scan on the same
     system with the declaration removed is the reference."""
@@ -196,10 +229,12 @@ class TestHalfspaceClosedForm:
                                            (sp.SphereMethod.MONTE_CARLO, 50000)],
                              ids=["qmc-10k", "mc-50k"])
     @pytest.mark.parametrize("case", ["energy-start", "energy-interior", "energy-tied",
-                                      "halfspace-dim8"])
+                                      "halfspace-dim8", "dense-caps"])
     def test_matches_scan(self, case, method, n):
-        tie = None
-        if case == "halfspace-dim8":
+        tie = orthogonal = None
+        if case == "dense-caps":
+            system, model, x, orthogonal = _dense_affine_case()
+        elif case == "halfspace-dim8":
             rng = np.random.default_rng(8)
             a = rng.normal(size=8)
             B = rng.normal(size=(8, 8))
@@ -210,8 +245,9 @@ class TestHalfspaceClosedForm:
             system, model, x, tie = energy_case(case.split("-")[1])
         assert system.halfspaces is not None
         dirs = sp.sample_sphere(model.dim, n, seed=5, method=method).directions
-        if tie is not None:
-            dirs = np.vstack([dirs, tie])
+        extra = tie if tie is not None else orthogonal
+        if extra is not None:
+            dirs = np.vstack([dirs, extra])
         fast = inequality_hits(system, x, dirs, model)
         scan = inequality_hits(dataclasses.replace(system, halfspaces=None), x, dirs, model)
         assert np.array_equal(fast.finite, scan.finite)
@@ -219,6 +255,35 @@ class TestHalfspaceClosedForm:
         np.testing.assert_allclose(fast.rho, scan.rho, rtol=1e-12, atol=0)
         if tie is not None:
             assert tuple(np.flatnonzero(fast.act[:, -1])) == (0, 4)
+        if orthogonal is not None:
+            assert (system.halfspaces(x)[0][0] @ model.factor_L) @ orthogonal == 0.0
+            assert fast.rho[-1] == np.inf and not fast.finite[-1]
+            # Both caps and the dense rows are all exercised.
+            hit_rows = fast.act[:, fast.finite].any(axis=1)
+            assert hit_rows.all(), hit_rows
+
+    @pytest.mark.parametrize("case", ["start", "interior", "tied"])
+    def test_axis_rows_match_per_row_form_bit_for_bit(self, case):
+        # Energy's rows are all +-e_j, so W L is exact and the stacked product
+        # must give the per-row form (t - w . mean) / (L v . w) exactly.
+        system, model, x, tie = energy_case(case)
+        dirs = sp.sample_sphere(model.dim, 10000, seed=5).directions
+        if tie is not None:
+            dirs = np.vstack([dirs, tie])
+        LV = dirs @ model.factor_L.T
+        W, t = system.halfspaces(x)
+        rows = [(w, ti) for w, ti in zip(W, t)]
+        rows += [(-cap.a, cap.b) for cap in system.domain_caps]
+        ref = np.full((len(rows), dirs.shape[0]), np.inf)
+        for k, (w, ti) in enumerate(rows):
+            speed = LV @ w
+            np.divide(ti - w @ model.mean, speed, out=ref[k], where=speed > 0)
+        r_search = np.minimum(sp.RadialLaw(model.dim).r_max,
+                              ref[system.s:].min(axis=0) * (1.0 - 1e-10))
+        ref[:system.s][ref[:system.s] >= r_search] = np.inf
+        rho = ref.min(axis=0)
+        fast = inequality_hits(system, x, dirs, model)
+        assert np.array_equal(fast.rho[fast.finite], rho[fast.finite])
 
 
 class TestEnlargedRoots:
