@@ -13,9 +13,12 @@ layer:
 - ``solve``: the full solve from the starting point.
 
 Counts are deterministic, the same on any machine: ray batches and gradient
-calls of one solve, and the ``eval_g`` rows it asks for.  ``--baseline``
-takes a file this script wrote on another checkout and embeds its layers
-and counts, with the ratio baseline / this run per layer.
+calls of one solve, and the ``eval_g`` rows it asks for.  ``peak_mb`` is the
+tracemalloc peak, in MiB, of one ``evaluate`` and of one ``validate`` at the
+solved dispatch; it counts what the call allocates, not the inputs built
+before it.  ``--baseline`` takes a file this script wrote on another
+checkout and embeds its layers, counts and peaks, with the ratio
+baseline / this run per layer.
 
     PYTHONPATH=src python scripts/bench_layers.py --out bench.json
 """
@@ -32,6 +35,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import scipy
@@ -48,6 +52,16 @@ def median_ms(fn, repeats):
         fn()
         times.append(time.perf_counter() - t0)
     return 1e3 * statistics.median(times)
+
+
+def peak_mb(fn):
+    """tracemalloc peak of one call of ``fn``, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
+    finally:
+        tracemalloc.stop()
 
 
 def solve_counts(problem):
@@ -109,6 +123,8 @@ def main() -> int:
     for name, ms in layers_ms.items():
         print(f"{name:18s} {ms:10.3f} ms")
     print(f"counts: {counts}")
+    peaks = {"evaluate": peak_mb(layers["evaluate"]), "validate": peak_mb(layers["validate"])}
+    print(f"peak_mb: {peaks}")
 
     report = {
         "workload": "energy_dispatch: make_energy_problem() defaults, layers at the "
@@ -122,12 +138,13 @@ def main() -> int:
                   "cost": float(problem.cost @ x)},
         "counts": counts,
         "layers_ms": layers_ms,
+        "peak_mb": peaks,
     }
     if args.baseline:
         with open(args.baseline, encoding="utf-8") as fh:
             base = json.load(fh)
         report["baseline"] = {k: base[k] for k in ("machine", "repeats", "solve", "counts",
-                                                   "layers_ms")}
+                                                   "layers_ms", "peak_mb")}
         report["speedup"] = {name: round(base["layers_ms"][name] / ms, 3)
                              for name, ms in layers_ms.items()}
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -15,7 +15,9 @@ sign change is reported as :class:`BracketFailure` only when it straddles a
 scan point r = 1, 2, 4, ...; two inside one doubling interval go unnoticed,
 and a later root may then be returned.
 
-Every solve runs over a batch of directions, one unit vector per row.
+Every solve runs over a batch of directions, one unit vector per row, in
+blocks of at most ``BLOCK_ROWS``: a large batch holds its O(N) results plus
+one block's temporaries.  A NaN ray value or halfspace is a NumericalError.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketFailure
+from .errors import BracketFailure, NumericalError
 from .gaussian import GaussianModel, RadialLaw
 from .oracles import (ConvexSetOracle, InequalitySystem, check_interior,
                       check_oracle_interior)
@@ -37,6 +39,7 @@ SLOPE_FLOOR = 1e-12       # smallest ray slope trusted by a Newton step and the 
 # would reach the 1e-13 relative root width in under 50 steps.
 MAX_BRACKET_DOUBLINGS = 64
 MAX_ROOT_STEPS = 200
+BLOCK_ROWS = 16384        # directions per block; bounds a batch's temporaries
 
 
 @dataclass
@@ -49,13 +52,23 @@ class HitBatch:
     act: np.ndarray            # (s + n_caps, N) bool, caps last; oracle mode: (1, N)
 
 
-def _roots(ray, n_dirs, r_search):
+def _roots(ray, r_search, what, first):
     """Find the positive root of ``h`` along each ray within ``[0, r_search]``.
 
     ``ray(r, idx)`` evaluates the batched ray function at radii ``r`` for
     direction rows ``idx``; it must be negative at 0.  ``ray(r, idx, True)``
     returns ``(h, dh/dr)``.  Radii are ``inf`` where the window has no root.
+    Errors name the constraint ``what`` and the direction ``first + idx``.
     """
+    n_dirs = r_search.shape[0]
+
+    def value(r, idx, slope=False):
+        out = ray(r, idx, slope)
+        nan = np.isnan(out[0] if slope else out)
+        if nan.any():
+            raise NumericalError(f"{what}: NaN ray value at direction {first + idx[nan.argmax()]}")
+        return out
+
     all_idx = np.arange(n_dirs)
     lo = np.zeros(n_dirs)
     hi = np.full(n_dirs, np.inf)
@@ -65,13 +78,12 @@ def _roots(ray, n_dirs, r_search):
     # The grid is scanned to the window end even after a bracket is found, so
     # a second sign change that straddles a later grid point is detected.
     for _ in range(MAX_BRACKET_DOUBLINGS):
-        h = ray(r_cur, all_idx)
+        h = value(r_cur, all_idx)
         regression = found & (h <= 0) & (r_cur > hi)
         if regression.any():
             raise BracketFailure(
-                "ray function changed sign more than once; the constraint is "
-                "not quasi-convex along direction "
-                f"{int(np.flatnonzero(regression)[0])}")
+                f"{what}: ray function changed sign more than once; the constraint "
+                f"is not quasi-convex along direction {first + int(np.argmax(regression))}")
         newly = (~found) & (h > 0)
         hi = np.where(newly, r_cur, hi)
         lo = np.where(newly, prev_r, lo)
@@ -91,7 +103,7 @@ def _roots(ray, n_dirs, r_search):
     for _ in range(MAX_ROOT_STEPS):
         if live.size == 0:
             break
-        h, dh = ray(r[live], idx[live], True)
+        h, dh = value(r[live], idx[live], True)
         live = live[~_newton_step(live, h, dh, r, lo, hi, newton)]
     rho = np.full(n_dirs, np.inf)
     rho[idx] = r
@@ -137,11 +149,24 @@ def _classify(radii, r_max) -> HitBatch:
     return HitBatch(rho=rho, finite=finite, act=radii <= thresh)
 
 
+def _solve_blocks(solve, n_dirs, r_max) -> HitBatch:
+    """Hits of ``n_dirs`` directions from ``solve(sl)``, the radii of block ``sl``."""
+    hits = None
+    for start in range(0, max(n_dirs, 1), BLOCK_ROWS):   # an empty batch is one empty block
+        sl = slice(start, start + BLOCK_ROWS)
+        part = _classify(solve(sl), r_max)
+        if hits is None:
+            hits = HitBatch(np.empty(n_dirs), np.empty(n_dirs, bool),
+                            np.empty((part.act.shape[0], n_dirs), bool))
+        hits.rho[sl], hits.finite[sl], hits.act[:, sl] = part.rho, part.finite, part.act
+    return hits
+
+
 def _unit_rows(x, dirs):
     """Return the decision vector and the unit directions as rows."""
     x = np.asarray(x, dtype=float).reshape(-1)
     V = np.atleast_2d(np.asarray(dirs, dtype=float))
-    off = np.abs(np.sqrt(np.einsum("km,km->k", V, V)) - 1.0) > 1e-9
+    off = ~(np.abs(np.sqrt(np.einsum("km,km->k", V, V)) - 1.0) <= 1e-9)   # NaN is off
     if off.any():
         raise ValueError(f"direction {int(np.flatnonzero(off)[0])} is not a unit vector")
     return x, V
@@ -152,42 +177,46 @@ def inequality_hits(system: InequalitySystem, x, dirs: np.ndarray,
     """Solve every ray of ``dirs`` (rows, unit vectors) against the system."""
     x, V = _unit_rows(x, dirs)
     check_interior(system, x, model.mean)
-    n_dirs = V.shape[0]
-    mean = model.mean
+    mean, L = model.mean, model.factor_L
     r_max = RadialLaw(model.dim).r_max
 
     # Rays leave {z : w . z <= t} at (t - w . mean) / (w . L v) where that speed
     # is positive; declared rows and caps (-a, b), caps last, are one product.
-    s = system.s
-    declared = system.halfspaces is not None
+    s, declared = system.s, system.halfspaces is not None
     W, t = system.halfspaces(x) if declared else (np.empty((0, model.dim)), np.empty(0))
+    if np.isnan(W).any() or np.isnan(t).any():
+        raise NumericalError(f"{system.name}: halfspaces(x) returned a NaN")
     caps = system.domain_caps
     W = np.vstack([W, *(-cap.a for cap in caps)])
     t = np.r_[t, [cap.b for cap in caps]]
-    speed = (W @ model.factor_L) @ V.T
-    with np.errstate(all="ignore"):
-        radii = np.where(speed > 0, (t - W @ mean)[:, None] / speed, np.inf)
-    r_dom = radii[W.shape[0] - len(caps):].min(axis=0) if caps else np.full(n_dirs, np.inf)
-    # Real roots are searched strictly inside the validity window, so a root
-    # exactly on a cap is attributed to the cap (whose geometry is regular).
-    r_search = np.minimum(r_max, r_dom * (1.0 - 1e-10))
+    WL, gap = W @ L, t - W @ mean
 
-    if declared:
-        radii[:s] = np.where(radii[:s] < r_search, radii[:s], np.inf)
-        return _classify(radii, r_max)
-    LV = V @ model.factor_L.T
-    rho_real = np.empty((s, n_dirs))
-    for i in range(s):
-        def ray(r, idx, slope=False, _i=i):
-            Z = mean + r[:, None] * LV[idx]
-            h = np.asarray(system.eval_g(_i, x, Z), dtype=float)
-            if not slope:
-                return h
-            gz = np.asarray(system.grad_z_g(_i, x, Z), dtype=float)
-            return h, np.einsum("km,km->k", gz, LV[idx])
+    def solve(sl):
+        speed = WL @ V[sl].T
+        with np.errstate(all="ignore"):
+            radii = np.where(speed > 0, gap[:, None] / speed, np.inf)
+        r_dom = radii[W.shape[0] - len(caps):].min(axis=0, initial=np.inf)
+        # Real roots are searched strictly inside the validity window, so a root
+        # exactly on a cap is attributed to the cap (whose geometry is regular).
+        r_search = np.minimum(r_max, r_dom * (1.0 - 1e-10))
+        if declared:
+            radii[:s] = np.where(radii[:s] < r_search, radii[:s], np.inf)
+            return radii
+        LV = V[sl] @ L.T
+        rho_real = np.empty((s, r_search.shape[0]))
+        for i in range(s):
+            def ray(r, idx, slope=False, _i=i):
+                Z = mean + r[:, None] * LV[idx]
+                h = np.asarray(system.eval_g(_i, x, Z), dtype=float)
+                if not slope:
+                    return h
+                gz = np.asarray(system.grad_z_g(_i, x, Z), dtype=float)
+                return h, np.einsum("km,km->k", gz, LV[idx])
 
-        rho_real[i] = _roots(ray, n_dirs, r_search)
-    return _classify(np.vstack([rho_real, radii]), r_max)
+            rho_real[i] = _roots(ray, r_search, f"{system.name}: g_{i}", sl.start)
+        return np.vstack([rho_real, radii])
+
+    return _solve_blocks(solve, V.shape[0], r_max)
 
 
 def enlarged_hits(oracle: ConvexSetOracle, x, dirs: np.ndarray, eps: float,
@@ -197,17 +226,18 @@ def enlarged_hits(oracle: ConvexSetOracle, x, dirs: np.ndarray, eps: float,
         raise ValueError("eps must be nonnegative")
     x, V = _unit_rows(x, dirs)
     check_oracle_interior(oracle, x, model.mean)
-    LV = V @ model.factor_L.T
-    n_dirs = LV.shape[0]
-    mean = model.mean
     r_max = RadialLaw(model.dim).r_max
 
-    def ray(r, idx, slope=False):
-        U = mean + r[:, None] * LV[idx]
-        U -= oracle.project(x, U)
-        dist = np.linalg.norm(U, axis=1)
-        if not slope:
-            return dist - eps
-        return dist - eps, np.einsum("km,km->k", U, LV[idx]) / np.maximum(dist, 1e-300)
+    def solve(sl):
+        LV = V[sl] @ model.factor_L.T
+        def ray(r, idx, slope=False):
+            U = model.mean + r[:, None] * LV[idx]
+            U -= oracle.project(x, U)
+            dist = np.linalg.norm(U, axis=1)
+            if not slope:
+                return dist - eps
+            return dist - eps, np.einsum("km,km->k", U, LV[idx]) / np.maximum(dist, 1e-300)
 
-    return _classify(_roots(ray, n_dirs, np.full(n_dirs, r_max))[None, :], r_max)
+        return _roots(ray, np.full(LV.shape[0], r_max), oracle.name, sl.start)[None, :]
+
+    return _solve_blocks(solve, V.shape[0], r_max)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,26 @@ class TestRayWork:
         if eps != 0.0:
             ev.gradient()
         assert sum(rows) / dirs.n <= bound
+
+    @pytest.mark.parametrize("case", ["energy-validate", "ball-dim8-eps0.05-200k"])
+    def test_peak_memory_of_large_batches(self, case):
+        # A batch is solved in blocks, so 200k directions hold O(N) arrays plus
+        # one block's temporaries; solved whole, these batches peak at about
+        # 60 MB (energy validation) and 97 MB (ball).  Directions are built first.
+        if case == "energy-validate":
+            problem = sp.make_energy_problem()
+            run = lambda: sp.validate(problem.start, problem)
+        else:
+            dirs = _dirs(n=200000, m=8, method=sp.SphereMethod.MONTE_CARLO)
+            model = sp.build_model(np.zeros(8), np.eye(8))
+            run = lambda: sp.evaluate(sp.make_ball(np.zeros(8)), [3.0], model, dirs, eps=0.05)
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6, f"{peak / 1e6:.1f} MB"
 
 
 class TestProbValue:

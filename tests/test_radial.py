@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import sphrad as sp
 from sphrad import radial
+from sphrad.errors import NumericalError
 from sphrad.radial import enlarged_hits, inequality_hits
 
 from _helpers import energy_case
@@ -143,11 +144,57 @@ class TestInequalityRoots:
 
     def test_unit_direction_required(self):
         sys_ = sp.make_halfspace([1.0, 0.0])
-        dirs = np.array([[1.0, 0.0], [2.0, 0.0]])
-        with pytest.raises(ValueError):
-            inequality_hits(sys_, [1.0], dirs, _model2())
-        with pytest.raises(ValueError):
-            enlarged_hits(sp.make_ball(np.zeros(2)), [1.0], dirs, 0.1, _model2())
+        for bad in ([2.0, 0.0], [np.nan, 0.0]):
+            dirs = np.array([[1.0, 0.0], bad])
+            with pytest.raises(ValueError, match="direction 1 is not a unit vector"):
+                inequality_hits(sys_, [1.0], dirs, _model2())
+            with pytest.raises(ValueError, match="direction 1 is not a unit vector"):
+                enlarged_hits(sp.make_ball(np.zeros(2)), [1.0], dirs, 0.1, _model2())
+
+
+def _holed_system(c, lo, hi=np.inf):
+    """g = z1 - c, but NaN where lo < z1 < hi."""
+    def eval_g(i, x, Z):
+        return np.where((Z[:, 0] > lo) & (Z[:, 0] < hi), np.nan, Z[:, 0] - c)
+
+    return sp.InequalitySystem(
+        s=1, x_dim=1, z_dim=2, eval_g=eval_g,
+        grad_x_g=lambda i, x, Z: np.zeros((Z.shape[0], 1)),
+        grad_z_g=lambda i, x, Z: np.stack([np.ones(Z.shape[0]), np.zeros(Z.shape[0])], axis=1),
+        name="holed")
+
+
+class TestNaNRayValues:
+    """A NaN ray value is an error, never a direction that does not exit."""
+
+    def test_nan_at_scan_point(self):
+        dirs = sp.sample_sphere(2, 1000, seed=3, method=sp.SphereMethod.MONTE_CARLO)
+        with pytest.raises(NumericalError, match="holed: g_0: NaN ray value at direction"):
+            sp.evaluate(_holed_system(1.0, 0.5), [0.0], _model2(), dirs)
+
+    def test_nan_at_newton_iterate(self):
+        # Scan points r = 1, 2, 4, ... miss the hole; the first Newton
+        # iterate from the bracket [1, 2] along e1 is 1.5.
+        sys_ = _holed_system(1.5, 1.2, 1.8)
+        with pytest.raises(NumericalError, match="direction 0$"):
+            _ineq(sys_, [0.0], [1.0, 0.0], _model2())
+
+    def test_nan_projection(self):
+        ball = sp.make_ball(np.zeros(2))
+        oracle = dataclasses.replace(ball, project=lambda x, Z: np.where(
+            Z[:, :1] > 0.5, np.nan, ball.project(x, Z)))
+        with pytest.raises(NumericalError, match="NaN ray value at direction 0$"):
+            _enl(oracle, [1.0], [1.0, 0.0], 0.05, _model2())
+
+    @pytest.mark.parametrize("entry", ["W", "t"])
+    def test_nan_in_declared_halfspaces(self, entry):
+        system, model, x, _ = energy_case("interior")
+        W, t = system.halfspaces(x)
+        W, t = W.copy(), t.copy()
+        (W if entry == "W" else t)[0] = np.nan
+        broken = dataclasses.replace(system, halfspaces=lambda x: (W, t))
+        with pytest.raises(NumericalError, match="returned a NaN"):
+            inequality_hits(broken, x, np.eye(model.dim), model)
 
 
 class TestDomainCaps:
@@ -434,3 +481,84 @@ class TestBatchConsistency:
                 assert batch.rho[k] == pytest.approx(hit.rho[0], rel=1e-12)
             else:
                 assert not batch.finite[k]
+
+
+class TestBlockedBatches:
+    """A batch solved in blocks of ``BLOCK_ROWS`` directions matches the
+    one-block solve: each ray's result depends on its own row alone, except
+    for the BLAS rounding of a correlated model's products."""
+
+    @staticmethod
+    def _case(case, n):
+        c = np.zeros(8)
+        c[0] = 1.0
+        std = lambda m: sp.build_model(np.zeros(m), np.eye(m))
+        qmc = lambda m: sp.sample_sphere(m, n, seed=sp.DEFAULT_SEED).directions
+        if case == "energy-interior":
+            system, model, x, _ = energy_case("interior")
+            dirs = sp.sample_sphere(8, n, seed=5, method=sp.SphereMethod.MONTE_CARLO)
+            return lambda: inequality_hits(system, x, dirs.directions, model)
+        if case == "slab-dim8":
+            slab = sp.make_slab(c, lambda x: x[0], lambda x: np.array([1.0]))
+            return lambda: inequality_hits(slab, [-0.5], qmc(8), std(8))
+        if case == "hyperbolic-system":
+            return lambda: inequality_hits(sp.make_hyperbolic_system(), [2.25], qmc(2), std(2))
+        target, m, x, eps = {
+            "hyperbolic-set-eps0": (sp.make_hyperbolic_set(), 2, 2.25, 0.0),
+            "hyperbolic-set-eps0.05": (sp.make_hyperbolic_set(), 2, 2.25, 0.05),
+            "ball-dim8-eps0.05": (sp.make_ball(np.zeros(8)), 8, 3.0, 0.05),
+        }[case]
+        return lambda: enlarged_hits(target, [x], qmc(m), eps, std(m))
+
+    @staticmethod
+    def _same(a, b):
+        for field in ("rho", "finite", "act"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), field
+
+    @staticmethod
+    def _close(a, b):
+        # With a correlated factor, BLAS rounds a column of (W L) V^T by where
+        # it falls in the product's tiling (and by thread count): at blocks of
+        # 7, radius 300 of 303 moves by two ulps.  Ties and finiteness hold.
+        assert np.array_equal(a.finite, b.finite)
+        assert np.array_equal(a.act, b.act)
+        np.testing.assert_allclose(b.rho, a.rho, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("block, n", [(7, 303), (1000, 2503)])
+    @pytest.mark.parametrize("case", ["energy-interior", "slab-dim8", "hyperbolic-system",
+                                      "hyperbolic-set-eps0", "hyperbolic-set-eps0.05",
+                                      "ball-dim8-eps0.05"])
+    def test_matches_one_block(self, monkeypatch, case, block, n):
+        assert n % block and n <= radial.BLOCK_ROWS
+        solve = self._case(case, n)
+        whole = solve()
+        monkeypatch.setattr(radial, "BLOCK_ROWS", block)
+        blocked = solve()
+        assert blocked.finite.any()
+        if case == "energy-interior":
+            self._close(whole, blocked)
+        else:
+            self._same(whole, blocked)       # standard models: every product is exact
+
+    def test_energy_validation_matches_one_block(self, monkeypatch):
+        problem = sp.make_energy_problem()
+        x = np.r_[np.full(4, 1.5), np.full(4, 11.0)]
+        V = problem.validate_dirs.directions
+        assert V.shape[0] > radial.BLOCK_ROWS
+        blocked = inequality_hits(problem.system, x, V, problem.model)
+        monkeypatch.setattr(radial, "BLOCK_ROWS", V.shape[0])
+        self._close(inequality_hits(problem.system, x, V, problem.model), blocked)
+
+    def test_errors_name_the_global_direction(self, monkeypatch):
+        monkeypatch.setattr(radial, "BLOCK_ROWS", 7)
+        dirs = np.tile([-1.0, 0.0], (20, 1))
+        dirs[16] = [1.0, 0.0]
+        holed = _holed_system(1.5, 1.2, 1.8)
+        with pytest.raises(NumericalError, match="direction 16$"):
+            inequality_hits(holed, [0.0], dirs, _model2())
+        dirs[16] = [np.nan, 0.0]
+        with pytest.raises(ValueError, match="direction 16 is not a unit vector"):
+            inequality_hits(holed, [0.0], dirs, _model2())
+        with pytest.raises(ValueError, match="direction 16 is not a unit vector"):
+            enlarged_hits(sp.make_ball(np.zeros(2)), [1.0], dirs, 0.1, _model2())
