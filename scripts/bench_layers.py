@@ -20,6 +20,12 @@ before it.  ``--baseline`` takes a file this script wrote on another
 checkout and embeds its layers, counts and peaks, with the ratio
 baseline / this run per layer.
 
+An oracle section times ``radial.enlarged_hits`` in oracle mode, where the
+projection dominates, on 10k QMC directions of the standard model: the
+hyperbolic set at x = 0.75 and 2.25 and the ball in dimension 8 at x = 3,
+all at eps = 0.05.  It reports the median ms of one call and the
+``project`` rows per ray that call asks for.
+
     PYTHONPATH=src python scripts/bench_layers.py --out bench.json
 """
 
@@ -91,6 +97,35 @@ def solve_counts(problem):
     return x, trace, counts
 
 
+ORACLE_CASES = {
+    "hyperbolic_set_x0.75": (sp.make_hyperbolic_set, 0.75, 2),
+    "hyperbolic_set_x2.25": (sp.make_hyperbolic_set, 2.25, 2),
+    "ball_dim8_x3": (lambda: sp.make_ball(np.zeros(8)), 3.0, 8),
+}
+ORACLE_EPS = 0.05
+
+
+def oracle_layers(repeats):
+    """Median ms of one ``enlarged_hits`` call and its ``project`` rows per ray."""
+    out = {}
+    for name, (make, x, m) in ORACLE_CASES.items():
+        oracle = make()
+        V = sp.sample_sphere(m, 10000, seed=sp.DEFAULT_SEED).directions
+        model = sp.build_model(np.zeros(m), np.eye(m))
+        rows = []
+
+        def project(x_, Z, _project=oracle.project):
+            rows.append(Z.shape[0])
+            return _project(x_, Z)
+
+        counted = dataclasses.replace(oracle, project=project)
+        radial.enlarged_hits(counted, [x], V, ORACLE_EPS, model)
+        ms = median_ms(lambda: radial.enlarged_hits(oracle, [x], V, ORACLE_EPS, model), repeats)
+        out[name] = {"enlarged_hits_ms": round(ms, 4),
+                     "project_rows_per_ray": round(sum(rows) / V.shape[0], 4)}
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -125,6 +160,10 @@ def main() -> int:
     print(f"counts: {counts}")
     peaks = {"evaluate": peak_mb(layers["evaluate"]), "validate": peak_mb(layers["validate"])}
     print(f"peak_mb: {peaks}")
+    oracle = oracle_layers(args.repeats)
+    for name, rec in oracle.items():
+        print(f"{name:22s} {rec['enlarged_hits_ms']:10.3f} ms "
+              f"{rec['project_rows_per_ray']:7.3f} project rows/ray")
 
     report = {
         "workload": "energy_dispatch: make_energy_problem() defaults, layers at the "
@@ -139,14 +178,21 @@ def main() -> int:
         "counts": counts,
         "layers_ms": layers_ms,
         "peak_mb": peaks,
+        "oracle": {"eps": ORACLE_EPS, "n": 10000, "cases": oracle},
     }
     if args.baseline:
         with open(args.baseline, encoding="utf-8") as fh:
             base = json.load(fh)
+        # Files from before the oracle section have none.
         report["baseline"] = {k: base[k] for k in ("machine", "repeats", "solve", "counts",
-                                                   "layers_ms", "peak_mb")}
+                                                   "layers_ms", "peak_mb", "oracle")
+                              if k in base}
         report["speedup"] = {name: round(base["layers_ms"][name] / ms, 3)
                              for name, ms in layers_ms.items()}
+        if "oracle" in base:
+            for name, rec in oracle.items():
+                report["speedup"][f"enlarged_hits/{name}"] = round(
+                    base["oracle"]["cases"][name]["enlarged_hits_ms"] / rec["enlarged_hits_ms"], 3)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")

@@ -131,7 +131,7 @@ class Evaluation(ProbEstimate):
         n_active = hits.act.sum(axis=0)
         first = np.argmax(hits.act, axis=0) if tie_policy == "min_index" else None
         w = np.zeros((self.dirs.n, self.target.x_dim))
-        max_ratio = 0.0
+        max_ratio2 = 0.0
         for i, rows, LV, gx, gz in self._normals():
             slope = np.einsum("km,km->k", gz, LV)
             if not np.all(slope > SLOPE_FLOOR):     # NaN slopes fail too
@@ -141,12 +141,13 @@ class Evaluation(ProbEstimate):
                     f"{offender} is below the slope floor", direction_index=offender)
             lam = 1 / n_active[rows] if first is None else first[rows] == i
             w[rows] += (-pdf[rows] * lam / slope)[:, None] * gx
-            # slope > 0 implies |z_i| > 0.
-            ratio = np.linalg.norm(gx, axis=1) / np.linalg.norm(gz, axis=1)
-            max_ratio = max(max_ratio, float(ratio.max()))
+            # slope > 0 implies |z_i| > 0.  Squared norms; one sqrt at the end.
+            ratio2 = np.einsum("km,km->k", gx, gx) / np.einsum("km,km->k", gz, gz)
+            max_ratio2 = max(max_ratio2, float(ratio2.max()))
         return GradEstimate(gradient=self.dirs.weights @ w,
                             tie_fraction=float(np.mean(n_active > 1)), w=w,
-                            max_ratio=max_ratio, n_points=int(hits.finite.sum()))
+                            max_ratio=float(np.sqrt(max_ratio2)),
+                            n_points=int(hits.finite.sum()))
 
 
 def evaluate(target, x, model: GaussianModel, dirs: DirectionSet,

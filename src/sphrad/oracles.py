@@ -231,59 +231,64 @@ def _hyperbolic_project(x: float, W: np.ndarray, tol: float = 1e-12,
 
     The nearest point minimizes D(s) = (s-w1)^2 + (x/(s+2)-2-w2)^2 over the
     branch parameter s; the stationarity equation is solved by damped Newton
-    with a maintained bracket and a pure bisection fallback.
+    with a maintained bracket and a pure bisection fallback.  Rows are solved
+    independently: the bracket and Newton loops iterate only the rows still
+    moving, and a converged row is frozen.  The fallback, run when any row
+    fails to converge, bisects every row.
     """
     w1, w2 = W[:, 0], W[:, 1]
 
-    def dD(s):
+    def dD(s, rows):
         q = x / (s + 2.0)
-        return 2.0 * (s - w1) + 2.0 * (q - 2.0 - w2) * (-q / (s + 2.0))
+        return 2.0 * (s - w1[rows]) + 2.0 * (q - 2.0 - w2[rows]) * (-q / (s + 2.0))
 
-    def d2D(s):
+    def d2D(s, rows):
         q = x / (s + 2.0)
         qp = -q / (s + 2.0)                      # d q / d s
-        return 2.0 + 2.0 * (qp * qp + (q - 2.0 - w2) * (2.0 * q / (s + 2.0) ** 2))
+        return 2.0 + 2.0 * (qp * qp + (q - 2.0 - w2[rows]) * (2.0 * q / (s + 2.0) ** 2))
 
     k = W.shape[0]
+    every = np.arange(k)
     # lower bracket end: dD -> -inf as s -> -2+
     lo = np.full(k, -2.0 + 1e-9)
-    bad = dD(lo) >= 0
+    bad = every[dD(lo, every) >= 0]
     shrink = 1e-9
     for _ in range(12):
-        if not bad.any():
+        if bad.size == 0:
             break
         shrink *= 1e-2
-        lo = np.where(bad, -2.0 + shrink, lo)
-        bad = dD(lo) >= 0
+        lo[bad] = -2.0 + shrink
+        bad = bad[dD(lo[bad], bad) >= 0]
     hi = np.maximum(w1, lo) + 1.0
+    live = every
     for _ in range(200):
-        mask = dD(hi) <= 0
-        if not mask.any():
+        live = live[dD(hi[live], live) <= 0]
+        if live.size == 0:
             break
-        hi = np.where(mask, lo + 2.0 * (hi - lo), hi)
+        hi[live] = lo[live] + 2.0 * (hi[live] - lo[live])
 
     s = 0.5 * (lo + hi)
-    val = dD(s)
-    converged = np.zeros(k, dtype=bool)
+    val = dD(s, every)
+    live = every
     for _ in range(max_newton):
-        width = hi - lo
-        converged = (np.abs(val) <= tol) | (width <= 1e-13 * np.maximum(1.0, np.abs(s)))
-        if converged.all():
+        live = live[~((np.abs(val[live]) <= tol)
+                      | (hi[live] - lo[live] <= 1e-13 * np.maximum(1.0, np.abs(s[live]))))]
+        if live.size == 0:
             break
-        pos = val > 0
-        hi = np.where(pos & ~converged, s, hi)
-        lo = np.where(~pos & ~converged, s, lo)
-        curv = d2D(s)
+        s_k, v_k = s[live], val[live]
+        pos = v_k > 0
+        hi[live] = hi_k = np.where(pos, s_k, hi[live])
+        lo[live] = lo_k = np.where(pos, lo[live], s_k)
+        curv = d2D(s_k, live)
         with np.errstate(divide="ignore", invalid="ignore"):
-            s_newton = s - val / curv
-        inside = (s_newton > lo) & (s_newton < hi) & np.isfinite(s_newton) & (curv > 0)
-        s = np.where(converged, s, np.where(inside, s_newton, 0.5 * (lo + hi)))
-        val = dD(s)
-    if not converged.all():
+            s_newton = s_k - v_k / curv
+        inside = (s_newton > lo_k) & (s_newton < hi_k) & np.isfinite(s_newton) & (curv > 0)
+        s[live] = s_k = np.where(inside, s_newton, 0.5 * (lo_k + hi_k))
+        val[live] = dD(s_k, live)
+    if live.size:
         for _ in range(max_bisect):
             mid = 0.5 * (lo + hi)
-            vm = dD(mid)
-            pos = vm > 0
+            pos = dD(mid, every) > 0
             hi = np.where(pos, mid, hi)
             lo = np.where(pos, lo, mid)
         s = 0.5 * (lo + hi)

@@ -8,8 +8,12 @@ affine domain caps have explicit roots, all from one product of their
 stacked rows with the batch's directions.  Other constraints go through a
 doubling scan that brackets the root, then a safeguarded Newton iteration
 from the bracket's outer end that bisects where a step would leave the
-bracket.  Quasi-convexity in ``z`` makes this reliable: the feasible radii
-form an interval starting at zero (in oracle mode, distance minus ``eps`` is
+bracket.  In oracle mode one projection gives both the distance and its
+slope along the ray, so the scan keeps them at the outer end and Newton
+starts from there: no radius is projected twice (the built-in hyperbolic
+projection, in turn, iterates only its rows still moving).
+Quasi-convexity in ``z`` makes this reliable: the feasible radii form an
+interval starting at zero (in oracle mode, distance minus ``eps`` is
 convex in r, so Newton from the outer end does not overshoot).  A second
 sign change is reported as :class:`BracketFailure` only when it straddles a
 scan point r = 1, 2, 4, ...; two inside one doubling interval go unnoticed,
@@ -56,29 +60,35 @@ def _roots(ray, r_search, what, first):
     """Find the positive root of ``h`` along each ray within ``[0, r_search]``.
 
     ``ray(r, idx)`` evaluates the batched ray function at radii ``r`` for
-    direction rows ``idx``; it must be negative at 0.  ``ray(r, idx, True)``
-    returns ``(h, dh/dr)``.  Radii are ``inf`` where the window has no root.
-    Errors name the constraint ``what`` and the direction ``first + idx``.
+    direction rows ``idx`` (``slice(None)`` on the scan: every row); it must
+    be negative at 0.  ``ray(r, idx, True)`` returns ``(h, dh/dr)``.  A ray
+    that returns ``(h, dh/dr)`` on the scan too has the Newton iteration
+    start from the scan's values at each bracket's outer end.  Radii are
+    ``inf`` where the window has no root.  Errors name the constraint
+    ``what`` and the direction ``first + idx``.
     """
     n_dirs = r_search.shape[0]
 
     def value(r, idx, slope=False):
         out = ray(r, idx, slope)
-        nan = np.isnan(out[0] if slope else out)
+        h, dh = out if isinstance(out, tuple) else (out, None)
+        nan = np.isnan(h)
         if nan.any():
-            raise NumericalError(f"{what}: NaN ray value at direction {first + idx[nan.argmax()]}")
-        return out
+            k = first + np.arange(n_dirs)[idx][nan.argmax()]
+            raise NumericalError(f"{what}: NaN ray value at direction {k}")
+        return h, dh
 
-    all_idx = np.arange(n_dirs)
+    every = slice(None)
     lo = np.zeros(n_dirs)
     hi = np.full(n_dirs, np.inf)
+    outer = np.zeros((2, n_dirs))       # (h, dh/dr) at hi, when the scan has them
     found = np.zeros(n_dirs, dtype=bool)
     prev_r = np.zeros(n_dirs)
     r_cur = np.minimum(1.0, r_search)
     # The grid is scanned to the window end even after a bracket is found, so
     # a second sign change that straddles a later grid point is detected.
     for _ in range(MAX_BRACKET_DOUBLINGS):
-        h = value(r_cur, all_idx)
+        h, dh = value(r_cur, every)
         regression = found & (h <= 0) & (r_cur > hi)
         if regression.any():
             raise BracketFailure(
@@ -88,22 +98,26 @@ def _roots(ray, r_search, what, first):
         hi = np.where(newly, r_cur, hi)
         lo = np.where(newly, prev_r, lo)
         lo = np.where(~found & (h <= 0), r_cur, lo)
+        if dh is not None:
+            np.copyto(outer, (h, dh), where=newly)
         found |= newly
         if np.all(r_cur >= r_search):
             break
         prev_r = r_cur
         r_cur = np.minimum(2.0 * r_cur, r_search)
-    del all_idx, prev_r, r_cur, h, regression, newly    # (N,) arrays, freed early
+    del prev_r, r_cur, h, regression, newly    # (N,) arrays, freed early
 
     idx = np.flatnonzero(found)
     lo, hi = lo[idx], hi[idx]
+    outer = outer[:, idx] if dh is not None else None
     r = hi.copy()                               # start at the outer end, h > 0
     newton = np.zeros(idx.size, dtype=bool)     # r came from a Newton step
     live = np.arange(idx.size)
     for _ in range(MAX_ROOT_STEPS):
         if live.size == 0:
             break
-        h, dh = value(r[live], idx[live], True)
+        h, dh = value(r[live], idx[live], True) if outer is None else outer
+        outer = None
         live = live[~_newton_step(live, h, dh, r, lo, hi, newton)]
     rho = np.full(n_dirs, np.inf)
     rho[idx] = r
@@ -230,12 +244,10 @@ def enlarged_hits(oracle: ConvexSetOracle, x, dirs: np.ndarray, eps: float,
 
     def solve(sl):
         LV = V[sl] @ model.factor_L.T
-        def ray(r, idx, slope=False):
+        def ray(r, idx, slope=False):    # the slope comes with h, so always returned
             U = model.mean + r[:, None] * LV[idx]
             U -= oracle.project(x, U)
             dist = np.linalg.norm(U, axis=1)
-            if not slope:
-                return dist - eps
             return dist - eps, np.einsum("km,km->k", U, LV[idx]) / np.maximum(dist, 1e-300)
 
         return _roots(ray, np.full(LV.shape[0], r_max), oracle.name, sl.start)[None, :]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sphrad as sp
-from sphrad.oracles import check_interior
+from sphrad.oracles import _hyperbolic_project, check_interior
 
 
 def _model2():
@@ -216,6 +216,29 @@ class TestHyperbolicOracle:
         oracle = sp.make_hyperbolic_set()
         with pytest.raises(sp.InteriorViolated):
             oracle.project([5.0], np.array([[10.0, 10.0]]))
+
+    def test_batch_matches_each_row_alone(self):
+        # The projection iterates only the rows still moving, which is exact
+        # because rows are independent and a converged row is frozen.  The ray
+        # scan points at x = 0.75 include rows left of the asymptote z1 = -2
+        # that need 20 or more Newton iterations: stopped after 19 they fall
+        # back to bisection and land elsewhere, or diverge.
+        x = 0.75
+        oracle = sp.make_hyperbolic_set()
+        dirs = sp.sample_sphere(2, 200).directions
+        Z = np.concatenate([r * dirs for r in (1.0, 2.0, 4.0, 8.0)])
+        Z = Z[~oracle.contains([x], Z)]
+        batch = oracle.project([x], Z)
+        alone = np.concatenate([oracle.project([x], z[None, :]) for z in Z])
+        assert batch.tobytes() == alone.tobytes()
+
+        def slow(z, p):
+            try:
+                return _hyperbolic_project(x, z[None, :], max_newton=19).tobytes() != p.tobytes()
+            except sp.ProjectionDiverged:
+                return True
+
+        assert sum(slow(z, p) for z, p in zip(Z, batch)) >= 3
 
 
 class TestBallOracle:

@@ -562,3 +562,17 @@ class TestBlockedBatches:
             inequality_hits(holed, [0.0], dirs, _model2())
         with pytest.raises(ValueError, match="direction 16 is not a unit vector"):
             enlarged_hits(sp.make_ball(np.zeros(2)), [1.0], dirs, 0.1, _model2())
+
+    def test_scan_nan_names_the_global_direction(self):
+        # Scan points pass no row index; a NaN at the first scan point, r = 1,
+        # of a direction in the second block still names that direction.
+        k = radial.BLOCK_ROWS + 5
+        dirs = np.tile([-1.0, 0.0], (k + 3, 1))
+        dirs[k] = [1.0, 0.0]
+        with pytest.raises(NumericalError, match=f"holed: g_0: NaN ray value at direction {k}$"):
+            inequality_hits(_holed_system(1.5, 0.5), [0.0], dirs, _model2())
+        ball = sp.make_ball(np.zeros(2))
+        oracle = dataclasses.replace(ball, project=lambda x, Z: np.where(
+            Z[:, :1] > 0.5, np.nan, ball.project(x, Z)))
+        with pytest.raises(NumericalError, match=f"ball: NaN ray value at direction {k}$"):
+            enlarged_hits(oracle, [1.0], dirs, 0.05, _model2())
