@@ -14,11 +14,12 @@ layer:
 
 Counts are deterministic, the same on any machine: ray batches and gradient
 calls of one solve, and the ``eval_g`` rows it asks for.  ``peak_mb`` is the
-tracemalloc peak, in MiB, of one ``evaluate`` and of one ``validate`` at the
-solved dispatch; it counts what the call allocates, not the inputs built
-before it.  ``--baseline`` takes a file this script wrote on another
-checkout and embeds its layers, counts and peaks, with the ratio
-baseline / this run per layer.
+tracemalloc peak, in MiB, of one ``evaluate``, of one ``validate`` and of one
+``gradient`` on the 200k validation set, all at the solved dispatch; it
+counts what the call allocates, not the inputs built before it (for
+``gradient``, the validation set's evaluation).  ``--baseline`` takes a file
+this script wrote on another checkout and embeds its layers, counts and
+peaks, with the ratio baseline / this run per layer.
 
 An oracle section times ``radial.enlarged_hits`` in oracle mode, where the
 projection dominates, on 10k QMC directions of the standard model: the
@@ -158,7 +159,9 @@ def main() -> int:
     for name, ms in layers_ms.items():
         print(f"{name:18s} {ms:10.3f} ms")
     print(f"counts: {counts}")
-    peaks = {"evaluate": peak_mb(layers["evaluate"]), "validate": peak_mb(layers["validate"])}
+    ev_validate = estimates.evaluate(system, x, model, problem.validate_dirs)
+    peaks = {"evaluate": peak_mb(layers["evaluate"]), "validate": peak_mb(layers["validate"]),
+             "gradient": peak_mb(ev_validate.gradient)}
     print(f"peak_mb: {peaks}")
     oracle = oracle_layers(args.repeats)
     for name, rec in oracle.items():

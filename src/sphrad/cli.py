@@ -68,6 +68,11 @@ _FLAGS = {
 }
 
 
+def _number(value, kind=(int, float)):
+    """True for an instance of ``kind`` that is not a bool (JSON true/false)."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass
 class RunConfig:
     """Validated run configuration."""
@@ -96,13 +101,12 @@ class RunConfig:
         for name, low in (("n", 1), ("seed", 0), ("dim", 1), ("validate_n", 1),
                           ("validate_seed", 0)):
             value = getattr(self, name)
-            if (not (isinstance(value, int) and value >= low)
+            if (not (_number(value, int) and value >= low)
                     and (name, value) != ("validate_seed", None)):
                 raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-        if self.eps is not None and not (isinstance(self.eps, (int, float))
-                                         and self.eps >= 0):
+        if self.eps is not None and not (_number(self.eps) and self.eps >= 0):
             raise ConfigError(f"eps must be a nonnegative number, got {self.eps!r}")
-        if isinstance(self.x, str) or not all(isinstance(v, (int, float)) for v in self.x):
+        if isinstance(self.x, str) or not all(_number(v) for v in self.x):
             raise ConfigError(f"x must be a list of numbers, got {self.x!r}")
         self.x = [float(v) for v in self.x]
         bad = set(self.energy) - {f.name for f in dataclasses.fields(EnergyParams)}

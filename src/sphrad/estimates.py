@@ -20,7 +20,7 @@ import numpy as np
 from .errors import MissingSensitivity, TransversalityBreakdown
 from .gaussian import DirectionSet, GaussianModel, RadialLaw, SphereMethod, chi_cdf, chi_pdf
 from .oracles import ConvexSetOracle, InequalitySystem
-from .radial import SLOPE_FLOOR, HitBatch, enlarged_hits, inequality_hits
+from .radial import SLOPE_FLOOR, HitBatch, _blocks, enlarged_hits, inequality_hits
 
 
 @dataclass(frozen=True)
@@ -29,21 +29,17 @@ class GradEstimate:
 
     ``tie_fraction`` is the fraction of directions whose active set has more
     than one element; with no ties the estimate is the gradient of the
-    common-random-numbers value estimator.  ``w`` holds the per-direction
-    contributions, shape (n_directions, x_dim).
+    common-random-numbers value estimator.
 
     The growth check ``max_ratio`` is the largest |grad_x g| / |grad_z g|
-    over the finite boundary hits (|sensitivity| / |u| for a set oracle);
-    ``n_points`` counts the finite hits.  Together with the chi density the
-    ratio bounds the per-direction weight, so a finite ratio is evidence the
-    gradient estimator is well posed near ``x``.
+    over the finite boundary hits (|sensitivity| / |u| for a set oracle).
+    With the chi density it bounds the per-direction weight, so a finite
+    ratio is evidence the gradient estimator is well posed near ``x``.
     """
 
     gradient: np.ndarray
     tie_fraction: float
-    w: np.ndarray
     max_ratio: float
-    n_points: int
 
 
 @dataclass(frozen=True)
@@ -79,75 +75,69 @@ class Evaluation(ProbEstimate):
     dirs: DirectionSet
     eps: float
 
-    def _normals(self):
-        """Yield (constraint, rows, rows ``L v``, decision normal, z normal) per
-        active set, ``rows`` the finite directions where the constraint is
-        active and the normals taken at their boundary points ``mean + rho L v``.
-
-        The ray slope is the z normal against ``L v``: ``grad_z g`` for an
-        inequality system, the projection residual ``u`` (norm eps) for a
-        set oracle, whose decision normal is the oracle's sensitivity.
-        """
-        hits, x, target = self.hits, self.x, self.target
-        oracle = isinstance(target, ConvexSetOracle)
-        for i, mask in enumerate((hits.act if oracle else hits.act[:target.s]) & hits.finite):
-            rows = np.flatnonzero(mask)
-            if rows.size == 0:
-                continue
-            LV = self.dirs.directions[rows] @ self.model.factor_L.T
-            Z = self.model.mean + hits.rho[rows, None] * LV
-            if oracle:
-                P = target.project(x, Z)
-                U = Z - P
-                yield i, rows, LV, np.asarray(target.sensitivity(x, Z, P, U), dtype=float), U
-            else:
-                yield (i, rows, LV, np.asarray(target.grad_x_g(i, x, Z), dtype=float),
-                       np.asarray(target.grad_z_g(i, x, Z), dtype=float))
-
     def gradient(self, tie_policy: str = "average") -> GradEstimate:
         """Estimate the gradient from the hits of this evaluation.
 
-        Per finite direction the contribution is
-        ``-pdf(rho) * sum_{i active} lambda_i * n_i / <z_i, Lv>`` with
-        ``(n_i, z_i)`` the decision and z normals of :meth:`_normals`;
-        infinite directions contribute zero.  Ties are split uniformly
-        (``average``) or resolved to the smallest active index
-        (``min_index``); with ties present the result is one element of the
-        subdifferential hull rather than the gradient.  A set oracle needs
-        ``eps > 0`` and a sensitivity callback.
+        Per finite direction the weight is
+        ``-pdf(rho) * sum_{i active} lambda_i * n_i / <z_i, Lv>``, with
+        ``(n_i, z_i)`` the decision and z normals of constraint ``i`` at the
+        boundary point ``mean + rho L v``: ``grad_x g`` and ``grad_z g`` for
+        an inequality system, the oracle's sensitivity and the projection
+        residual ``u`` (norm eps) for a set oracle.  Infinite directions
+        weigh zero.  Ties are split uniformly (``average``) or resolved to
+        the smallest active index (``min_index``); with ties present the
+        result is one element of the subdifferential hull rather than the
+        gradient.  A set oracle needs ``eps > 0`` and a sensitivity callback.
+        The weights are summed over the ray solve's blocks of directions.
         """
         if tie_policy not in ("average", "min_index"):
             raise ValueError(f"unknown tie policy {tie_policy!r}")
-        hits = self.hits
-        if isinstance(self.target, ConvexSetOracle):
+        hits, x, target, model = self.hits, self.x, self.target, self.model
+        oracle = isinstance(target, ConvexSetOracle)
+        if oracle:
             if self.eps <= 0:
                 raise ValueError("eps must be positive")
-            if self.target.sensitivity is None:
+            if target.sensitivity is None:
                 raise MissingSensitivity(
-                    f"{self.target.name}: enlarged gradients need a sensitivity callback")
-        pdf = np.asarray(chi_pdf(RadialLaw(self.model.dim), hits.rho))
+                    f"{target.name}: enlarged gradients need a sensitivity callback")
         # Domain caps are x-independent: they contribute nothing to the gradient
         # but still take their share of the tie weight.
-        n_active = hits.act.sum(axis=0)
-        first = np.argmax(hits.act, axis=0) if tie_policy == "min_index" else None
-        w = np.zeros((self.dirs.n, self.target.x_dim))
-        max_ratio2 = 0.0
-        for i, rows, LV, gx, gz in self._normals():
-            slope = np.einsum("km,km->k", gz, LV)
-            if not np.all(slope > SLOPE_FLOOR):     # NaN slopes fail too
-                offender = int(rows[np.argmin(slope)])
-                raise TransversalityBreakdown(
-                    f"constraint {i}: ray slope {slope.min():.3e} at direction "
-                    f"{offender} is below the slope floor", direction_index=offender)
-            lam = 1 / n_active[rows] if first is None else first[rows] == i
-            w[rows] += (-pdf[rows] * lam / slope)[:, None] * gx
-            # slope > 0 implies |z_i| > 0.  Squared norms; one sqrt at the end.
-            ratio2 = np.einsum("km,km->k", gx, gx) / np.einsum("km,km->k", gz, gz)
-            max_ratio2 = max(max_ratio2, float(ratio2.max()))
-        return GradEstimate(gradient=self.dirs.weights @ w,
-                            tie_fraction=float(np.mean(n_active > 1)), w=w,
-                            max_ratio=float(np.sqrt(max_ratio2)),
-                            n_points=int(hits.finite.sum()))
+        n_x = hits.act.shape[0] if oracle else target.s
+        grad, n_tied, max_ratio2 = np.zeros(target.x_dim), 0, 0.0
+        for sl in _blocks(self.dirs.n):
+            act, rho = hits.act[:, sl], hits.rho[sl]
+            n_active = act.sum(axis=0)
+            n_tied += int(np.count_nonzero(n_active > 1))
+            first = np.argmax(act, axis=0) if tie_policy == "min_index" else None
+            pdf = chi_pdf(RadialLaw(model.dim), rho)
+            w = np.zeros((rho.shape[0], target.x_dim))
+            for i, mask in enumerate(act[:n_x] & hits.finite[sl]):
+                rows = np.flatnonzero(mask)
+                if rows.size == 0:
+                    continue
+                LV = self.dirs.directions[sl][rows] @ model.factor_L.T
+                Z = model.mean + rho[rows, None] * LV
+                if oracle:
+                    P = target.project(x, Z)
+                    gz = Z - P
+                    gx = np.asarray(target.sensitivity(x, Z, P, gz), dtype=float)
+                else:
+                    gx = np.asarray(target.grad_x_g(i, x, Z), dtype=float)
+                    gz = np.asarray(target.grad_z_g(i, x, Z), dtype=float)
+                slope = np.einsum("km,km->k", gz, LV)
+                if not np.all(slope > SLOPE_FLOOR):     # NaN slopes fail too
+                    offender = sl.start + int(rows[np.argmin(slope)])
+                    raise TransversalityBreakdown(
+                        f"constraint {i}: ray slope {slope.min():.3e} at direction "
+                        f"{offender} is below the slope floor", direction_index=offender)
+                lam = 1 / n_active[rows] if first is None else first[rows] == i
+                w[rows] += (-pdf[rows] * lam / slope)[:, None] * gx
+                # slope > 0 implies |z_i| > 0.  Squared norms; one sqrt at the end.
+                ratio2 = np.einsum("km,km->k", gx, gx) / np.einsum("km,km->k", gz, gz)
+                max_ratio2 = max(max_ratio2, float(ratio2.max()))
+            grad += self.dirs.weights[sl] @ w
+        return GradEstimate(gradient=grad, tie_fraction=n_tied / self.dirs.n,
+                            max_ratio=float(np.sqrt(max_ratio2)))
 
 
 def evaluate(target, x, model: GaussianModel, dirs: DirectionSet,

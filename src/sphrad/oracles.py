@@ -233,8 +233,8 @@ def _hyperbolic_project(x: float, W: np.ndarray, tol: float = 1e-12,
     branch parameter s; the stationarity equation is solved by damped Newton
     with a maintained bracket and a pure bisection fallback.  Rows are solved
     independently: the bracket and Newton loops iterate only the rows still
-    moving, and a converged row is frozen.  The fallback, run when any row
-    fails to converge, bisects every row.
+    moving, and a converged row is frozen.  The fallback bisects only the
+    rows Newton left moving, so each row's result is its own.
     """
     w1, w2 = W[:, 0], W[:, 1]
 
@@ -286,13 +286,14 @@ def _hyperbolic_project(x: float, W: np.ndarray, tol: float = 1e-12,
         s[live] = s_k = np.where(inside, s_newton, 0.5 * (lo_k + hi_k))
         val[live] = dD(s_k, live)
     if live.size:
+        lo_k, hi_k = lo[live], hi[live]
         for _ in range(max_bisect):
-            mid = 0.5 * (lo + hi)
-            pos = dD(mid, every) > 0
-            hi = np.where(pos, mid, hi)
-            lo = np.where(pos, lo, mid)
-        s = 0.5 * (lo + hi)
-        if np.any((hi - lo) > 1e-8 * np.maximum(1.0, np.abs(s))):
+            mid = 0.5 * (lo_k + hi_k)
+            pos = dD(mid, live) > 0
+            hi_k = np.where(pos, mid, hi_k)
+            lo_k = np.where(pos, lo_k, mid)
+        s[live] = s_k = 0.5 * (lo_k + hi_k)
+        if np.any((hi_k - lo_k) > 1e-8 * np.maximum(1.0, np.abs(s_k))):
             raise ProjectionDiverged("hyperbolic projection failed to converge")
     return np.stack([s, x / (s + 2.0) - 2.0], axis=1)
 

@@ -163,11 +163,15 @@ def _classify(radii, r_max) -> HitBatch:
     return HitBatch(rho=rho, finite=finite, act=radii <= thresh)
 
 
+def _blocks(n_dirs):
+    """Slices of at most ``BLOCK_ROWS`` rows; an empty batch is one empty block."""
+    return [slice(start, start + BLOCK_ROWS) for start in range(0, max(n_dirs, 1), BLOCK_ROWS)]
+
+
 def _solve_blocks(solve, n_dirs, r_max) -> HitBatch:
     """Hits of ``n_dirs`` directions from ``solve(sl)``, the radii of block ``sl``."""
     hits = None
-    for start in range(0, max(n_dirs, 1), BLOCK_ROWS):   # an empty batch is one empty block
-        sl = slice(start, start + BLOCK_ROWS)
+    for sl in _blocks(n_dirs):
         part = _classify(solve(sl), r_max)
         if hits is None:
             hits = HitBatch(np.empty(n_dirs), np.empty(n_dirs, bool),

@@ -1,10 +1,12 @@
-"""Shared test utilities: finite differences, tie-window filtering and the
-energy test decisions."""
+"""Shared test utilities: finite differences, tie-window filtering, a
+reference for the per-direction gradient weights and the energy test
+decisions."""
 
 import numpy as np
 
 import sphrad as sp
 from sphrad.estimates import fd_gradient
+from sphrad.gaussian import RadialLaw
 from sphrad.radial import inequality_hits
 
 
@@ -12,6 +14,35 @@ def fd_rel_error(system, x, model, dirs, h0=1e-4):
     g = sp.evaluate(system, x, model, dirs).gradient().gradient
     fd = fd_gradient(system, x, model, dirs, h0=h0)
     return float(np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1e-12))
+
+
+def reference_weights(ev, tie_policy="average"):
+    """Per-direction gradient weights (n_directions, x_dim) of an evaluation,
+    from its hits and the target's callbacks: the sum over the active
+    constraints i of ``-pdf(rho) * lam_i * grad_x g_i / <grad_z g_i, L v>``
+    (sensitivity and residual ``u`` for a set oracle), zero on infinite
+    directions.  ``dirs.weights @`` these is the gradient."""
+    hits, target, x, model = ev.hits, ev.target, ev.x, ev.model
+    oracle = isinstance(target, sp.ConvexSetOracle)
+    pdf = sp.chi_pdf(RadialLaw(model.dim), hits.rho)
+    n_active = hits.act.sum(axis=0)
+    w = np.zeros((ev.dirs.n, target.x_dim))
+    for i in range(1 if oracle else target.s):
+        rows = np.flatnonzero(hits.act[i] & hits.finite)
+        if tie_policy == "min_index":
+            rows = rows[np.argmax(hits.act[:, rows], axis=0) == i]
+        if rows.size == 0:
+            continue
+        lv = ev.dirs.directions[rows] @ model.factor_L.T
+        z = model.mean + hits.rho[rows, None] * lv
+        if oracle:
+            p = target.project(x, z)
+            gx, gz = target.sensitivity(x, z, p, z - p), z - p
+        else:
+            gx, gz = target.grad_x_g(i, x, z), target.grad_z_g(i, x, z)
+        lam = 1.0 if tie_policy == "min_index" else 1.0 / n_active[rows]
+        w[rows] += (-pdf[rows] * lam / np.einsum("km,km->k", gz, lv))[:, None] * gx
+    return w
 
 
 def _pattern(system, x, model, dirs):

@@ -105,6 +105,19 @@ class TestEvalCommand:
         assert proc.returncode == 2
         assert "configuration error" in proc.stderr
 
+    @pytest.mark.parametrize("command, config", [
+        ("eval", {"n": True}), ("eval", {"seed": False}), ("eval", {"dim": True}),
+        ("eval", {"fixture": "ball", "eps": True}), ("eval", {"x": [True]}),
+        ("solve-energy", {"validate_n": True}), ("solve-energy", {"validate_seed": True})],
+        ids=["n", "seed", "dim", "eps", "x-entry", "validate-n", "validate-seed"])
+    def test_json_boolean_is_not_a_number_exit_2(self, tmp_path, capsys, command, config):
+        # JSON true/false load as Python bools, which are ints; each would run.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path)]) == 2
+        key = list(config)[-1]
+        assert f"configuration error: {key} must be" in capsys.readouterr().err
+
     def test_numerical_error_exit_3(self):
         # Slab fixture evaluated where the interior condition fails.
         proc = run_cli("eval", "--fixture", "slab", "--x", "0.5", "--n", "100")

@@ -6,9 +6,11 @@ import pytest
 from scipy import stats
 
 import sphrad as sp
+from sphrad import radial
 from sphrad.gaussian import RadialLaw
 
-from _helpers import energy_case, fd_gradient, fd_rel_error, window_tie_free
+from _helpers import (energy_case, fd_gradient, fd_rel_error, reference_weights,
+                      window_tie_free)
 
 
 def _model2():
@@ -21,6 +23,16 @@ def _dirs(n=10000, m=2, seed=sp.DEFAULT_SEED, method=sp.SphereMethod.QMC):
 
 def _slab2():
     return sp.make_slab([1.0, 0.0], lambda x: x[0], lambda x: np.array([1.0]))
+
+
+def _cubic():
+    """Cubic boundary z0 = 1, with vanishing ray slope at its root."""
+    return sp.InequalitySystem(
+        s=1, x_dim=1, z_dim=2, eval_g=lambda i, x, Z: (Z[:, 0] - 1.0) ** 3,
+        grad_x_g=lambda i, x, Z: np.ones((Z.shape[0], 1)),
+        grad_z_g=lambda i, x, Z: np.stack(
+            [3.0 * (Z[:, 0] - 1.0) ** 2, np.zeros(Z.shape[0])], axis=1),
+        name="degenerate")
 
 
 class TestRayWork:
@@ -79,14 +91,21 @@ class TestRayWork:
             ev.gradient()
         assert sum(rows) / dirs.n <= bound
 
-    @pytest.mark.parametrize("case", ["energy-validate", "ball-dim8-eps0.05-200k"])
+    @pytest.mark.parametrize("case", ["energy-validate", "ball-dim8-eps0.05-200k",
+                                      "energy-gradient-200k"])
     def test_peak_memory_of_large_batches(self, case):
         # A batch is solved in blocks, so 200k directions hold O(N) arrays plus
         # one block's temporaries; solved whole, these batches peak at about
-        # 60 MB (energy validation) and 97 MB (ball).  Directions are built first.
+        # 60 MB (energy validation) and 97 MB (ball).  The gradient is summed in
+        # the same blocks (whole, it peaks at about 31 MB).  Directions and the
+        # gradient's evaluation are built first.
         if case == "energy-validate":
             problem = sp.make_energy_problem()
             run = lambda: sp.validate(problem.start, problem)
+        elif case == "energy-gradient-200k":
+            system, model, x, _ = energy_case("interior")
+            ev = sp.evaluate(system, x, model, sp.make_energy_problem().validate_dirs)
+            run = ev.gradient
         else:
             dirs = _dirs(n=200000, m=8, method=sp.SphereMethod.MONTE_CARLO)
             model = sp.build_model(np.zeros(8), np.eye(8))
@@ -198,22 +217,13 @@ class TestProbGradient:
 
     def test_gradient_is_weighted_contribution_sum(self):
         dirs = _dirs(n=400)
-        est = sp.evaluate(sp.make_hyperbolic_system(), [1.0], _model2(), dirs).gradient()
-        assert np.allclose(est.gradient, dirs.weights @ est.w, atol=1e-15)
+        ev = sp.evaluate(sp.make_hyperbolic_system(), [1.0], _model2(), dirs)
+        assert np.allclose(ev.gradient().gradient, dirs.weights @ reference_weights(ev),
+                           atol=1e-15)
 
     def test_transversality_breakdown(self):
-        # Cubic boundary with vanishing slope at its root.
-        def eval_g(i, x, Z):
-            return (Z[:, 0] - 1.0) ** 3
-
-        sys_ = sp.InequalitySystem(
-            s=1, x_dim=1, z_dim=2, eval_g=eval_g,
-            grad_x_g=lambda i, x, Z: np.ones((Z.shape[0], 1)),
-            grad_z_g=lambda i, x, Z: np.stack(
-                [3.0 * (Z[:, 0] - 1.0) ** 2, np.zeros(Z.shape[0])], axis=1),
-            name="degenerate")
         with pytest.raises(sp.TransversalityBreakdown):
-            sp.evaluate(sys_, [0.0], _model2(), _dirs(n=64)).gradient()
+            sp.evaluate(_cubic(), [0.0], _model2(), _dirs(n=64)).gradient()
 
     def test_nan_slope_breakdown(self):
         # A z normal that turns NaN at the boundary must not pass the slope
@@ -242,13 +252,11 @@ class TestProbGradient:
         assert abs(g_avg.gradient[0] - stats.norm.pdf(1.0)) <= 1e-3
 
     def test_tie_policies_split_a_tied_energy_direction(self):
-        # Period 0's wind (row 0) and load (row 4) constraints tie on the
-        # appended direction: min_index keeps the wind term alone, average
-        # takes the mean of the two terms -pdf(rho) n_i / <z_i, L v>.
+        # Period 0's wind (row 0) and load (row 4) constraints tie on the one
+        # direction: min_index keeps the wind term alone, average takes the
+        # mean of the two terms -pdf(rho) n_i / <z_i, L v>.
         system, model, x, tie = energy_case("tied")
-        V = np.vstack([_dirs(n=2000, m=8).directions, tie])
-        dirs = sp.DirectionSet(V, np.full(len(V), 1 / len(V)), sp.DEFAULT_SEED,
-                               sp.SphereMethod.QMC)
+        dirs = sp.DirectionSet(tie[None, :], np.ones(1), sp.DEFAULT_SEED, sp.SphereMethod.QMC)
         ev = sp.evaluate(system, x, model, dirs)
         assert tuple(np.flatnonzero(ev.hits.act[:, -1])) == (0, 4)
         rho = ev.hits.rho[-1:]
@@ -257,8 +265,8 @@ class TestProbGradient:
         pdf = sp.chi_pdf(RadialLaw(8), rho)[0]
         wind, load = (-pdf * system.grad_x_g(i, x, z)[0]
                       / (system.grad_z_g(i, x, z)[0] @ lv[0]) for i in (0, 4))
-        assert np.array_equal(ev.gradient("min_index").w[-1], wind)
-        np.testing.assert_allclose(ev.gradient("average").w[-1], (wind + load) / 2,
+        assert np.array_equal(ev.gradient("min_index").gradient, wind)
+        np.testing.assert_allclose(ev.gradient("average").gradient, (wind + load) / 2,
                                    rtol=0, atol=1e-15)
 
     def test_cap_hits_contribute_zero(self):
@@ -272,12 +280,55 @@ class TestProbGradient:
         # x-independent, so a direction that only the cap stops adds nothing.
         act = val.hits.act
         cap_only = val.hits.finite & act[2] & ~act[:2].any(axis=0)
-        assert cap_only.sum() > 0
+        k = int(cap_only.sum())
+        assert k > 0
+        sub = sp.DirectionSet(dirs.directions[cap_only], np.full(k, 1 / k), dirs.seed, dirs.method)
+        cap_val = sp.evaluate(sys_, x, model, sub)
+        assert cap_val.hits.finite.all()
+        assert np.array_equal(cap_val.hits.act, np.tile([[False], [False], [True]], sub.n))
         for policy in ("average", "min_index"):
-            est = val.gradient(policy)
-            assert np.all(est.w[cap_only] == 0)
-            assert np.isfinite(est.gradient).all()
+            assert np.all(cap_val.gradient(policy).gradient == 0)
+            assert np.isfinite(val.gradient(policy).gradient).all()
         assert val.value < 1.0
+
+
+class TestBlockedGradient:
+    """The gradient sums its weights over the ray solve's blocks of
+    ``BLOCK_ROWS`` directions; across a block boundary it still matches the
+    reference weighted sum, and errors name the global direction."""
+
+    def test_matches_reference_across_blocks(self, monkeypatch):
+        system, model, x, tie = energy_case("tied")
+        V = sp.sample_sphere(8, radial.BLOCK_ROWS + 5000, seed=5,
+                             method=sp.SphereMethod.MONTE_CARLO).directions.copy()
+        V[radial.BLOCK_ROWS + 3] = tie           # a tied direction in the second block
+        dirs = sp.DirectionSet(V, np.full(len(V), 1 / len(V)), 5, sp.SphereMethod.MONTE_CARLO)
+        ev = sp.evaluate(system, x, model, dirs)
+        for policy in ("average", "min_index"):
+            blocked = ev.gradient(policy)
+            np.testing.assert_allclose(blocked.gradient,
+                                       dirs.weights @ reference_weights(ev, policy),
+                                       rtol=1e-14, atol=0)
+            with monkeypatch.context() as m:
+                m.setattr(radial, "BLOCK_ROWS", dirs.n)
+                whole = ev.gradient(policy)
+            assert blocked.tie_fraction == whole.tie_fraction == np.mean(ev.hits.act.sum(0) > 1)
+            assert blocked.tie_fraction > 0
+            assert blocked.max_ratio == whole.max_ratio
+
+    def test_breakdown_names_the_global_direction(self):
+        # Only direction BLOCK_ROWS + 5 reaches the cubic boundary; every other
+        # ray runs along z0 = 0 and is infinite.
+        k = radial.BLOCK_ROWS + 5
+        V = np.tile([0.0, 1.0], (k + 6, 1))
+        V[k] = [1.0, 0.0]
+        dirs = sp.DirectionSet(V, np.full(len(V), 1 / len(V)), sp.DEFAULT_SEED,
+                               sp.SphereMethod.QMC)
+        ev = sp.evaluate(_cubic(), [0.0], _model2(), dirs)
+        assert np.flatnonzero(ev.hits.finite).tolist() == [k]
+        with pytest.raises(sp.TransversalityBreakdown) as info:
+            ev.gradient()
+        assert info.value.direction_index == k
 
 
 class TestEnlargedGradient:
@@ -285,14 +336,14 @@ class TestEnlargedGradient:
         # d/dx P[|z| <= x + eps] = chi pdf at x + eps.
         law = RadialLaw(2)
         dirs = _dirs(n=4000, method=sp.SphereMethod.MONTE_CARLO, seed=21)
-        est = sp.evaluate(sp.make_ball(np.zeros(2)), [1.0], _model2(), dirs,
-                          eps=0.25).gradient()
+        ev = sp.evaluate(sp.make_ball(np.zeros(2)), [1.0], _model2(), dirs, eps=0.25)
+        est = ev.gradient()
         expected = sp.chi_pdf(law, 1.25)
-        se = est.w[:, 0].std(ddof=1) / np.sqrt(dirs.n)
+        se = reference_weights(ev)[:, 0].std(ddof=1) / np.sqrt(dirs.n)
         assert abs(est.gradient[0] - expected) <= max(3 * se, 1e-9)
         # Growth check in oracle mode: |sensitivity| / |u| = |d/dx dist| = 1.
         assert est.max_ratio == pytest.approx(1.0, abs=1e-12)
-        assert est.n_points == dirs.n
+        assert dirs.n - ev.n_infinite == dirs.n
 
     def test_ball_matches_fd(self):
         dirs = _dirs(n=4000, method=sp.SphereMethod.MONTE_CARLO, seed=21)
@@ -372,7 +423,7 @@ class TestGrowthReport:
         assert rep.max_ratio == pytest.approx((1 + tau**2) / tau, rel=1e-6)
 
     def test_hyperbolic_bound(self):
-        rep = sp.evaluate(sp.make_hyperbolic_system(), [1.0], _model2(),
-                          _dirs(n=2000)).gradient()
-        assert rep.max_ratio <= 1.0 / np.sqrt(1.0) + 1e-9
-        assert rep.n_points > 0
+        dirs = _dirs(n=2000)
+        ev = sp.evaluate(sp.make_hyperbolic_system(), [1.0], _model2(), dirs)
+        assert ev.gradient().max_ratio <= 1.0 / np.sqrt(1.0) + 1e-9
+        assert dirs.n - ev.n_infinite > 0

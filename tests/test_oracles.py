@@ -240,6 +240,22 @@ class TestHyperbolicOracle:
 
         assert sum(slow(z, p) for z, p in zip(Z, batch)) >= 3
 
+    def test_bisection_fallback_leaves_converged_rows_alone(self):
+        # Stopped after 19 Newton iterations, a few of the x = 0.75 scan points
+        # fall back to bisection.  The fallback must take only those rows: a row
+        # that converges alone comes out bit for bit the same in the batch.
+        x = 0.75
+        oracle = sp.make_hyperbolic_set()
+        dirs = sp.sample_sphere(2, 200).directions
+        Z = np.concatenate([r * dirs for r in (1.0, 2.0, 4.0, 8.0)])
+        Z = Z[~oracle.contains([x], Z)]
+        alone = np.concatenate([_hyperbolic_project(x, z[None, :], max_newton=19) for z in Z])
+        full = np.concatenate([_hyperbolic_project(x, z[None, :]) for z in Z])
+        converged = np.all(alone == full, axis=1)     # Newton alone finished within 19
+        assert 3 <= np.count_nonzero(~converged) and np.count_nonzero(converged) >= 300
+        batch = _hyperbolic_project(x, Z, max_newton=19)
+        assert batch[converged].tobytes() == alone[converged].tobytes()
+
 
 class TestBallOracle:
     def test_projection_and_membership(self):
