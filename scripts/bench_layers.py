@@ -25,7 +25,10 @@ An oracle section times ``radial.enlarged_hits`` in oracle mode, where the
 projection dominates, on 10k QMC directions of the standard model: the
 hyperbolic set at x = 0.75 and 2.25 and the ball in dimension 8 at x = 3,
 all at eps = 0.05.  It reports the median ms of one call and the
-``project`` rows per ray that call asks for.
+``project`` rows per ray that call asks for.  A ray-rows section counts the
+``eval_g`` and ``grad_z_g`` rows per ray of one ``evaluate`` on 10k QMC
+directions of the standard model, for the systems on the doubling scan:
+the slab in dimension 8 at x = -0.5 and the hyperbolic system at x = 2.25.
 
     PYTHONPATH=src python scripts/bench_layers.py --out bench.json
 """
@@ -127,6 +130,34 @@ def oracle_layers(repeats):
     return out
 
 
+RAY_CASES = {
+    "slab_dim8_x-0.5": (lambda: sp.make_slab(np.eye(8)[0], lambda x: x[0],
+                                             lambda x: np.array([1.0])), -0.5, 8),
+    "hyperbolic_system_x2.25": (sp.make_hyperbolic_system, 2.25, 2),
+}
+
+
+def ray_rows():
+    """``eval_g`` and ``grad_z_g`` rows per ray of one 10k ``evaluate``."""
+    out = {}
+    for name, (make, x, m) in RAY_CASES.items():
+        system = make()
+        rows = {"eval_g": 0, "grad_z_g": 0}
+
+        def counting(callback, fn):
+            def counted(i, x_, Z):
+                rows[callback] += Z.shape[0]
+                return fn(i, x_, Z)
+            return counted
+
+        counted = dataclasses.replace(system, **{cb: counting(cb, getattr(system, cb))
+                                                 for cb in rows})
+        dirs = sp.sample_sphere(m, 10000, seed=sp.DEFAULT_SEED)
+        estimates.evaluate(counted, [x], sp.build_model(np.zeros(m), np.eye(m)), dirs)
+        out[name] = {f"{cb}_rows_per_ray": round(n / dirs.n, 4) for cb, n in rows.items()}
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -141,14 +172,9 @@ def main() -> int:
     x, trace, counts = solve_counts(problem)
     system, model, dirs = problem.system, problem.model, problem.eval_dirs
     V = dirs.directions
-    # Checkouts from before the stacked root product check units in
-    # ``_rays``, which also forms ``V @ L.T``.
-    unit_rows = getattr(radial, "_unit_rows", None)
-    unit_check = ((lambda: unit_rows(x, V)) if unit_rows is not None
-                  else (lambda: radial._rays(x, V, model)))
     ev = estimates.evaluate(system, x, model, dirs)
     layers = {
-        "unit_check": unit_check,
+        "unit_check": lambda: radial._unit_rows(x, V),
         "closed_form_roots": lambda: radial.inequality_hits(system, x, V, model),
         "evaluate": lambda: estimates.evaluate(system, x, model, dirs),
         "gradient": lambda: ev.gradient(),
@@ -167,6 +193,10 @@ def main() -> int:
     for name, rec in oracle.items():
         print(f"{name:22s} {rec['enlarged_hits_ms']:10.3f} ms "
               f"{rec['project_rows_per_ray']:7.3f} project rows/ray")
+    rays = ray_rows()
+    for name, rec in rays.items():
+        print(f"{name:24s} {rec['eval_g_rows_per_ray']:7.3f} eval_g "
+              f"{rec['grad_z_g_rows_per_ray']:7.3f} grad_z_g rows/ray")
 
     report = {
         "workload": "energy_dispatch: make_energy_problem() defaults, layers at the "
@@ -182,13 +212,14 @@ def main() -> int:
         "layers_ms": layers_ms,
         "peak_mb": peaks,
         "oracle": {"eps": ORACLE_EPS, "n": 10000, "cases": oracle},
+        "ray_rows": {"n": 10000, "cases": rays},
     }
     if args.baseline:
         with open(args.baseline, encoding="utf-8") as fh:
             base = json.load(fh)
-        # Files from before the oracle section have none.
+        # Files from before the oracle or ray-rows section have none.
         report["baseline"] = {k: base[k] for k in ("machine", "repeats", "solve", "counts",
-                                                   "layers_ms", "peak_mb", "oracle")
+                                                   "layers_ms", "peak_mb", "oracle", "ray_rows")
                               if k in base}
         report["speedup"] = {name: round(base["layers_ms"][name] / ms, 3)
                              for name, ms in layers_ms.items()}

@@ -36,6 +36,10 @@ class EnergyParams:
     p_level: float = 0.8
 
     def __post_init__(self):
+        if any(isinstance(getattr(self, f.name), (bool, np.bool_)) for f in fields(self)):
+            raise ValueError("energy parameters must be numbers, not booleans")
+        if not isinstance(self.periods, (int, np.integer)):
+            raise ValueError("periods must be an integer")
         if not all(np.isfinite(getattr(self, f.name)) for f in fields(self)):
             raise ValueError("energy parameters must be finite")
         if not 0.0 < self.p_level < 1.0:

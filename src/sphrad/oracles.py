@@ -225,8 +225,12 @@ def make_hyperbolic_system() -> InequalitySystem:
                             domain_caps=caps, name="hyperbolic")
 
 
-def _hyperbolic_project(x: float, W: np.ndarray, tol: float = 1e-12,
-                        max_newton: int = 200, max_bisect: int = 50) -> np.ndarray:
+_PROJECT_TOL = 1e-12          # |dD| at which a Newton row of the projection stops
+_PROJECT_MAX_NEWTON = 200
+_PROJECT_MAX_BISECT = 50
+
+
+def _hyperbolic_project(x: float, W: np.ndarray) -> np.ndarray:
     """Project rows of W onto the boundary curve (s+2)(t+2) = x, s,t > -2.
 
     The nearest point minimizes D(s) = (s-w1)^2 + (x/(s+2)-2-w2)^2 over the
@@ -270,8 +274,8 @@ def _hyperbolic_project(x: float, W: np.ndarray, tol: float = 1e-12,
     s = 0.5 * (lo + hi)
     val = dD(s, every)
     live = every
-    for _ in range(max_newton):
-        live = live[~((np.abs(val[live]) <= tol)
+    for _ in range(_PROJECT_MAX_NEWTON):
+        live = live[~((np.abs(val[live]) <= _PROJECT_TOL)
                       | (hi[live] - lo[live] <= 1e-13 * np.maximum(1.0, np.abs(s[live]))))]
         if live.size == 0:
             break
@@ -287,7 +291,7 @@ def _hyperbolic_project(x: float, W: np.ndarray, tol: float = 1e-12,
         val[live] = dD(s_k, live)
     if live.size:
         lo_k, hi_k = lo[live], hi[live]
-        for _ in range(max_bisect):
+        for _ in range(_PROJECT_MAX_BISECT):
             mid = 0.5 * (lo_k + hi_k)
             pos = dD(mid, live) > 0
             hi_k = np.where(pos, mid, hi_k)

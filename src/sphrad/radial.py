@@ -8,10 +8,10 @@ affine domain caps have explicit roots, all from one product of their
 stacked rows with the batch's directions.  Other constraints go through a
 doubling scan that brackets the root, then a safeguarded Newton iteration
 from the bracket's outer end that bisects where a step would leave the
-bracket.  In oracle mode one projection gives both the distance and its
-slope along the ray, so the scan keeps them at the outer end and Newton
-starts from there: no radius is projected twice (the built-in hyperbolic
-projection, in turn, iterates only its rows still moving).
+bracket.  Both modes give the ray as ``h`` plus its slope on request, from
+the same evaluation (a ``grad_z_g`` call, or the residual of the projection
+just made), so Newton starts from the scan's values at the outer end
+instead of evaluating it again.
 Quasi-convexity in ``z`` makes this reliable: the feasible radii form an
 interval starting at zero (in oracle mode, distance minus ``eps`` is
 convex in r, so Newton from the outer end does not overshoot).  A second
@@ -61,34 +61,32 @@ def _roots(ray, r_search, what, first):
 
     ``ray(r, idx)`` evaluates the batched ray function at radii ``r`` for
     direction rows ``idx`` (``slice(None)`` on the scan: every row); it must
-    be negative at 0.  ``ray(r, idx, True)`` returns ``(h, dh/dr)``.  A ray
-    that returns ``(h, dh/dr)`` on the scan too has the Newton iteration
-    start from the scan's values at each bracket's outer end.  Radii are
-    ``inf`` where the window has no root.  Errors name the constraint
-    ``what`` and the direction ``first + idx``.
+    be negative at 0.  It returns ``(h, slope)``: ``slope(rows)`` is dh/dr at
+    those rows of the same evaluation, asked for on the scan only where a
+    bracket closes, and Newton starts from there.  Radii are ``inf`` where
+    the window has no root.  Errors name the constraint ``what`` and the
+    direction ``first + idx``.
     """
     n_dirs = r_search.shape[0]
 
-    def value(r, idx, slope=False):
-        out = ray(r, idx, slope)
-        h, dh = out if isinstance(out, tuple) else (out, None)
-        nan = np.isnan(h)
-        if nan.any():
-            k = first + np.arange(n_dirs)[idx][nan.argmax()]
+    def value(r, idx):
+        h, slope = ray(r, idx)
+        if np.isnan(h).any():
+            k = first + np.arange(n_dirs)[idx][np.isnan(h).argmax()]
             raise NumericalError(f"{what}: NaN ray value at direction {k}")
-        return h, dh
+        return h, slope
 
     every = slice(None)
     lo = np.zeros(n_dirs)
     hi = np.full(n_dirs, np.inf)
-    outer = np.zeros((2, n_dirs))       # (h, dh/dr) at hi, when the scan has them
+    outer = np.zeros((2, n_dirs))       # (h, dh/dr) at hi
     found = np.zeros(n_dirs, dtype=bool)
     prev_r = np.zeros(n_dirs)
     r_cur = np.minimum(1.0, r_search)
     # The grid is scanned to the window end even after a bracket is found, so
     # a second sign change that straddles a later grid point is detected.
     for _ in range(MAX_BRACKET_DOUBLINGS):
-        h, dh = value(r_cur, every)
+        h, slope = value(r_cur, every)
         regression = found & (h <= 0) & (r_cur > hi)
         if regression.any():
             raise BracketFailure(
@@ -98,8 +96,10 @@ def _roots(ray, r_search, what, first):
         hi = np.where(newly, r_cur, hi)
         lo = np.where(newly, prev_r, lo)
         lo = np.where(~found & (h <= 0), r_cur, lo)
-        if dh is not None:
-            np.copyto(outer, (h, dh), where=newly)
+        closed = np.flatnonzero(newly)
+        if closed.size:                 # a callback never sees a 0-row array
+            outer[:, closed] = h[closed], slope(closed)
+        del slope                       # frees this evaluation's points before the next
         found |= newly
         if np.all(r_cur >= r_search):
             break
@@ -108,16 +108,16 @@ def _roots(ray, r_search, what, first):
     del prev_r, r_cur, h, regression, newly    # (N,) arrays, freed early
 
     idx = np.flatnonzero(found)
-    lo, hi = lo[idx], hi[idx]
-    outer = outer[:, idx] if dh is not None else None
-    r = hi.copy()                               # start at the outer end, h > 0
+    lo, hi, outer = lo[idx], hi[idx], outer[:, idx]
+    r = hi.copy()                   # start at the outer end, from the scan's (h, dh/dr)
     newton = np.zeros(idx.size, dtype=bool)     # r came from a Newton step
-    live = np.arange(idx.size)
-    for _ in range(MAX_ROOT_STEPS):
+    live = np.flatnonzero(~_newton_step(np.arange(idx.size), *outer, r, lo, hi, newton))
+    del outer
+    for _ in range(MAX_ROOT_STEPS - 1):
         if live.size == 0:
             break
-        h, dh = value(r[live], idx[live], True) if outer is None else outer
-        outer = None
+        h, slope = value(r[live], idx[live])
+        dh, slope = slope(every), None  # frees this evaluation's points before the next
         live = live[~_newton_step(live, h, dh, r, lo, hi, newton)]
     rho = np.full(n_dirs, np.inf)
     rho[idx] = r
@@ -223,13 +223,11 @@ def inequality_hits(system: InequalitySystem, x, dirs: np.ndarray,
         LV = V[sl] @ L.T
         rho_real = np.empty((s, r_search.shape[0]))
         for i in range(s):
-            def ray(r, idx, slope=False, _i=i):
+            def ray(r, idx, _i=i):
                 Z = mean + r[:, None] * LV[idx]
-                h = np.asarray(system.eval_g(_i, x, Z), dtype=float)
-                if not slope:
-                    return h
-                gz = np.asarray(system.grad_z_g(_i, x, Z), dtype=float)
-                return h, np.einsum("km,km->k", gz, LV[idx])
+                slope = lambda rows: np.einsum("km,km->k", np.asarray(
+                    system.grad_z_g(_i, x, Z[rows]), dtype=float), LV[idx][rows])
+                return np.asarray(system.eval_g(_i, x, Z), dtype=float), slope
 
             rho_real[i] = _roots(ray, r_search, f"{system.name}: g_{i}", sl.start)
         return np.vstack([rho_real, radii])
@@ -248,11 +246,12 @@ def enlarged_hits(oracle: ConvexSetOracle, x, dirs: np.ndarray, eps: float,
 
     def solve(sl):
         LV = V[sl] @ model.factor_L.T
-        def ray(r, idx, slope=False):    # the slope comes with h, so always returned
+        def ray(r, idx):             # the slope reads this projection's residual
             U = model.mean + r[:, None] * LV[idx]
             U -= oracle.project(x, U)
             dist = np.linalg.norm(U, axis=1)
-            return dist - eps, np.einsum("km,km->k", U, LV[idx]) / np.maximum(dist, 1e-300)
+            return dist - eps, lambda rows: (np.einsum("km,km->k", U, LV[idx])
+                                             / np.maximum(dist, 1e-300))[rows]
 
         return _roots(ray, np.full(LV.shape[0], r_max), oracle.name, sl.start)[None, :]
 

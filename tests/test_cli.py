@@ -236,10 +236,11 @@ class TestSolveEnergyCommand:
         {"wind_coeff": 0}, {"wind_cap": -1}, {"gen_cap": -1}, {"var_wind": -1},
         {"var_load": -1}, {"mu_wind": float("nan")},
         {"cross_rule": "elementwise_product"}, {"rho_wind": 1.5}, {"rho_load": -1},
-        {"rho_cross": 1}],
+        {"rho_cross": 1}, {"periods": True}, {"periods": 2.5}, {"wind_coeff": True}],
         ids=["wind-coeff-0", "wind-cap-negative", "gen-cap-negative",
              "var-wind-negative", "var-load-negative", "mu-wind-nan", "cross-rule",
-             "rho-wind-1.5", "rho-load-minus-1", "rho-cross-1"])
+             "rho-wind-1.5", "rho-load-minus-1", "rho-cross-1", "periods-true",
+             "periods-2.5", "wind-coeff-true"])
     def test_bad_energy_parameter_exit_2(self, tmp_path, capsys, energy):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"energy": energy, "n": 500, "validate_n": 1000}))

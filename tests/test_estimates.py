@@ -91,6 +91,25 @@ class TestRayWork:
             ev.gradient()
         assert sum(rows) / dirs.n <= bound
 
+    def test_each_ray_point_is_evaluated_once(self):
+        # The slab has no domain caps, so every search window ends at r_max
+        # and the scan visits each radius once; Newton starts from the scan's
+        # (h, slope) at the bracket's outer end instead of evaluating it again.
+        c = np.zeros(8)
+        c[0] = 1.0
+        slab = sp.make_slab(c, lambda x: x[0], lambda x: np.array([1.0]))
+        points = []
+
+        def eval_g(i, x, Z):
+            points.append(np.array(Z))
+            return slab.eval_g(i, x, Z)
+
+        counted = dataclasses.replace(slab, eval_g=eval_g)
+        sp.evaluate(counted, [-0.5], sp.build_model(np.zeros(8), np.eye(8)), _dirs(n=2000, m=8))
+        Z = np.vstack(points)
+        repeats = Z.shape[0] - np.unique(Z, axis=0).shape[0]
+        assert repeats == 0, f"{repeats} of {Z.shape[0]} rows repeat"
+
     @pytest.mark.parametrize("case", ["energy-validate", "ball-dim8-eps0.05-200k",
                                       "energy-gradient-200k"])
     def test_peak_memory_of_large_batches(self, case):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sphrad as sp
+from sphrad import oracles
 from sphrad.oracles import _hyperbolic_project, check_interior
 
 
@@ -217,7 +218,7 @@ class TestHyperbolicOracle:
         with pytest.raises(sp.InteriorViolated):
             oracle.project([5.0], np.array([[10.0, 10.0]]))
 
-    def test_batch_matches_each_row_alone(self):
+    def test_batch_matches_each_row_alone(self, monkeypatch):
         # The projection iterates only the rows still moving, which is exact
         # because rows are independent and a converged row is frozen.  The ray
         # scan points at x = 0.75 include rows left of the asymptote z1 = -2
@@ -231,16 +232,17 @@ class TestHyperbolicOracle:
         batch = oracle.project([x], Z)
         alone = np.concatenate([oracle.project([x], z[None, :]) for z in Z])
         assert batch.tobytes() == alone.tobytes()
+        monkeypatch.setattr(oracles, "_PROJECT_MAX_NEWTON", 19)
 
         def slow(z, p):
             try:
-                return _hyperbolic_project(x, z[None, :], max_newton=19).tobytes() != p.tobytes()
+                return _hyperbolic_project(x, z[None, :]).tobytes() != p.tobytes()
             except sp.ProjectionDiverged:
                 return True
 
         assert sum(slow(z, p) for z, p in zip(Z, batch)) >= 3
 
-    def test_bisection_fallback_leaves_converged_rows_alone(self):
+    def test_bisection_fallback_leaves_converged_rows_alone(self, monkeypatch):
         # Stopped after 19 Newton iterations, a few of the x = 0.75 scan points
         # fall back to bisection.  The fallback must take only those rows: a row
         # that converges alone comes out bit for bit the same in the batch.
@@ -249,11 +251,12 @@ class TestHyperbolicOracle:
         dirs = sp.sample_sphere(2, 200).directions
         Z = np.concatenate([r * dirs for r in (1.0, 2.0, 4.0, 8.0)])
         Z = Z[~oracle.contains([x], Z)]
-        alone = np.concatenate([_hyperbolic_project(x, z[None, :], max_newton=19) for z in Z])
         full = np.concatenate([_hyperbolic_project(x, z[None, :]) for z in Z])
+        monkeypatch.setattr(oracles, "_PROJECT_MAX_NEWTON", 19)
+        alone = np.concatenate([_hyperbolic_project(x, z[None, :]) for z in Z])
         converged = np.all(alone == full, axis=1)     # Newton alone finished within 19
         assert 3 <= np.count_nonzero(~converged) and np.count_nonzero(converged) >= 300
-        batch = _hyperbolic_project(x, Z, max_newton=19)
+        batch = _hyperbolic_project(x, Z)
         assert batch[converged].tobytes() == alone[converged].tobytes()
 
 
