@@ -10,7 +10,11 @@ layer:
   (interior check, every closed-form root, tie classification);
 - ``evaluate`` and ``gradient`` at the solved dispatch;
 - ``validate``: the 200k-direction validation;
-- ``solve``: the full solve from the starting point.
+- ``solve``: the full solve from the starting point;
+- ``chi_cdf_10k`` and ``chi_cdf_200k``: ``chi_cdf`` on the exit radii of
+  the evaluation and validation sets at the solved dispatch (m = 8), and
+  ``chi_cdf_m320`` on 10k radii of a chi law in dimension 320, above the
+  tail sum's cutoff, 30% of them infinite.
 
 Counts are deterministic, the same on any machine: ray batches and gradient
 calls of one solve, and the ``eval_g`` rows it asks for.  ``peak_mb`` is the
@@ -29,6 +33,11 @@ all at eps = 0.05.  It reports the median ms of one call and the
 ``eval_g`` and ``grad_z_g`` rows per ray of one ``evaluate`` on 10k QMC
 directions of the standard model, for the systems on the doubling scan:
 the slab in dimension 8 at x = -0.5 and the hyperbolic system at x = 2.25.
+A chi-cdf sweep times the tail sum of ``sphrad.gaussian`` against the
+``gammainc`` path it falls back to, each forced at every swept dimension,
+on 10k radii of two kinds: a chi law's, 30% infinite, and uniform on
+[0, 1.2 r_max].  It is what ``_SUM_MAX_DIM`` rests on; a checkout without
+the tail sum has no sweep.
 
     PYTHONPATH=src python scripts/bench_layers.py --out bench.json
 """
@@ -51,7 +60,7 @@ import numpy as np
 import scipy
 
 import sphrad as sp
-from sphrad import estimates, radial, solver
+from sphrad import estimates, gaussian, radial, solver
 
 
 def median_ms(fn, repeats):
@@ -158,6 +167,42 @@ def ray_rows():
     return out
 
 
+ABOVE_DIM = 320                 # a chi dimension above the tail sum's cutoff
+SWEEP_DIMS = (8, 64, 128, 192, 256, 288)    # the sum overflows from m = 296
+
+
+def chi_radii(m, rng, n=10000):
+    """``n`` radii of a chi law in dimension ``m``, 30% of them infinite."""
+    r = np.sqrt(rng.chisquare(m, n))
+    r[rng.random(n) < 0.3] = np.inf
+    return r
+
+
+def chi_sweep(repeats):
+    """Median ms of the chi cdf's tail sum and of its ``gammainc`` path, both
+    forced through ``_SUM_MAX_DIM``, at each dimension of SWEEP_DIMS."""
+    if not hasattr(gaussian, "_tail_sums"):
+        return {}
+    rng = np.random.default_rng(13)
+    radii = {m: {"chi": chi_radii(m, rng),
+                 "uniform": rng.uniform(0.0, 1.2 * sp.RadialLaw(m).r_max, 10000)}
+             for m in SWEEP_DIMS}
+    saved, out = gaussian._SUM_MAX_DIM, {}
+    try:
+        for m in SWEEP_DIMS:
+            rec = {}
+            for kind, r in radii[m].items():
+                ms = {}
+                for path, cutoff in (("sum_ms", m), ("gammainc_ms", m - 1)):
+                    gaussian._SUM_MAX_DIM = cutoff
+                    ms[path] = round(median_ms(lambda: gaussian._chi_cdf(m, r), repeats), 4)
+                rec[kind] = {**ms, "ratio": round(ms["gammainc_ms"] / ms["sum_ms"], 3)}
+            out[str(m)] = rec
+    finally:
+        gaussian._SUM_MAX_DIM = saved
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -173,6 +218,9 @@ def main() -> int:
     system, model, dirs = problem.system, problem.model, problem.eval_dirs
     V = dirs.directions
     ev = estimates.evaluate(system, x, model, dirs)
+    ev_validate = estimates.evaluate(system, x, model, problem.validate_dirs)
+    law, above = sp.RadialLaw(model.dim), sp.RadialLaw(ABOVE_DIM)
+    rho_above = chi_radii(ABOVE_DIM, np.random.default_rng(7))
     layers = {
         "unit_check": lambda: radial._unit_rows(x, V),
         "closed_form_roots": lambda: radial.inequality_hits(system, x, V, model),
@@ -180,12 +228,14 @@ def main() -> int:
         "gradient": lambda: ev.gradient(),
         "validate": lambda: solver.validate(x, problem),
         "solve": lambda: solver.solve(problem),
+        "chi_cdf_10k": lambda: sp.chi_cdf(law, ev.hits.rho),
+        "chi_cdf_200k": lambda: sp.chi_cdf(law, ev_validate.hits.rho),
+        f"chi_cdf_m{ABOVE_DIM}": lambda: sp.chi_cdf(above, rho_above),
     }
     layers_ms = {name: round(median_ms(fn, args.repeats), 4) for name, fn in layers.items()}
     for name, ms in layers_ms.items():
         print(f"{name:18s} {ms:10.3f} ms")
     print(f"counts: {counts}")
-    ev_validate = estimates.evaluate(system, x, model, problem.validate_dirs)
     peaks = {"evaluate": peak_mb(layers["evaluate"]), "validate": peak_mb(layers["validate"]),
              "gradient": peak_mb(ev_validate.gradient)}
     print(f"peak_mb: {peaks}")
@@ -197,6 +247,11 @@ def main() -> int:
     for name, rec in rays.items():
         print(f"{name:24s} {rec['eval_g_rows_per_ray']:7.3f} eval_g "
               f"{rec['grad_z_g_rows_per_ray']:7.3f} grad_z_g rows/ray")
+    sweep = chi_sweep(args.repeats)
+    for m, rec in sweep.items():
+        print(f"chi_cdf m={m:>4s} " + "  ".join(
+            f"{kind} sum {r['sum_ms']:.3f} gammainc {r['gammainc_ms']:.3f} ms"
+            for kind, r in rec.items()))
 
     report = {
         "workload": "energy_dispatch: make_energy_problem() defaults, layers at the "
@@ -213,6 +268,7 @@ def main() -> int:
         "peak_mb": peaks,
         "oracle": {"eps": ORACLE_EPS, "n": 10000, "cases": oracle},
         "ray_rows": {"n": 10000, "cases": rays},
+        "chi_cdf_sweep": {"n": 10000, "dims": sweep},
     }
     if args.baseline:
         with open(args.baseline, encoding="utf-8") as fh:
@@ -222,7 +278,7 @@ def main() -> int:
                                                    "layers_ms", "peak_mb", "oracle", "ray_rows")
                               if k in base}
         report["speedup"] = {name: round(base["layers_ms"][name] / ms, 3)
-                             for name, ms in layers_ms.items()}
+                             for name, ms in layers_ms.items() if name in base["layers_ms"]}
         if "oracle" in base:
             for name, rec in oracle.items():
                 report["speedup"][f"enlarged_hits/{name}"] = round(

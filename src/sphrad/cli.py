@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -303,6 +304,7 @@ _COMMANDS = {"eval": cmd_eval, "grad": cmd_grad, "solve-energy": cmd_solve_energ
              "verify": cmd_verify}
 
 
+@functools.cache                 # built once: main is also called in-process
 def _build_parser():
     parser = argparse.ArgumentParser(prog="sphrad",
                                      description="spherical-radial probability toolbox")

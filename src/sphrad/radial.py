@@ -83,10 +83,14 @@ def _roots(ray, r_search, what, first):
     found = np.zeros(n_dirs, dtype=bool)
     prev_r = np.zeros(n_dirs)
     r_cur = np.minimum(1.0, r_search)
+    h = np.empty(n_dirs)
+    scan = every                        # the rows whose scan point moved
     # The grid is scanned to the window end even after a bracket is found, so
-    # a second sign change that straddles a later grid point is detected.
+    # a second sign change that straddles a later grid point is detected.  A
+    # row stays at its window end once there; its h is kept, not evaluated
+    # again, and the updates below leave it unchanged.
     for _ in range(MAX_BRACKET_DOUBLINGS):
-        h, slope = value(r_cur, every)
+        h[scan], slope = value(r_cur[scan], scan)
         regression = found & (h <= 0) & (r_cur > hi)
         if regression.any():
             raise BracketFailure(
@@ -98,14 +102,17 @@ def _roots(ray, r_search, what, first):
         lo = np.where(~found & (h <= 0), r_cur, lo)
         closed = np.flatnonzero(newly)
         if closed.size:                 # a callback never sees a 0-row array
-            outer[:, closed] = h[closed], slope(closed)
+            outer[:, closed] = h[closed], slope(
+                closed if scan is every else np.searchsorted(scan, closed))
         del slope                       # frees this evaluation's points before the next
         found |= newly
-        if np.all(r_cur >= r_search):
-            break
         prev_r = r_cur
         r_cur = np.minimum(2.0 * r_cur, r_search)
-    del prev_r, r_cur, h, regression, newly    # (N,) arrays, freed early
+        moved = r_cur > prev_r
+        if not moved.any():
+            break
+        scan = every if moved.all() else np.flatnonzero(moved)
+    del prev_r, r_cur, h, regression, newly, moved    # (N,) arrays, freed early
 
     idx = np.flatnonzero(found)
     lo, hi, outer = lo[idx], hi[idx], outer[:, idx]

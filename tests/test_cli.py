@@ -212,6 +212,21 @@ class TestDeterminism:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("bad", [["grad", "--no-such-flag"], ["grad", "--n", "many"],
+                                     ["no-such-command"]])
+    def test_call_after_usage_error_matches_fresh_process(self, capsys, bad):
+        # main builds its parser once per process; a usage error (exit 2)
+        # must leave nothing in it that changes the next call's output.
+        argv = ["grad", "--fixture", "slab", "--x", "-1", "--n", "1000", "--seed", "9"]
+        fresh = run_cli(*argv)
+        assert fresh.returncode == 0
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == fresh.stdout
+
 
 class TestSolveEnergyCommand:
     def test_reduced_run_artifacts(self, tmp_path):

@@ -92,23 +92,31 @@ class TestRayWork:
         assert sum(rows) / dirs.n <= bound
 
     def test_each_ray_point_is_evaluated_once(self):
-        # The slab has no domain caps, so every search window ends at r_max
-        # and the scan visits each radius once; Newton starts from the scan's
-        # (h, slope) at the bracket's outer end instead of evaluating it again.
+        # Newton starts from the scan's (h, slope) at the bracket's outer end
+        # instead of evaluating it again.  The slab has no domain caps, so
+        # every search window ends at r_max; the hyperbolic system's windows
+        # end at a cap on many rays, and the scan leaves such a row at its
+        # window end while other rows keep doubling, without evaluating it
+        # there again.
         c = np.zeros(8)
         c[0] = 1.0
-        slab = sp.make_slab(c, lambda x: x[0], lambda x: np.array([1.0]))
-        points = []
+        cases = {
+            "slab-dim8": (sp.make_slab(c, lambda x: x[0], lambda x: np.array([1.0])), -0.5, 8),
+            "hyperbolic-system": (sp.make_hyperbolic_system(), 2.25, 2),
+        }
+        for case, (system, x, m) in cases.items():
+            points = []
 
-        def eval_g(i, x, Z):
-            points.append(np.array(Z))
-            return slab.eval_g(i, x, Z)
+            def eval_g(i, x, Z, _system=system):
+                points.append(np.column_stack([np.full(Z.shape[0], i), Z]))
+                return _system.eval_g(i, x, Z)
 
-        counted = dataclasses.replace(slab, eval_g=eval_g)
-        sp.evaluate(counted, [-0.5], sp.build_model(np.zeros(8), np.eye(8)), _dirs(n=2000, m=8))
-        Z = np.vstack(points)
-        repeats = Z.shape[0] - np.unique(Z, axis=0).shape[0]
-        assert repeats == 0, f"{repeats} of {Z.shape[0]} rows repeat"
+            counted = dataclasses.replace(system, eval_g=eval_g)
+            sp.evaluate(counted, [x], sp.build_model(np.zeros(m), np.eye(m)),
+                        _dirs(n=2000, m=m))
+            Z = np.vstack(points)
+            repeats = Z.shape[0] - np.unique(Z, axis=0).shape[0]
+            assert repeats == 0, f"{case}: {repeats} of {Z.shape[0]} rows repeat"
 
     @pytest.mark.parametrize("case", ["energy-validate", "ball-dim8-eps0.05-200k",
                                       "energy-gradient-200k"])

@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 import sphrad as sp
+from sphrad import gaussian
 from sphrad.gaussian import RadialLaw, TAIL_MASS
+
+# Every dimension the tail sum serves, and two served by gammainc.
+CDF_DIMS = [*range(1, gaussian._SUM_MAX_DIM + 1), gaussian._SUM_MAX_DIM + 1,
+            2 * gaussian._SUM_MAX_DIM]
 
 
 class TestBuildModel:
@@ -100,9 +105,39 @@ class TestChiLaw:
                 assert fd == pytest.approx(sp.chi_pdf(law, r), rel=1e-6)
 
     def test_cutoff_retains_mass(self):
-        for m in range(1, 17):
+        for m in CDF_DIMS:
             law = RadialLaw(m)
             assert sp.chi_cdf(law, law.r_max) >= 1.0 - TAIL_MASS
+
+    @pytest.mark.parametrize("m", CDF_DIMS)
+    def test_cdf_matches_gammainc(self, m):
+        law = RadialLaw(m)
+        # Radii beyond the sum's cap of 37 included: the cdf is 1 there.
+        r = np.r_[np.linspace(0.0, 1.2 * law.r_max, 2001), 36.9, 37.0, 37.1, 1e3]
+        ref = special.gammainc(m / 2.0, r * r / 2.0)
+        got = sp.chi_cdf(law, np.r_[r, np.inf])
+        assert got[-1] == 1.0
+        err = np.abs(got[:-1] - ref)
+        assert err.max() <= 1e-14
+        # Relative error where the cdf is below 1/2 and a normal double:
+        # gammainc returns 0 for a subnormal cdf.
+        lower = (ref < 0.5) & (ref >= np.finfo(float).tiny)
+        assert np.all(err[lower] <= 1e-12 * ref[lower])
+
+    def test_cdf_keeps_shape_and_scalars(self):
+        law = RadialLaw(8)
+        r = np.array([[0.0, 1.0], [2.5, np.inf]])
+        out = sp.chi_cdf(law, r)
+        assert out.shape == (2, 2)
+        assert isinstance(sp.chi_cdf(law, 2.5), float)
+        assert sp.chi_cdf(law, 2.5) == out[1, 0]
+
+    def test_cutoff_nudge_is_bounded(self, monkeypatch):
+        # One ulp of r near r_max moves the cdf by about 1e-26, so a cdf that
+        # misses the bound there must raise rather than step ulp by ulp.
+        monkeypatch.setattr(gaussian, "_chi_cdf", lambda m, r: np.zeros_like(r))
+        with pytest.raises(sp.NumericalError, match="stays below"):
+            gaussian._chi_cutoff.__wrapped__(3)
 
 
 class TestSampleSphere:
