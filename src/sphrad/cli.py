@@ -199,7 +199,7 @@ def _dump_directions_csv(path, ev):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["index", "rho", "e", "finite", "active"])
         for idx, (rho, e, finite, act) in enumerate(zip(
-                hits.rho.tolist(), ev.e.tolist(), hits.finite.tolist(),
+                hits.rho.tolist(), ev.e.tolist(), np.isfinite(hits.rho).tolist(),
                 hits.act.T.tolist())):
             writer.writerow([idx, repr(rho), repr(e), int(finite),
                              "|".join(str(i) for i, a in enumerate(act) if a)])

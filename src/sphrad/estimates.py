@@ -111,7 +111,7 @@ class Evaluation(ProbEstimate):
             first = np.argmax(act, axis=0) if tie_policy == "min_index" else None
             pdf = chi_pdf(RadialLaw(model.dim), rho)
             w = np.zeros((rho.shape[0], target.x_dim))
-            for i, mask in enumerate(act[:n_x] & hits.finite[sl]):
+            for i, mask in enumerate(act[:n_x]):
                 rows = np.flatnonzero(mask)
                 if rows.size == 0:
                     continue
@@ -170,7 +170,7 @@ def evaluate(target, x, model: GaussianModel, dirs: DirectionSet,
     else:
         std_error = None
     return Evaluation(value=float(dirs.weights @ e), std_error=std_error,
-                      n_infinite=int((~hits.finite).sum()), e=e, hits=hits,
+                      n_infinite=int((~np.isfinite(hits.rho)).sum()), e=e, hits=hits,
                       target=target, x=x, model=model, dirs=dirs, eps=eps)
 
 

@@ -225,81 +225,39 @@ def make_hyperbolic_system() -> InequalitySystem:
                             domain_caps=caps, name="hyperbolic")
 
 
-_PROJECT_TOL = 1e-12          # |dD| at which a Newton row of the projection stops
-_PROJECT_MAX_NEWTON = 200
-_PROJECT_MAX_BISECT = 50
+_PROJECT_MAX_NEWTON = 200     # ray points take at most 11 steps; binds only for |w| > ~1e36
 
 
 def _hyperbolic_project(x: float, W: np.ndarray) -> np.ndarray:
-    """Project rows of W onto the boundary curve (s+2)(t+2) = x, s,t > -2.
+    """Project exterior rows of W onto the boundary curve (s+2)(t+2) = x, s,t > -2.
 
-    The nearest point minimizes D(s) = (s-w1)^2 + (x/(s+2)-2-w2)^2 over the
-    branch parameter s; the stationarity equation is solved by damped Newton
-    with a maintained bracket and a pure bisection fallback.  Rows are solved
-    independently: the bracket and Newton loops iterate only the rows still
-    moving, and a converged row is frozen.  The fallback bisects only the
-    rows Newton left moving, so each row's result is its own.
+    In ``a = s + 2``, with ``(p, q) = w + 2``, the foot of ``w`` is a root of
+    ``f(a) = a^3 (a - p) + x (q a - x)``, ``a^3 / 2`` times the slope of the
+    squared distance.  An exterior ``w`` has one: inward normal rays, along
+    ``(t+2, s+2) > 0``, stay in the body, so only the outward normal at the
+    projection ``a* >= p`` passes through ``w``.  As ``f'' = 6a (2a - p) > 0``
+    on ``[a*, inf)``, Newton falls monotonically to ``a*`` from any start above
+    it, such as ``p + |w - c| >= p + |w - P(w)| >= a*``, ``c`` the curve
+    point at ``a = max(p, sqrt x)``.  A row stops when ``f <= 0`` or its step
+    is within 4 ulps; only moving rows are iterated, so each row's result is
+    its own.
     """
-    w1, w2 = W[:, 0], W[:, 1]
-
-    def dD(s, rows):
-        q = x / (s + 2.0)
-        return 2.0 * (s - w1[rows]) + 2.0 * (q - 2.0 - w2[rows]) * (-q / (s + 2.0))
-
-    def d2D(s, rows):
-        q = x / (s + 2.0)
-        qp = -q / (s + 2.0)                      # d q / d s
-        return 2.0 + 2.0 * (qp * qp + (q - 2.0 - w2[rows]) * (2.0 * q / (s + 2.0) ** 2))
-
-    k = W.shape[0]
-    every = np.arange(k)
-    # lower bracket end: dD -> -inf as s -> -2+
-    lo = np.full(k, -2.0 + 1e-9)
-    bad = every[dD(lo, every) >= 0]
-    shrink = 1e-9
-    for _ in range(12):
-        if bad.size == 0:
-            break
-        shrink *= 1e-2
-        lo[bad] = -2.0 + shrink
-        bad = bad[dD(lo[bad], bad) >= 0]
-    hi = np.maximum(w1, lo) + 1.0
-    live = every
-    for _ in range(200):
-        live = live[dD(hi[live], live) <= 0]
-        if live.size == 0:
-            break
-        hi[live] = lo[live] + 2.0 * (hi[live] - lo[live])
-
-    s = 0.5 * (lo + hi)
-    val = dD(s, every)
-    live = every
+    p, q = W[:, 0] + 2.0, W[:, 1] + 2.0
+    c = np.maximum(p, np.sqrt(x))
+    a = p + np.hypot(p - c, q - x / c)
+    live = np.arange(W.shape[0])
     for _ in range(_PROJECT_MAX_NEWTON):
-        live = live[~((np.abs(val[live]) <= _PROJECT_TOL)
-                      | (hi[live] - lo[live] <= 1e-13 * np.maximum(1.0, np.abs(s[live]))))]
+        a_k, p_k, q_k = a[live], p[live], q[live]
+        a2 = a_k * a_k
+        f = a2 * a_k * (a_k - p_k) + x * (q_k * a_k - x)
+        step = np.maximum(f / (a2 * (4.0 * a_k - 3.0 * p_k) + x * q_k), 0.0)    # 0 where f <= 0
+        a[live] = a_k - step
+        live = live[~(step <= 4.0 * np.spacing(a_k))]     # NaN (overflow) runs to the cap
         if live.size == 0:
             break
-        s_k, v_k = s[live], val[live]
-        pos = v_k > 0
-        hi[live] = hi_k = np.where(pos, s_k, hi[live])
-        lo[live] = lo_k = np.where(pos, lo[live], s_k)
-        curv = d2D(s_k, live)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s_newton = s_k - v_k / curv
-        inside = (s_newton > lo_k) & (s_newton < hi_k) & np.isfinite(s_newton) & (curv > 0)
-        s[live] = s_k = np.where(inside, s_newton, 0.5 * (lo_k + hi_k))
-        val[live] = dD(s_k, live)
-    if live.size:
-        lo_k, hi_k = lo[live], hi[live]
-        for _ in range(_PROJECT_MAX_BISECT):
-            mid = 0.5 * (lo_k + hi_k)
-            pos = dD(mid, live) > 0
-            hi_k = np.where(pos, mid, hi_k)
-            lo_k = np.where(pos, lo_k, mid)
-        s[live] = s_k = 0.5 * (lo_k + hi_k)
-        if np.any((hi_k - lo_k) > 1e-8 * np.maximum(1.0, np.abs(s_k))):
-            raise ProjectionDiverged("hyperbolic projection failed to converge")
-    return np.stack([s, x / (s + 2.0) - 2.0], axis=1)
+    else:
+        raise ProjectionDiverged("hyperbolic projection failed to converge")
+    return np.stack([a - 2.0, x / a - 2.0], axis=1)
 
 
 def make_hyperbolic_set() -> ConvexSetOracle:
@@ -315,8 +273,7 @@ def make_hyperbolic_set() -> ConvexSetOracle:
             raise InteriorViolated(f"hyperbolic set requires x in (0, 4), got {xv}")
         out = np.array(Z, dtype=float, copy=True)
         outside = ~contains(x, Z)
-        if outside.any():
-            out[outside] = _hyperbolic_project(xv, Z[outside])
+        out[outside] = _hyperbolic_project(xv, Z[outside])
         return out
 
     def sensitivity(x, Z, P, U):

@@ -49,10 +49,10 @@ BLOCK_ROWS = 16384        # directions per block; bounds a batch's temporaries
 @dataclass
 class HitBatch:
     """Ray-solve results for a direction set (internal).  ``act`` marks the
-    rows whose radius attains ``rho`` within the tie band."""
+    rows whose radius attains ``rho`` within the tie band; it is all False
+    where ``rho`` is infinite."""
 
     rho: np.ndarray            # (N,), +inf where no exit precedes the chi cutoff
-    finite: np.ndarray         # (N,) bool
     act: np.ndarray            # (s + n_caps, N) bool, caps last; oracle mode: (1, N)
 
 
@@ -167,7 +167,7 @@ def _classify(radii, r_max) -> HitBatch:
     finite = rho < r_max
     rho = np.where(finite, rho, np.inf)
     thresh = np.where(finite, rho * (1.0 + TIE_REL) + TIE_ABS, -np.inf)
-    return HitBatch(rho=rho, finite=finite, act=radii <= thresh)
+    return HitBatch(rho=rho, act=radii <= thresh)
 
 
 def _blocks(n_dirs):
@@ -181,9 +181,8 @@ def _solve_blocks(solve, n_dirs, r_max) -> HitBatch:
     for sl in _blocks(n_dirs):
         part = _classify(solve(sl), r_max)
         if hits is None:
-            hits = HitBatch(np.empty(n_dirs), np.empty(n_dirs, bool),
-                            np.empty((part.act.shape[0], n_dirs), bool))
-        hits.rho[sl], hits.finite[sl], hits.act[:, sl] = part.rho, part.finite, part.act
+            hits = HitBatch(np.empty(n_dirs), np.empty((part.act.shape[0], n_dirs), bool))
+        hits.rho[sl], hits.act[:, sl] = part.rho, part.act
     return hits
 
 

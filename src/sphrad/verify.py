@@ -8,11 +8,11 @@ accordingly; fixed analytic tolerances are kept as is.
 from __future__ import annotations
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from .estimates import evaluate, fd_gradient
-from .gaussian import (DEFAULT_SEED, RadialLaw, SphereMethod, build_model,
-                       chi_cdf, chi_pdf, sample_sphere)
+from .gaussian import (_SUM_MAX_DIM, DEFAULT_SEED, RadialLaw, SphereMethod,
+                       build_model, chi_cdf, chi_pdf, sample_sphere)
 from .oracles import (make_ball, make_halfspace, make_hyperbolic_set,
                       make_hyperbolic_system, make_slab, slab_threshold)
 from .radial import enlarged_hits
@@ -53,6 +53,17 @@ def check_chi_consistency(quick=False):
                 worst = max(worst, abs(fd - pdf) / pdf)
     ok = worst <= 1e-6
     return ok, f"max relative cdf'/pdf mismatch = {worst:.2e}"
+
+
+def check_chi_cdf_reference(quick=False):
+    # The check above cannot see a cdf error below about 1e-11.  This one
+    # reads the cdf itself, on both sides of the tail sum's dimension limit.
+    worst = 0.0
+    for m in (*range(1, 17), 63, 64, _SUM_MAX_DIM, _SUM_MAX_DIM + 1, 320):
+        r = np.linspace(0.0, RadialLaw(m).r_max, 2001)
+        err = chi_cdf(RadialLaw(m), r) - special.gammainc(m / 2.0, r * r / 2.0)
+        worst = max(worst, float(np.abs(err).max()))
+    return worst <= 1e-14, f"max |cdf - gammainc| = {worst:.2e} over m in 1..320"
 
 
 def check_sphere_construction(quick=False):
@@ -217,6 +228,7 @@ def check_crn_identity(quick=False):
 ALL_CHECKS = (
     ("chi-normalization", check_chi_normalization),
     ("chi-cdf-pdf-consistency", check_chi_consistency),
+    ("chi-cdf-reference", check_chi_cdf_reference),
     ("sphere-construction", check_sphere_construction),
     ("sphere-unbiasedness", check_sphere_unbiasedness),
     ("halfspace-analytic", check_halfspace_analytic),

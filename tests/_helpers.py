@@ -28,7 +28,7 @@ def reference_weights(ev, tie_policy="average"):
     n_active = hits.act.sum(axis=0)
     w = np.zeros((ev.dirs.n, target.x_dim))
     for i in range(1 if oracle else target.s):
-        rows = np.flatnonzero(hits.act[i] & hits.finite)
+        rows = np.flatnonzero(hits.act[i] & np.isfinite(hits.rho))
         if tie_policy == "min_index":
             rows = rows[np.argmax(hits.act[:, rows], axis=0) == i]
         if rows.size == 0:
@@ -47,7 +47,7 @@ def reference_weights(ev, tie_policy="average"):
 
 def _pattern(system, x, model, dirs):
     batch = inequality_hits(system, x, dirs.directions, model)
-    return batch.act.copy(), batch.finite.copy()
+    return batch.act.copy(), np.isfinite(batch.rho)
 
 
 def window_tie_free(system, x, model, dirs, h0=1e-4):

@@ -80,7 +80,7 @@ def _value_and_pattern(system, x, model, dirs):
     batch = inequality_hits(system, x, dirs.directions, model)
     law = RadialLaw(model.dim)
     val = float(dirs.weights @ np.asarray(sp.chi_cdf(law, batch.rho)))
-    return val, (batch.act.tobytes(), batch.finite.tobytes())
+    return val, (batch.act.tobytes(), np.isfinite(batch.rho).tobytes())
 
 
 def _crn_identity_check(system, x, model, dirs, h0=5e-5):

@@ -303,6 +303,19 @@ class TestVerifyCommand:
         ok, _ = verify_mod.check_chi_normalization(quick=True)
         assert not ok
 
+    def test_small_cdf_error_caught(self, monkeypatch):
+        # A cdf off by 1e-12 passes the finite-difference consistency check
+        # but not the comparison with gammainc.
+        import sphrad.verify as verify_mod
+
+        def shifted_cdf(law, r):
+            import sphrad.gaussian as g
+            return g.chi_cdf(law, r) * (1.0 - 1e-12)
+
+        monkeypatch.setattr(verify_mod, "chi_cdf", shifted_cdf)
+        assert verify_mod.check_chi_consistency(quick=True)[0]
+        assert not verify_mod.check_chi_cdf_reference(quick=True)[0]
+
     def test_failure_exit_code_5(self, monkeypatch, capsys):
         import sphrad.cli as cli_mod
         from sphrad.cli import main

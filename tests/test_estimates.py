@@ -178,7 +178,7 @@ class TestProbValue:
         es = est.e
         assert est.value == pytest.approx(es.mean(), abs=1e-14)
         assert np.all((es >= 0) & (es <= 1))
-        assert np.all(es[~est.hits.finite] == 1.0)
+        assert np.all(es[~np.isfinite(est.hits.rho)] == 1.0)
 
     def test_infinite_only_system(self):
         est = sp.evaluate(sp.make_constant(), [0.0], _model2(), _dirs(n=200))
@@ -306,12 +306,12 @@ class TestProbGradient:
         # Rows: wind, load, then the wind-speed cap.  The cap boundary is
         # x-independent, so a direction that only the cap stops adds nothing.
         act = val.hits.act
-        cap_only = val.hits.finite & act[2] & ~act[:2].any(axis=0)
+        cap_only = np.isfinite(val.hits.rho) & act[2] & ~act[:2].any(axis=0)
         k = int(cap_only.sum())
         assert k > 0
         sub = sp.DirectionSet(dirs.directions[cap_only], np.full(k, 1 / k), dirs.seed, dirs.method)
         cap_val = sp.evaluate(sys_, x, model, sub)
-        assert cap_val.hits.finite.all()
+        assert np.isfinite(cap_val.hits.rho).all()
         assert np.array_equal(cap_val.hits.act, np.tile([[False], [False], [True]], sub.n))
         for policy in ("average", "min_index"):
             assert np.all(cap_val.gradient(policy).gradient == 0)
@@ -352,7 +352,7 @@ class TestBlockedGradient:
         dirs = sp.DirectionSet(V, np.full(len(V), 1 / len(V)), sp.DEFAULT_SEED,
                                sp.SphereMethod.QMC)
         ev = sp.evaluate(_cubic(), [0.0], _model2(), dirs)
-        assert np.flatnonzero(ev.hits.finite).tolist() == [k]
+        assert np.flatnonzero(np.isfinite(ev.hits.rho)).tolist() == [k]
         with pytest.raises(sp.TransversalityBreakdown) as info:
             ev.gradient()
         assert info.value.direction_index == k

@@ -50,7 +50,7 @@ class TestInequalityRoots:
         sys_ = sp.make_halfspace([1.0, 0.0])
         model = _model2()
         hit = _ineq(sys_, [3.0], [1.0, 0.0], model)
-        assert hit.finite[0]
+        assert np.isfinite(hit.rho[0])
         assert hit.rho[0] == pytest.approx(3.0, abs=1e-9)
         assert _active(hit) == (0,)
         z = _point(hit, model, [1.0, 0.0])
@@ -62,7 +62,7 @@ class TestInequalityRoots:
     def test_halfspace_orthogonal_direction_infinite(self):
         sys_ = sp.make_halfspace([1.0, 0.0])
         hit = _ineq(sys_, [3.0], [0.0, 1.0], _model2())
-        assert not hit.finite[0]
+        assert not np.isfinite(hit.rho[0])
         assert hit.rho[0] == np.inf
         assert _active(hit) == ()
 
@@ -75,7 +75,7 @@ class TestInequalityRoots:
     def test_slab_constant_ray_infinite(self):
         sys_ = sp.make_slab([1.0, 0.0], lambda x: x[0], lambda x: np.array([1.0]))
         hit = _ineq(sys_, [-1.0], [0.0, 1.0], _model2())
-        assert not hit.finite[0]
+        assert not np.isfinite(hit.rho[0])
 
     def test_residual_invariant(self):
         # Finite hits satisfy |g_active| <= 1e-9, recomputed directly.
@@ -92,7 +92,7 @@ class TestInequalityRoots:
                 v = np.array([np.cos(theta), np.sin(theta)])
                 hit = _ineq(sys_, x, v, model)
                 active = _active(hit)
-                if hit.finite[0] and all(i < sys_.s for i in active):
+                if np.isfinite(hit.rho[0]) and all(i < sys_.s for i in active):
                     for i in active:
                         g = sys_.eval_g(i, x, _point(hit, model, v))[0]
                         assert abs(g) <= 1e-9
@@ -208,7 +208,7 @@ class TestDomainCaps:
         v = np.array([-1.0, 0.0])
         lv = model.factor_L @ v
         hit = _ineq(sys_, x, v, model)
-        assert hit.finite[0]
+        assert np.isfinite(hit.rho[0])
         assert _active(hit) == (2,)                # cap index = s + 0 = 2
         assert hit.rho[0] == pytest.approx(-params.mu_wind / lv[0], rel=1e-12)
 
@@ -231,7 +231,7 @@ class TestDomainCaps:
         for _ in range(100):
             theta = rng.uniform(0, 2 * np.pi)
             hit = _ineq(sys_, [1.0], [np.cos(theta), np.sin(theta)], model)
-            if hit.finite[0]:
+            if np.isfinite(hit.rho[0]):
                 assert all(i < sys_.s for i in _active(hit))
 
 
@@ -297,16 +297,16 @@ class TestHalfspaceClosedForm:
             dirs = np.vstack([dirs, extra])
         fast = inequality_hits(system, x, dirs, model)
         scan = inequality_hits(dataclasses.replace(system, halfspaces=None), x, dirs, model)
-        assert np.array_equal(fast.finite, scan.finite)
+        assert np.array_equal(np.isfinite(fast.rho), np.isfinite(scan.rho))
         assert np.array_equal(fast.act, scan.act)
         np.testing.assert_allclose(fast.rho, scan.rho, rtol=1e-12, atol=0)
         if tie is not None:
             assert tuple(np.flatnonzero(fast.act[:, -1])) == (0, 4)
         if orthogonal is not None:
             assert (system.halfspaces(x)[0][0] @ model.factor_L) @ orthogonal == 0.0
-            assert fast.rho[-1] == np.inf and not fast.finite[-1]
+            assert fast.rho[-1] == np.inf
             # Both caps and the dense rows are all exercised.
-            hit_rows = fast.act[:, fast.finite].any(axis=1)
+            hit_rows = fast.act[:, np.isfinite(fast.rho)].any(axis=1)
             assert hit_rows.all(), hit_rows
 
     @pytest.mark.parametrize("case", ["start", "interior", "tied"])
@@ -330,7 +330,8 @@ class TestHalfspaceClosedForm:
         ref[:system.s][ref[:system.s] >= r_search] = np.inf
         rho = ref.min(axis=0)
         fast = inequality_hits(system, x, dirs, model)
-        assert np.array_equal(fast.rho[fast.finite], rho[fast.finite])
+        f = np.isfinite(fast.rho)
+        assert np.array_equal(fast.rho[f], rho[f])
 
 
 class TestEnlargedRoots:
@@ -419,8 +420,8 @@ class TestClosedFormRoots:
 
     @staticmethod
     def _agree(hits, closed, r_max):
-        assert np.array_equal(hits.finite, closed < r_max)
-        f = hits.finite
+        assert np.array_equal(np.isfinite(hits.rho), closed < r_max)
+        f = np.isfinite(hits.rho)
         np.testing.assert_allclose(hits.rho[f], closed[f], rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("m", [2, 8])
@@ -450,9 +451,10 @@ class TestClosedFormRoots:
         oracle = sp.make_hyperbolic_set()
         hits = enlarged_hits(oracle, [x], dirs, 0.0, model)
         self._agree(hits, closed, r_max)
+        f = np.isfinite(hits.rho)
+        assert np.all(np.abs(hits.rho[f] - closed[f]) <= 1e-13 * np.maximum(1.0, closed[f]))
         # Membership on both sides of the root: a solve that stopped where the
         # distance first reads 0 would return points deep inside.
-        f = hits.finite
         Z = hits.rho[f, None] * dirs[f]
         assert oracle.contains([x], Z * (1 - 1e-9)).all()
         assert not oracle.contains([x], Z * (1 + 1e-9)).any()
@@ -462,7 +464,7 @@ class TestClosedFormRoots:
         model, dirs, _ = self._case(2)
         oracle = sp.make_hyperbolic_set()
         hits = enlarged_hits(oracle, [x], dirs, 0.05, model)
-        f = hits.finite
+        f = np.isfinite(hits.rho)
         assert f.any()
         Z = hits.rho[f, None] * dirs[f]
         dist = np.linalg.norm(Z - oracle.project([x], Z), axis=1)
@@ -477,10 +479,10 @@ class TestBatchConsistency:
         batch = inequality_hits(sys_, [1.0], dirs.directions, model)
         for k in range(0, 64, 7):
             hit = _ineq(sys_, [1.0], dirs.directions[k], model)
-            if hit.finite[0]:
+            if np.isfinite(hit.rho[0]):
                 assert batch.rho[k] == pytest.approx(hit.rho[0], rel=1e-12)
             else:
-                assert not batch.finite[k]
+                assert not np.isfinite(batch.rho[k])
 
 
 class TestBlockedBatches:
@@ -512,7 +514,7 @@ class TestBlockedBatches:
 
     @staticmethod
     def _same(a, b):
-        for field in ("rho", "finite", "act"):
+        for field in ("rho", "act"):
             x, y = getattr(a, field), getattr(b, field)
             assert x.shape == y.shape and x.tobytes() == y.tobytes(), field
 
@@ -521,7 +523,7 @@ class TestBlockedBatches:
         # With a correlated factor, BLAS rounds a column of (W L) V^T by where
         # it falls in the product's tiling (and by thread count): at blocks of
         # 7, radius 300 of 303 moves by two ulps.  Ties and finiteness hold.
-        assert np.array_equal(a.finite, b.finite)
+        assert np.array_equal(np.isfinite(a.rho), np.isfinite(b.rho))
         assert np.array_equal(a.act, b.act)
         np.testing.assert_allclose(b.rho, a.rho, rtol=1e-15, atol=0)
 
@@ -535,7 +537,7 @@ class TestBlockedBatches:
         whole = solve()
         monkeypatch.setattr(radial, "BLOCK_ROWS", block)
         blocked = solve()
-        assert blocked.finite.any()
+        assert np.isfinite(blocked.rho).any()
         if case == "energy-interior":
             self._close(whole, blocked)
         else:
