@@ -17,11 +17,14 @@ layer:
   tail sum's cutoff, 30% of them infinite.
 
 Counts are deterministic, the same on any machine: ray batches and gradient
-calls of one solve, and the ``eval_g`` rows it asks for.  ``peak_mb`` is the
-tracemalloc peak, in MiB, of one ``evaluate``, of one ``validate`` and of one
-``gradient`` on the 200k validation set, all at the solved dispatch; it
-counts what the call allocates, not the inputs built before it (for
-``gradient``, the validation set's evaluation).  ``--baseline`` takes a file
+calls of one solve, and the ``eval_g`` rows it asks for.  Under
+``infeasible_start`` are the same counts for one solve from ``(pw, pg) =
+(1, 9.5)`` in every period, where phat is 0.39, so the loop climbs to the
+level first.  ``peak_mb`` is the tracemalloc peak, in MiB, of one
+``evaluate``, of one ``validate`` and of one ``gradient`` on the 200k
+validation set, all at the solved dispatch; it counts what the call
+allocates, not the inputs built before it (for ``gradient``, the validation
+set's evaluation).  ``--baseline`` takes a file
 this script wrote on another checkout and embeds its layers, counts and
 peaks, with the ratio baseline / this run per layer.
 
@@ -108,6 +111,9 @@ def solve_counts(problem):
     finally:
         estimates.inequality_hits, estimates.Evaluation.gradient = hits, gradient
     return x, trace, counts
+
+
+INFEASIBLE_START = (1.0, 9.5)      # (wind, generation) in every period
 
 
 ORACLE_CASES = {
@@ -215,6 +221,9 @@ def main() -> int:
 
     problem = sp.make_energy_problem()
     x, trace, counts = solve_counts(problem)
+    T = problem.cost.size // 2
+    start = np.repeat(INFEASIBLE_START, T)
+    counts["infeasible_start"] = solve_counts(dataclasses.replace(problem, start=start))[2]
     system, model, dirs = problem.system, problem.model, problem.eval_dirs
     V = dirs.directions
     ev = estimates.evaluate(system, x, model, dirs)

@@ -9,7 +9,7 @@ from .errors import (BracketFailure, ConfigError, InteriorViolated,
 from .estimates import Evaluation, GradEstimate, ProbEstimate, evaluate
 from .gaussian import (DEFAULT_SEED, DirectionSet, GaussianModel, RadialLaw,
                        SphereMethod, build_model, chi_cdf, chi_pdf,
-                       chi_quantile, sample_sphere)
+                       sample_sphere)
 from .oracles import (AffineDomainCap, ConvexSetOracle, InequalitySystem,
                       build_energy_covariance, make_ball, make_constant,
                       make_energy_system, make_halfspace, make_hyperbolic_set,

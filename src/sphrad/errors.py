@@ -52,8 +52,8 @@ class SolverError(Exception):
 
 
 class NoFeasibleStart(SolverError):
-    """The feasibility phase could not reach the required probability level."""
+    """The solver gave up before any iterate reached the required probability level."""
 
 
 class LPInfeasible(SolverError):
-    """The trust-region subproblem stayed infeasible after shrink-and-retry."""
+    """The solver gave up after an iterate had reached the required probability level."""

@@ -221,15 +221,6 @@ def chi_pdf(law: RadialLaw, r):
     return out if out.ndim else float(out)
 
 
-def chi_quantile(law: RadialLaw, q):
-    """Inverse of :func:`chi_cdf` on [0, 1)."""
-    q = np.asarray(q, dtype=float)
-    if np.any((q < 0) | (q >= 1)):
-        raise ValueError("q must lie in [0, 1)")
-    out = np.sqrt(2.0 * special.gammaincinv(law.dim / 2.0, q))
-    return out if out.ndim else float(out)
-
-
 @dataclass(frozen=True)
 class DirectionSet:
     """Weighted unit vectors on S^(m-1) with a reproducible construction.

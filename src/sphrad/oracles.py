@@ -225,7 +225,7 @@ def make_hyperbolic_system() -> InequalitySystem:
                             domain_caps=caps, name="hyperbolic")
 
 
-_PROJECT_MAX_NEWTON = 200     # ray points take at most 11 steps; binds only for |w| > ~1e36
+_PROJECT_MAX_NEWTON = 200     # ray points take at most 10 steps, |w| <= 1e9 at most 26
 
 
 def _hyperbolic_project(x: float, W: np.ndarray) -> np.ndarray:
@@ -237,14 +237,18 @@ def _hyperbolic_project(x: float, W: np.ndarray) -> np.ndarray:
     ``(t+2, s+2) > 0``, stay in the body, so only the outward normal at the
     projection ``a* >= p`` passes through ``w``.  As ``f'' = 6a (2a - p) > 0``
     on ``[a*, inf)``, Newton falls monotonically to ``a*`` from any start above
-    it, such as ``p + |w - c| >= p + |w - P(w)| >= a*``, ``c`` the curve
-    point at ``a = max(p, sqrt x)``.  A row stops when ``f <= 0`` or its step
-    is within 4 ulps; only moving rows are iterated, so each row's result is
+    it.  Two such starts are ``p + |w - c| >= p + |w - P(w)| >= a*``, ``c``
+    the curve point at ``a = max(p, sqrt x)``, and ``max(p, 0) + t`` with
+    ``t = cbrt(x |q|) + sqrt(x)``, where ``f >= a t^3 - x |q| a - x^2 >= 0``;
+    Newton starts at the smaller, which is within a factor of the foot far
+    below or left of the body.  A row stops when ``f <= 0`` or its step is
+    within 4 ulps; only moving rows are iterated, so each row's result is
     its own.
     """
     p, q = W[:, 0] + 2.0, W[:, 1] + 2.0
     c = np.maximum(p, np.sqrt(x))
-    a = p + np.hypot(p - c, q - x / c)
+    a = np.minimum(p + np.hypot(p - c, q - x / c),
+                   np.maximum(p, 0.0) + np.cbrt(x * np.abs(q)) + np.sqrt(x))
     live = np.arange(W.shape[0])
     for _ in range(_PROJECT_MAX_NEWTON):
         a_k, p_k, q_k = a[live], p[live], q[live]
@@ -257,6 +261,8 @@ def _hyperbolic_project(x: float, W: np.ndarray) -> np.ndarray:
             break
     else:
         raise ProjectionDiverged("hyperbolic projection failed to converge")
+    if np.any(a <= 0.0):        # far left of the body the start or a step cancelled
+        raise ProjectionDiverged("hyperbolic projection lost its foot to rounding")
     return np.stack([a - 2.0, x / a - 2.0], axis=1)
 
 

@@ -11,8 +11,10 @@ which, being a box plus a single cut, is solved exactly by a greedy
 active-set walk (a continuous knapsack).  Steps whose true estimate falls
 below ``p - INFEAS_TOL`` are rejected and shrink the trust radius; accepted
 steps that fail to improve the cost also shrink it, which removes vertex
-zigzagging.  Because the direction set is fixed, the whole solve is
-deterministic for a given problem.
+zigzagging.  Where the cut cannot be met inside the trust box, a restoration
+step moves to the box corner along the gradient and is kept if phat rises;
+that is how an infeasible start climbs to the level.  Because the direction
+set is fixed, the whole solve is deterministic for a given problem.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ DELTA_MAX = 8.0          # largest trust radius
 DELTA_MIN = 1e-12        # trust radius below which the solve gives up
 GROW = 2.0               # trust radius factor after a cost-improving step
 SHRINK = 0.5             # factor after a rejected or non-improving step
-FEAS_STEPS = 500         # gradient ascent steps of the feasibility phase
-FEAS_MARGIN = 5e-3       # the feasibility phase stops at phat >= p + FEAS_MARGIN
 
 
 @dataclass(frozen=True)
@@ -127,61 +127,34 @@ def _evaluate(problem, x):
     return evaluate(problem.system, x, problem.model, problem.eval_dirs)
 
 
-def _feasibility_phase(problem, x):
-    """Projected gradient ascent on phat until p + FEAS_MARGIN is reached.
-
-    Returns the reached point and its evaluation.
-    """
-    p = problem.p_level
-    ev = _evaluate(problem, x)
-    if ev.value >= p + FEAS_MARGIN:
-        return x, ev
-    for _ in range(FEAS_STEPS):
-        g = ev.gradient().gradient
-        gnorm = np.linalg.norm(g)
-        if gnorm == 0:
-            break
-        alpha = 1.0 / gnorm
-        moved = False
-        for _ in range(30):
-            x_try = np.clip(x + alpha * g, problem.lower, problem.upper)
-            if np.max(np.abs(x_try - x)) == 0:
-                break
-            try:
-                ev_try = _evaluate(problem, x_try)
-            except InteriorViolated:
-                alpha *= 0.5
-                continue
-            if ev_try.value > ev.value + 1e-12:
-                x, ev, moved = x_try, ev_try, True
-                break
-            alpha *= 0.5
-        if not moved:
-            break
-        if ev.value >= p + FEAS_MARGIN:
-            return x, ev
-    raise NoFeasibleStart(
-        f"feasibility phase stalled at phat = {ev.value:.6f} < {p} + {FEAS_MARGIN}")
+def _give_up(trace, p, why):
+    """NoFeasibleStart while no iterate has reached p - INFEAS_TOL, else LPInfeasible."""
+    best = max(r.phat for r in trace.records)
+    return (NoFeasibleStart if best < p - INFEAS_TOL else LPInfeasible)(
+        f"{why}; best phat {best:.6f}, level {p}")
 
 
 def solve(problem: ChanceProblem):
     """Run the trust-region SLP loop; returns (x_final, SolveTrace).
 
-    Raises :class:`NoFeasibleStart` when no point with phat >= p can be
-    found and :class:`LPInfeasible` when the subproblem stays infeasible
-    after restoration and trust-region shrinking.
+    The loop starts at the clipped start point, feasible or not: while the
+    linearized cut cannot be met inside the trust box, restoration steps
+    climb phat.  When no ascent direction is left or the trust region is
+    exhausted, raises :class:`NoFeasibleStart` if no iterate has reached
+    ``p - INFEAS_TOL`` and :class:`LPInfeasible` otherwise.
     """
     p = problem.p_level
     x0 = (problem.start if problem.start is not None
           else 0.5 * (problem.lower + problem.upper))
-    x, ev = _feasibility_phase(problem, np.clip(x0, problem.lower, problem.upper))
+    x = np.clip(x0, problem.lower, problem.upper)
+    ev = _evaluate(problem, x)
     phat = ev.value
     g = ev.gradient().gradient
 
     delta = DELTA0
     trace = SolveTrace(records=[])
     trace.records.append(IterationRecord(0, x.copy(), float(problem.cost @ x),
-                                         phat, np.inf, delta, True))
+                                         phat, np.inf, delta, phat >= p - INFEAS_TOL))
     for k in range(1, MAX_ITERS + 1):
         lk = np.maximum(problem.lower, x - delta)
         uk = np.minimum(problem.upper, x + delta)
@@ -191,46 +164,30 @@ def solve(problem: ChanceProblem):
             # Restoration: climb the linearized probability inside the box.
             x_lp = np.where(g > 0, uk, np.where(g < 0, lk, x))
             if np.max(np.abs(x_lp - x)) == 0:
-                raise LPInfeasible(
-                    "linearized subproblem infeasible and no ascent direction")
+                raise _give_up(trace, p, "linearized subproblem infeasible and "
+                                         "no ascent direction")
         step = float(np.max(np.abs(x_lp - x)))
-        if step == 0.0:
-            trace.records.append(IterationRecord(k, x.copy(), float(problem.cost @ x),
-                                                 phat, 0.0, delta, True))
-            if abs(phat - p) <= PROB_BAND or cut_slack:
-                trace.status = "box_optimum" if cut_slack else "converged"
-                return x, trace
-            delta *= SHRINK
-            if delta < DELTA_MIN:
-                raise LPInfeasible("trust region exhausted without progress")
-            continue
         try:
-            ev_new = _evaluate(problem, x_lp)
+            # A zero step keeps x and its estimate: no second ray solve.
+            ev_new = ev if step == 0.0 else _evaluate(problem, x_lp)
             p_new = ev_new.value
-            interior_ok = True
         except InteriorViolated:
             p_new = -np.inf
-            interior_ok = False
-        accept = interior_ok and feasible and p_new >= p - INFEAS_TOL
+        accept = feasible and p_new >= p - INFEAS_TOL
+        climbed = not feasible and p_new > phat + 1e-12    # a successful restoration step
         if accept:
-            prev_cost = float(problem.cost @ x)
-            new_cost = float(problem.cost @ x_lp)
-            x, phat = x_lp, p_new
-            g = ev_new.gradient().gradient
-            if new_cost >= prev_cost - 1e-12:
+            if float(problem.cost @ x_lp) >= float(problem.cost @ x) - 1e-12:
                 # No cost progress: contract to break vertex zigzags.
                 delta = max(delta * SHRINK, DELTA_MIN)
             else:
                 delta = min(delta * GROW, DELTA_MAX)
-        else:
-            if interior_ok and not feasible and p_new > phat + 1e-12:
-                # Successful restoration step.
-                x, phat = x_lp, p_new
-                g = ev_new.gradient().gradient
-            else:
-                delta *= SHRINK
-                if delta < DELTA_MIN:
-                    raise LPInfeasible("trust region exhausted while rejecting steps")
+        elif not climbed:
+            delta *= SHRINK
+            if delta < DELTA_MIN:
+                raise _give_up(trace, p, "trust region exhausted while rejecting steps")
+        if accept or climbed:
+            x, ev, phat = x_lp, ev_new, p_new
+            g = ev.gradient().gradient
         trace.records.append(IterationRecord(k, x.copy(), float(problem.cost @ x),
                                              phat, step, delta, accept))
         if accept and step <= STEP_TOL and (abs(phat - p) <= PROB_BAND

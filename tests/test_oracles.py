@@ -188,21 +188,32 @@ class TestHyperbolicOracle:
                 np.linalg.norm(U, axis=1) * np.linalg.norm(N, axis=1))
             assert np.abs(cross).max() <= 1e-5
 
-    def test_foot_matches_extended_precision(self):
+    @staticmethod
+    def _assert_feet_polished(x, W):
         # Polishing each foot with long-double Newton steps on the quartic
         # moves it by a few ulps at most.
+        a = sp.make_hyperbolic_set().project([x], W)[:, 0] + 2.0
+        p, q = (W + 2.0).astype(np.longdouble).T
+        ref, xl = a.astype(np.longdouble), np.longdouble(x)
+        for _ in range(4):
+            ref -= ((ref ** 3 * (ref - p) + xl * (q * ref - xl))
+                    / (ref * ref * (4 * ref - 3 * p) + xl * q))
+        assert np.all(np.abs(a - ref.astype(float)) <= 8 * np.spacing(a))
+
+    def test_foot_matches_extended_precision(self):
         oracle = sp.make_hyperbolic_set()
         rng = np.random.default_rng(23)
         for x in (0.75, 2.25, 3.25):
             W = rng.uniform(-4.0, 4.0, (4000, 2))
-            W = W[~oracle.contains([x], W)]
-            a = oracle.project([x], W)[:, 0] + 2.0
-            p, q = (W + 2.0).astype(np.longdouble).T
-            ref, xl = a.astype(np.longdouble), np.longdouble(x)
-            for _ in range(4):
-                ref -= ((ref ** 3 * (ref - p) + xl * (q * ref - xl))
-                        / (ref * ref * (4 * ref - 3 * p) + xl * q))
-            assert np.all(np.abs(a - ref.astype(float)) <= 8 * np.spacing(a))
+            self._assert_feet_polished(x, W[~oracle.contains([x], W)])
+
+    def test_far_exterior_feet(self):
+        # Far below or left of the body the foot is near |w|^(1/3) from the
+        # curve's end, and Newton starts within a factor of it.
+        W = np.array([[-3.0, -1e38], [-1e36, -1e36], [-3.0, -1e80]])
+        P = sp.make_hyperbolic_set().project([1.0], W)
+        assert np.array_equal(P[1], [-1.0, -1.0])
+        self._assert_feet_polished(1.0, W)
 
     def test_idempotent_and_variational(self):
         oracle = sp.make_hyperbolic_set()
@@ -263,9 +274,12 @@ class TestHyperbolicOracle:
     def test_step_cap_raises(self, monkeypatch):
         # A row still moving when the Newton steps run out is reported, and so
         # is one whose quartic overflows (with numpy's warnings), never a NaN
-        # projection.
+        # projection; so is a foot that cancels to a <= 0 far left of the
+        # body, never an infinite one.
         with pytest.raises(sp.ProjectionDiverged), np.errstate(over="ignore", invalid="ignore"):
-            _hyperbolic_project(0.75, np.array([[-3.0, -1e80]]))
+            _hyperbolic_project(0.75, np.array([[-3.0, -1e300]]))
+        with pytest.raises(sp.ProjectionDiverged):
+            _hyperbolic_project(1.0, np.array([[-1e17, 0.0]]))
         monkeypatch.setattr(oracles, "_PROJECT_MAX_NEWTON", 2)
         with pytest.raises(sp.ProjectionDiverged):
             _hyperbolic_project(0.75, np.array([[-5.0, 3.0]]))

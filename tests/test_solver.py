@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import optimize, stats
 
 import sphrad as sp
-from sphrad.solver import INFEAS_TOL, _lp_box_cut
+from sphrad.solver import INFEAS_TOL, PROB_BAND, _lp_box_cut
 
 
 def _model2():
@@ -51,17 +53,23 @@ class TestLPBoxCut:
         assert ok and slack and x[0] == 0.0
 
 
+# phat is 0.52 at 0.05, so that start climbs to the level first.
+_starts = pytest.mark.parametrize("start", [[3.0], [0.05]], ids=["feasible", "infeasible"])
+
+
 class TestHalfspaceSolve:
-    def test_quantile_solution(self):
-        problem = _halfspace_problem(start=[3.0])
+    @_starts
+    def test_quantile_solution(self, start):
+        problem = _halfspace_problem(start=start)
         x, trace = sp.solve(problem)
         assert trace.status in ("converged", "box_optimum")
         assert abs(x[0] - stats.norm.ppf(0.8)) <= 2e-3
         val = sp.validate(x, problem)
         assert abs(val.value - 0.8) <= 3 * val.std_error + 5e-3
 
-    def test_monotone_feasibility(self):
-        problem = _halfspace_problem(start=[3.0])
+    @_starts
+    def test_monotone_feasibility(self, start):
+        problem = _halfspace_problem(start=start)
         _, trace = sp.solve(problem)
         for rec in trace.records:
             if rec.accepted:
@@ -164,24 +172,53 @@ class TestEnergyProblemSmall:
         assert np.all(x[:2] < params.wind_coeff * params.mu_wind**3)
 
 
+    def test_infeasible_interior_start_climbs(self):
+        # Both dispatch decisions inside their bounds, below the level.
+        problem = dataclasses.replace(
+            sp.make_energy_problem(sp.EnergyParams(periods=2), n_dirs=2000,
+                                   validate_n=20000),
+            start=[1.0, 1.0, 9.5, 9.5])
+        x, trace = sp.solve(problem)
+        assert trace.records[0].phat < 0.8 - INFEAS_TOL
+        assert trace.status == "converged"
+        assert abs(trace.records[-1].phat - 0.8) <= PROB_BAND
+
+
+def _recording_hits(monkeypatch, problem):
+    """Record the decision of every ray batch on the evaluation set."""
+    import sphrad.estimates as estimates
+    from sphrad.radial import inequality_hits
+
+    solved = []
+
+    def recording(system, x, dirs, model):
+        if dirs is problem.eval_dirs.directions:
+            solved.append(np.asarray(x, dtype=float).tobytes())
+        return inequality_hits(system, x, dirs, model)
+
+    monkeypatch.setattr(estimates, "inequality_hits", recording)
+    return solved
+
+
+class TestDefaultEnergySolve:
+    def test_work_and_cost(self, monkeypatch):
+        # The case study at its defaults: 86 ray batches, cost 223.7372.
+        problem = sp.make_energy_problem(validate_n=1000)
+        solved = _recording_hits(monkeypatch, problem)
+        x, trace = sp.solve(problem)
+        assert trace.status == "converged"
+        assert len(solved) <= 86
+        assert abs(float(problem.cost @ x) - 223.7372) <= 0.01
+
+
 class TestOneSolvePerDecision:
     def test_no_decision_solved_twice(self, monkeypatch):
         # The reduced instance of the CLI determinism criterion: every
         # decision's rays on the evaluation set are solved once, and the
         # gradient reads the same hits as the value.
-        import sphrad.estimates as estimates
-        from sphrad.radial import inequality_hits
-
         problem = sp.make_energy_problem(sp.EnergyParams(periods=2), n_dirs=800,
                                          validate_n=20000)
-        solved = []
-
-        def recording(system, x, dirs, model):
-            if dirs is problem.eval_dirs.directions:
-                solved.append(np.asarray(x, dtype=float).tobytes())
-            return inequality_hits(system, x, dirs, model)
-
-        monkeypatch.setattr(estimates, "inequality_hits", recording)
+        solved = _recording_hits(monkeypatch, problem)
         _, trace = sp.solve(problem)
         assert trace.status == "converged"
         assert len(solved) >= len(trace.records)
