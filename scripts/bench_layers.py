@@ -32,7 +32,10 @@ An oracle section times ``radial.enlarged_hits`` in oracle mode, where the
 projection dominates, on 10k QMC directions of the standard model: the
 hyperbolic set at x = 0.75 and 2.25 and the ball in dimension 8 at x = 3,
 all at eps = 0.05.  It reports the median ms of one call and the
-``project`` rows per ray that call asks for.  A ray-rows section counts the
+``project`` rows per ray that call asks for.  It also counts the ``project``
+rows per finite ray of one ``Evaluation.gradient`` at eps = 0 and 0.05, on
+the hyperbolic set at x = 2.25 and the ball in dimension 8 at x = 3: one
+projection per finite ray at either eps.  A ray-rows section counts the
 ``eval_g`` and ``grad_z_g`` rows per ray of one ``evaluate`` on 10k QMC
 directions of the standard model, for the systems on the doubling scan:
 the slab in dimension 8 at x = -0.5 and the hyperbolic system at x = 2.25.
@@ -124,6 +127,17 @@ ORACLE_CASES = {
 ORACLE_EPS = 0.05
 
 
+def counted_project(oracle):
+    """``oracle`` with a ``project`` that appends its row count to the returned list."""
+    rows = []
+
+    def project(x_, Z):
+        rows.append(Z.shape[0])
+        return oracle.project(x_, Z)
+
+    return dataclasses.replace(oracle, project=project), rows
+
+
 def oracle_layers(repeats):
     """Median ms of one ``enlarged_hits`` call and its ``project`` rows per ray."""
     out = {}
@@ -131,17 +145,32 @@ def oracle_layers(repeats):
         oracle = make()
         V = sp.sample_sphere(m, 10000, seed=sp.DEFAULT_SEED).directions
         model = sp.build_model(np.zeros(m), np.eye(m))
-        rows = []
-
-        def project(x_, Z, _project=oracle.project):
-            rows.append(Z.shape[0])
-            return _project(x_, Z)
-
-        counted = dataclasses.replace(oracle, project=project)
+        counted, rows = counted_project(oracle)
         radial.enlarged_hits(counted, [x], V, ORACLE_EPS, model)
         ms = median_ms(lambda: radial.enlarged_hits(oracle, [x], V, ORACLE_EPS, model), repeats)
         out[name] = {"enlarged_hits_ms": round(ms, 4),
                      "project_rows_per_ray": round(sum(rows) / V.shape[0], 4)}
+    return out
+
+
+GRADIENT_CASES = ("hyperbolic_set_x2.25", "ball_dim8_x3")
+GRADIENT_EPS = (0.0, ORACLE_EPS)
+
+
+def gradient_project_rows():
+    """``project`` rows per finite ray of one ``gradient()`` at each GRADIENT_EPS."""
+    out = {}
+    for name in GRADIENT_CASES:
+        make, x, m = ORACLE_CASES[name]
+        counted, rows = counted_project(make())
+        dirs = sp.sample_sphere(m, 10000, seed=sp.DEFAULT_SEED)
+        model = sp.build_model(np.zeros(m), np.eye(m))
+        out[name] = {}
+        for eps in GRADIENT_EPS:
+            ev = estimates.evaluate(counted, [x], model, dirs, eps=eps)
+            rows.clear()
+            ev.gradient()
+            out[name][f"eps{eps:g}"] = round(sum(rows) / (dirs.n - ev.n_infinite), 4)
     return out
 
 
@@ -252,6 +281,10 @@ def main() -> int:
     for name, rec in oracle.items():
         print(f"{name:22s} {rec['enlarged_hits_ms']:10.3f} ms "
               f"{rec['project_rows_per_ray']:7.3f} project rows/ray")
+    grad_rows = gradient_project_rows()
+    for name, rec in grad_rows.items():
+        print(f"{name:22s} gradient() " + "  ".join(
+            f"{eps} {n:.3f}" for eps, n in rec.items()) + " project rows/finite ray")
     rays = ray_rows()
     for name, rec in rays.items():
         print(f"{name:24s} {rec['eval_g_rows_per_ray']:7.3f} eval_g "
@@ -275,7 +308,8 @@ def main() -> int:
         "counts": counts,
         "layers_ms": layers_ms,
         "peak_mb": peaks,
-        "oracle": {"eps": ORACLE_EPS, "n": 10000, "cases": oracle},
+        "oracle": {"eps": ORACLE_EPS, "n": 10000, "cases": oracle,
+                   "gradient_project_rows_per_finite_ray": grad_rows},
         "ray_rows": {"n": 10000, "cases": rays},
         "chi_cdf_sweep": {"n": 10000, "dims": sweep},
     }

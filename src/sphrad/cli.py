@@ -30,9 +30,8 @@ from .energy import EnergyParams, make_energy_problem
 from .errors import ConfigError, NumericalError, SolverError
 from .estimates import evaluate, fd_gradient
 from .gaussian import DEFAULT_SEED, SphereMethod, build_model, sample_sphere
-from .oracles import (ConvexSetOracle, make_ball, make_constant,
-                      make_halfspace, make_hyperbolic_set,
-                      make_hyperbolic_system, make_slab)
+from .oracles import (make_ball, make_constant, make_halfspace,
+                      make_hyperbolic_set, make_hyperbolic_system, make_slab)
 from .solver import solve, validate
 from .verify import run_all
 
@@ -147,7 +146,7 @@ def _parse_x(text):
 
 
 def _build_fixture(cfg: RunConfig):
-    """Return (target, model, dirs, eps); settings the fixture ignores are rejected."""
+    """Return (target, model, dirs); settings the fixture ignores are rejected."""
     m = cfg.dim
     if cfg.fixture in ("halfspace", "slab", "constant") and cfg.eps is not None:
         raise ConfigError(f"eps applies to hyperbolic and ball, not to {cfg.fixture}")
@@ -170,9 +169,7 @@ def _build_fixture(cfg: RunConfig):
     if len(cfg.x) != target.x_dim:
         raise ConfigError(f"x has {len(cfg.x)} entries, {cfg.fixture} takes {target.x_dim}")
     model = build_model(np.zeros(m), np.eye(m))
-    dirs = sample_sphere(m, cfg.n, seed=cfg.seed, method=SphereMethod(cfg.method))
-    eps = 0.0 if cfg.fixture == "ball" and cfg.eps is None else cfg.eps
-    return target, model, dirs, eps
+    return target, model, sample_sphere(m, cfg.n, seed=cfg.seed, method=SphereMethod(cfg.method))
 
 
 @contextlib.contextmanager
@@ -218,8 +215,8 @@ def _common_payload(cfg: RunConfig) -> dict:
 
 
 def cmd_eval(cfg: RunConfig) -> int:
-    target, model, dirs, eps = _build_fixture(cfg)
-    ev = evaluate(target, cfg.x, model, dirs, eps=eps)
+    target, model, dirs = _build_fixture(cfg)
+    ev = evaluate(target, cfg.x, model, dirs, eps=cfg.eps)
     payload = {"command": "eval", **_common_payload(cfg),
                "value": ev.value, "std_error": ev.std_error,
                "n_infinite": ev.n_infinite}
@@ -231,16 +228,14 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def cmd_grad(cfg: RunConfig) -> int:
-    target, model, dirs, eps = _build_fixture(cfg)
-    if isinstance(target, ConvexSetOracle) and (not eps or eps <= 0):
-        raise ConfigError("gradient of a set oracle needs --eps > 0")
-    est = evaluate(target, cfg.x, model, dirs, eps=eps).gradient(cfg.tie_policy)
+    target, model, dirs = _build_fixture(cfg)
+    est = evaluate(target, cfg.x, model, dirs, eps=cfg.eps).gradient(cfg.tie_policy)
     payload = {"command": "grad", **_common_payload(cfg),
                "tie_policy": cfg.tie_policy,
                "gradient": [float(v) for v in est.gradient],
                "tie_fraction": est.tie_fraction}
     if cfg.check_fd:
-        fd = fd_gradient(target, cfg.x, model, dirs, h0=5e-5, eps=eps)
+        fd = fd_gradient(target, cfg.x, model, dirs, h0=5e-5, eps=cfg.eps)
         rel = float(np.linalg.norm(fd - est.gradient)
                     / max(np.linalg.norm(est.gradient), 1e-12))
         payload["fd_check"] = {"fd_gradient": [float(v) for v in fd], "rel_err": rel}

@@ -44,7 +44,7 @@ class TransversalityBreakdown(NumericalError):
 
 
 class MissingSensitivity(NumericalError):
-    """An enlarged-gradient call needs a sensitivity callback the oracle does not provide."""
+    """A set-oracle gradient needs a sensitivity callback the oracle does not provide."""
 
 
 class SolverError(Exception):

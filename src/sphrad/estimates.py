@@ -22,6 +22,8 @@ from .gaussian import DirectionSet, GaussianModel, RadialLaw, SphereMethod, chi_
 from .oracles import ConvexSetOracle, InequalitySystem
 from .radial import SLOPE_FLOOR, HitBatch, _blocks, enlarged_hits, inequality_hits
 
+NORMAL_PUSH = 1e-7      # relative push along the ray to read eps = 0 oracle normals
+
 
 @dataclass(frozen=True)
 class GradEstimate:
@@ -32,9 +34,10 @@ class GradEstimate:
     common-random-numbers value estimator.
 
     The growth check ``max_ratio`` is the largest |grad_x g| / |grad_z g|
-    over the finite boundary hits (|sensitivity| / |u| for a set oracle).
-    With the chi density it bounds the per-direction weight, so a finite
-    ratio is evidence the gradient estimator is well posed near ``x``.
+    over the finite boundary hits (|sensitivity| for a set oracle, whose
+    normals are unit vectors).  With the chi density it bounds the
+    per-direction weight, so a finite ratio is evidence the gradient
+    estimator is well posed near ``x``.
     """
 
     gradient: np.ndarray
@@ -46,8 +49,9 @@ class GradEstimate:
 class ProbEstimate:
     """Estimated probability and its error bar.
 
-    ``std_error`` is the Monte Carlo standard error and is ``None`` in QMC
-    mode, where no error bar is computed.
+    ``std_error`` is the Monte Carlo standard error (of the antithetic pair
+    means for an even direction count) and is ``None`` in QMC mode, where
+    no error bar is computed.
     """
 
     value: float
@@ -82,27 +86,26 @@ class Evaluation(ProbEstimate):
         ``-pdf(rho) * sum_{i active} lambda_i * n_i / <z_i, Lv>``, with
         ``(n_i, z_i)`` the decision and z normals of constraint ``i`` at the
         boundary point ``mean + rho L v``: ``grad_x g`` and ``grad_z g`` for
-        an inequality system, the oracle's sensitivity and the projection
-        residual ``u`` (norm eps) for a set oracle.  Infinite directions
-        weigh zero.  Ties are split uniformly (``average``) or resolved to
-        the smallest active index (``min_index``); with ties present the
-        result is one element of the subdifferential hull rather than the
-        gradient.  A set oracle needs ``eps > 0`` and a sensitivity callback.
-        The weights are summed over the ray solve's blocks of directions.
+        an inequality system; for a set oracle ``sensitivity(x, P, n)`` and
+        the unit outward normal ``n``, the direction of the residual of one
+        projection ``P`` of the hit.  An eps = 0 root may lie just inside the
+        body, where the residual is 0, so there the hit is first pushed out
+        to ``rho * (1 + NORMAL_PUSH)``.  Infinite directions weigh zero.  Ties
+        are split uniformly (``average``) or resolved to the smallest active
+        index (``min_index``); with ties present the result is one element of
+        the subdifferential hull rather than the gradient.  The weights are
+        summed over the ray solve's blocks of directions.
         """
         if tie_policy not in ("average", "min_index"):
             raise ValueError(f"unknown tie policy {tie_policy!r}")
         hits, x, target, model = self.hits, self.x, self.target, self.model
         oracle = isinstance(target, ConvexSetOracle)
-        if oracle:
-            if self.eps <= 0:
-                raise ValueError("eps must be positive")
-            if target.sensitivity is None:
-                raise MissingSensitivity(
-                    f"{target.name}: enlarged gradients need a sensitivity callback")
+        if oracle and target.sensitivity is None:
+            raise MissingSensitivity(f"{target.name}: gradients need a sensitivity callback")
         # Domain caps are x-independent: they contribute nothing to the gradient
         # but still take their share of the tie weight.
         n_x = hits.act.shape[0] if oracle else target.s
+        push = 1.0 + NORMAL_PUSH if oracle and self.eps == 0 else 1.0
         grad, n_tied, max_ratio2 = np.zeros(target.x_dim), 0, 0.0
         for sl in _blocks(self.dirs.n):
             act, rho = hits.act[:, sl], hits.rho[sl]
@@ -116,11 +119,12 @@ class Evaluation(ProbEstimate):
                 if rows.size == 0:
                     continue
                 LV = self.dirs.directions[sl][rows] @ model.factor_L.T
-                Z = model.mean + rho[rows, None] * LV
+                Z = model.mean + (push * rho[rows])[:, None] * LV
                 if oracle:
                     P = target.project(x, Z)
                     gz = Z - P
-                    gx = np.asarray(target.sensitivity(x, Z, P, gz), dtype=float)
+                    gz /= np.maximum(np.linalg.norm(gz, axis=1), 1e-300)[:, None]
+                    gx = np.asarray(target.sensitivity(x, P, gz), dtype=float)
                 else:
                     gx = np.asarray(target.grad_x_g(i, x, Z), dtype=float)
                     gz = np.asarray(target.grad_z_g(i, x, Z), dtype=float)
@@ -165,10 +169,11 @@ def evaluate(target, x, model: GaussianModel, dirs: DirectionSet,
     else:
         hits = enlarged_hits(target, x, dirs.directions, eps, model)
     e = np.asarray(chi_cdf(RadialLaw(model.dim), hits.rho))
-    if dirs.method is SphereMethod.MONTE_CARLO and dirs.n > 1:
-        std_error = float(np.std(e, ddof=1) / np.sqrt(dirs.n))
-    else:
-        std_error = None
+    std_error = None
+    if dirs.method is SphereMethod.MONTE_CARLO:
+        pairs = e if dirs.n % 2 else (e[0::2] + e[1::2]) / 2    # even n: antithetic pairs
+        if pairs.size > 1:
+            std_error = float(np.std(pairs, ddof=1) / np.sqrt(pairs.size))
     return Evaluation(value=float(dirs.weights @ e), std_error=std_error,
                       n_infinite=int((~np.isfinite(hits.rho)).sum()), e=e, hits=hits,
                       target=target, x=x, model=model, dirs=dirs, eps=eps)

@@ -63,9 +63,10 @@ class ConvexSetOracle:
 
     ``contains(x, Z)`` returns booleans of shape (k,); ``project(x, Z)``
     returns the Euclidean projections, shape (k, m).  ``sensitivity`` is an
-    optional callback ``(x, Z, P, U) -> (k, n)`` supplying the decision-space
-    sensitivity of the body at boundary points, where ``U = Z - P`` are the
-    projection residuals; it is required for enlarged-gradient estimation.
+    optional callback ``(x, P, n) -> (k, x_dim)`` for boundary points ``P``
+    with unit outward normals ``n``: minus the x-gradient of the support
+    function of S(x) at ``n``, so ``grad_x g / |grad_z g|`` for a body
+    ``{g <= 0}``.  Gradients need it, at every eps >= 0.
     """
 
     z_dim: int
@@ -282,12 +283,9 @@ def make_hyperbolic_set() -> ConvexSetOracle:
         out[outside] = _hyperbolic_project(xv, Z[outside])
         return out
 
-    def sensitivity(x, Z, P, U):
-        # Boundary normal is parallel to (p2+2, p1+2); the decision-space
-        # sensitivity has magnitude |u| / |(p2+2, p1+2)| and positive sign
-        # because growing x shrinks the body.
-        norms = np.hypot(P[:, 1] + 2.0, P[:, 0] + 2.0)
-        return (np.linalg.norm(U, axis=1) / norms)[:, None]
+    def sensitivity(x, P, n):
+        # 1 / |grad_z g| at P, positive because growing x shrinks the body.
+        return 1.0 / np.hypot(P[:, 1] + 2.0, P[:, 0] + 2.0)[:, None]
 
     return ConvexSetOracle(z_dim=2, contains=contains, project=project,
                            sensitivity=sensitivity, x_dim=1, name="hyperbolic_set")
@@ -316,9 +314,8 @@ def make_ball(center=None, z_dim: int = 2) -> ConvexSetOracle:
             out[outside] = center + diff[outside] * (xv / norms[outside])[:, None]
         return out
 
-    def sensitivity(x, Z, P, U):
-        # Growing the radius grows the body, hence the negative sign.
-        return -np.linalg.norm(U, axis=1)[:, None]
+    def sensitivity(x, P, n):
+        return np.full((P.shape[0], 1), -1.0)      # growing the radius grows the body
 
     return ConvexSetOracle(z_dim=m, contains=contains, project=project,
                            sensitivity=sensitivity, x_dim=1, name="ball")

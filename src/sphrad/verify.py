@@ -89,41 +89,34 @@ def check_sphere_unbiasedness(quick=False):
     d = sample_sphere(3, n, seed=11, method=SphereMethod.MONTE_CARLO)
     u = np.array([1.0, 0.0, 0.0])
     vals = np.maximum(d.directions @ u, 0.0)
-    est, se = vals.mean(), vals.std(ddof=1) / np.sqrt(n)
+    pairs = (vals[0::2] + vals[1::2]) / 2      # antithetic pairs (v, -v)
+    est, se = pairs.mean(), pairs.std(ddof=1) / np.sqrt(n // 2)
     err = abs(est - 0.25)          # hemisphere average of max(<u,v>,0) in R^3
     ok = err <= 3 * se + 1e-12
     return ok, f"|est - 0.25| = {err:.2e} vs 3 SE = {3 * se:.2e}"
 
 
-def check_halfspace_analytic(quick=False):
+def _analytic(system, x, value, grad, quick):
+    """Value and gradient errors at ``x`` against closed forms, on 10k QMC
+    directions (1k in quick mode, with the tolerance widened by sqrt(10))."""
     n = 1000 if quick else 10000
-    scale = np.sqrt(10000 / n)
-    model = _model(2)
     dirs = sample_sphere(2, n, seed=DEFAULT_SEED, method=SphereMethod.QMC)
-    sys_ = make_halfspace([1.0, 0.0])
-    ev = evaluate(sys_, [1.0], model, dirs)
-    v, g = ev.value, ev.gradient().gradient[0]
-    ev, eg = abs(v - stats.norm.cdf(1)), abs(g - stats.norm.pdf(1))
-    tol = 1e-3 * scale
-    ok = ev <= tol and eg <= tol
-    return ok, f"value err {ev:.2e}, grad err {eg:.2e} (tol {tol:.1e})"
+    ev = evaluate(system, [x], _model(2), dirs)
+    dv, dg = abs(ev.value - value), abs(ev.gradient().gradient[0] - grad)
+    tol = 1e-3 * np.sqrt(10000 / n)
+    return dv <= tol and dg <= tol, f"value err {dv:.2e}, grad err {dg:.2e} (tol {tol:.1e})"
+
+
+def check_halfspace_analytic(quick=False):
+    return _analytic(make_halfspace([1.0, 0.0]), 1.0, stats.norm.cdf(1), stats.norm.pdf(1),
+                     quick)
 
 
 def check_slab_analytic(quick=False):
-    n = 1000 if quick else 10000
-    scale = np.sqrt(10000 / n)
-    model = _model(2)
-    dirs = sample_sphere(2, n, seed=DEFAULT_SEED, method=SphereMethod.QMC)
-    sys_ = make_slab([1.0, 0.0], lambda x: x[0], lambda x: np.array([1.0]))
     tau = slab_threshold(-1.0)
-    ev = evaluate(sys_, [-1.0], model, dirs)
-    v, g = ev.value, ev.gradient().gradient[0]
-    v_true = 2 * stats.norm.cdf(tau) - 1
-    g_true = 2 * stats.norm.pdf(tau) * (-np.exp(2) / tau)
-    ev, eg = abs(v - v_true), abs(g - g_true)
-    tol = 1e-3 * scale
-    ok = ev <= tol and eg <= tol
-    return ok, f"value err {ev:.2e}, grad err {eg:.2e} (tol {tol:.1e})"
+    slab = make_slab([1.0, 0.0], lambda x: x[0], lambda x: np.array([1.0]))
+    return _analytic(slab, -1.0, 2 * stats.norm.cdf(tau) - 1,
+                     2 * stats.norm.pdf(tau) * (-np.exp(2) / tau), quick)
 
 
 def check_radial_lemmas(quick=False):
@@ -176,40 +169,45 @@ def check_enlargement_limit(quick=False):
     tol = 2e-3 * (2.0 if quick else 1.0)
     model = _model(2)
     dirs = sample_sphere(2, n, seed=DEFAULT_SEED, method=SphereMethod.QMC)
-    msgs = []
-    ok = True
+    msgs, ok = [], True
     for oracle, x in ((make_ball(np.zeros(2)), [1.0]), (make_hyperbolic_set(), [1.0])):
         vals = [evaluate(oracle, x, model, dirs, eps=e).value
                 for e in (0.5, 0.1, 0.01, 0.001)]
         base = evaluate(oracle, x, model, dirs, eps=0.0).value
         mono = all(vals[i] >= vals[i + 1] - 1e-12 for i in range(3)) and vals[-1] >= base - 1e-12
         gap = abs(vals[-1] - base)
-        if not (mono and gap <= tol):
-            ok = False
+        ok &= mono and gap <= tol
         msgs.append(f"{oracle.name}: gap {gap:.2e} mono {mono}")
     return ok, "; ".join(msgs)
 
 
 def check_growth_diagnostics(quick=False):
     n = 500 if quick else 2000
-    model = _model(2)
     dirs = sample_sphere(2, n, seed=DEFAULT_SEED, method=SphereMethod.QMC)
-    msgs = []
-    ok = True
-    rep = evaluate(make_halfspace([1.0, 0.0]), [1.0], model, dirs).gradient()
-    if abs(rep.max_ratio - 1.0) > 1e-9:
-        ok = False
-    msgs.append(f"halfspace ratio {rep.max_ratio:.6f}")
-    rep = evaluate(make_hyperbolic_system(), [1.0], model, dirs).gradient()
-    if not rep.max_ratio <= 1.0 / np.sqrt(1.0) + 1e-9:
-        ok = False
-    msgs.append(f"hyperbolic ratio {rep.max_ratio:.6f} <= 1")
-    rep = evaluate(make_slab([1.0, 0.0], lambda x: x[0], lambda x: np.array([1.0])),
-                   [-1.0], model, dirs).gradient()
-    if not np.isfinite(rep.max_ratio):
-        ok = False
-    msgs.append(f"slab ratio {rep.max_ratio:.3f}")
-    return ok, "; ".join(msgs)
+    ratio = lambda target, x: evaluate(target, [x], _model(2), dirs).gradient().max_ratio
+    half = ratio(make_halfspace([1.0, 0.0]), 1.0)
+    hyp = ratio(make_hyperbolic_system(), 1.0)
+    slab = ratio(make_slab([1.0, 0.0], lambda x: x[0], lambda x: np.array([1.0])), -1.0)
+    ok = abs(half - 1.0) <= 1e-9 and hyp <= 1.0 + 1e-9 and np.isfinite(slab)
+    return ok, (f"halfspace ratio {half:.6f}; hyperbolic ratio {hyp:.6f} <= 1; "
+                f"slab ratio {slab:.3f}")
+
+
+def check_oracle_gradient_eps0(quick=False):
+    # The hyperbolic set and system are one body; a ball around the mean has
+    # the chi pdf as its derivative.
+    n = 2000 if quick else 10000
+
+    def grad(target, m, x, eps=None):
+        dirs = sample_sphere(m, n, seed=DEFAULT_SEED, method=SphereMethod.QMC)
+        return evaluate(target, [x], _model(m), dirs, eps=eps).gradient().gradient[0]
+
+    rel = max(abs(grad(make_hyperbolic_set(), 2, x, 0.0) / grad(make_hyperbolic_system(), 2, x)
+                  - 1.0) for x in (0.75, 2.25, 3.25))
+    err = max(abs(grad(make_ball(np.zeros(m)), m, 1.5, 0.0) - chi_pdf(RadialLaw(m), 1.5))
+              for m in (2, 8))
+    ok = rel <= 1e-7 and err <= 1e-12
+    return ok, f"hyperbolic set vs system {rel:.2e} rel; ball vs chi pdf {err:.2e}"
 
 
 def check_crn_identity(quick=False):
@@ -236,6 +234,7 @@ ALL_CHECKS = (
     ("radial-lemmas", check_radial_lemmas),
     ("enlargement-limit", check_enlargement_limit),
     ("growth-diagnostics", check_growth_diagnostics),
+    ("oracle-gradient-eps0", check_oracle_gradient_eps0),
     ("crn-identity", check_crn_identity),
 )
 

@@ -5,7 +5,7 @@ decisions."""
 import numpy as np
 
 import sphrad as sp
-from sphrad.estimates import fd_gradient
+from sphrad.estimates import NORMAL_PUSH, fd_gradient
 from sphrad.gaussian import RadialLaw
 from sphrad.radial import inequality_hits
 
@@ -20,13 +20,15 @@ def reference_weights(ev, tie_policy="average"):
     """Per-direction gradient weights (n_directions, x_dim) of an evaluation,
     from its hits and the target's callbacks: the sum over the active
     constraints i of ``-pdf(rho) * lam_i * grad_x g_i / <grad_z g_i, L v>``
-    (sensitivity and residual ``u`` for a set oracle), zero on infinite
+    (sensitivity and unit outward normal for a set oracle, read at the hit
+    pushed out by ``NORMAL_PUSH`` when eps = 0), zero on infinite
     directions.  ``dirs.weights @`` these is the gradient."""
     hits, target, x, model = ev.hits, ev.target, ev.x, ev.model
     oracle = isinstance(target, sp.ConvexSetOracle)
     pdf = sp.chi_pdf(RadialLaw(model.dim), hits.rho)
     n_active = hits.act.sum(axis=0)
     w = np.zeros((ev.dirs.n, target.x_dim))
+    push = 1.0 + NORMAL_PUSH if oracle and ev.eps == 0 else 1.0
     for i in range(1 if oracle else target.s):
         rows = np.flatnonzero(hits.act[i] & np.isfinite(hits.rho))
         if tie_policy == "min_index":
@@ -34,10 +36,11 @@ def reference_weights(ev, tie_policy="average"):
         if rows.size == 0:
             continue
         lv = ev.dirs.directions[rows] @ model.factor_L.T
-        z = model.mean + hits.rho[rows, None] * lv
+        z = model.mean + (push * hits.rho[rows])[:, None] * lv
         if oracle:
             p = target.project(x, z)
-            gx, gz = target.sensitivity(x, z, p, z - p), z - p
+            gz = (z - p) / np.linalg.norm(z - p, axis=1)[:, None]
+            gx = target.sensitivity(x, p, gz)
         else:
             gx, gz = target.grad_x_g(i, x, z), target.grad_z_g(i, x, z)
         lam = 1.0 if tie_policy == "min_index" else 1.0 / n_active[rows]

@@ -188,6 +188,23 @@ class TestGradCommand:
         expected = 2 * stats.norm.pdf(tau) * (-np.exp(2) / tau)
         assert abs(json.loads(out.read_text())["gradient"][0] - expected) <= 1e-3
 
+    def test_ball_gradient_at_zero_eps(self, tmp_path):
+        # eps defaults to 0 for the ball; d/dx P[|z| <= x] is the chi pdf,
+        # exp(-1/2) at x = 1 in dimension 2.
+        out = tmp_path / "grad.json"
+        proc = run_cli("grad", "--fixture", "ball", "--x", "1", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(out.read_text())
+        assert payload["eps"] is None
+        assert abs(payload["gradient"][0] - np.exp(-0.5)) <= 1e-12
+
+    def test_hyperbolic_set_gradient_at_zero_eps_matches_fd(self, tmp_path):
+        out = tmp_path / "grad.json"
+        proc = run_cli("grad", "--fixture", "hyperbolic", "--x", "2.25", "--eps", "0",
+                       "--check-fd", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(out.read_text())["fd_check"]["rel_err"] <= 1e-6
+
 
 class TestDeterminism:
     def test_eval_rerun_identical(self, tmp_path):
@@ -315,6 +332,16 @@ class TestVerifyCommand:
         monkeypatch.setattr(verify_mod, "chi_cdf", shifted_cdf)
         assert verify_mod.check_chi_consistency(quick=True)[0]
         assert not verify_mod.check_chi_cdf_reference(quick=True)[0]
+
+    def test_coarse_normal_push_caught(self, monkeypatch):
+        # Reading eps = 0 normals 1e-4 beyond the hit biases the oracle
+        # gradient by about 1e-5 relative; the check holds it to 1e-7.
+        import sphrad.estimates as estimates_mod
+        import sphrad.verify as verify_mod
+
+        assert verify_mod.check_oracle_gradient_eps0(quick=True)[0]
+        monkeypatch.setattr(estimates_mod, "NORMAL_PUSH", 1e-4)
+        assert not verify_mod.check_oracle_gradient_eps0(quick=True)[0]
 
     def test_failure_exit_code_5(self, monkeypatch, capsys):
         import sphrad.cli as cli_mod

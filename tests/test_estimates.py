@@ -193,6 +193,20 @@ class TestProbValue:
         assert mc.std_error is not None and mc.std_error > 0
         assert qmc.std_error is None
 
+    @pytest.mark.parametrize("system, x", [
+        (sp.make_slab(np.eye(8)[0], lambda x: x[0], lambda x: np.array([1.0])), -0.5),
+        (sp.make_halfspace(np.eye(8)[0]), 0.5)], ids=["slab", "halfspace"])
+    def test_std_error_matches_spread_over_seeds(self, system, x):
+        # The two directions of an antithetic pair are correlated (positively
+        # on the symmetric slab, negatively on the halfspace), so the error
+        # bar is read from the pair means.
+        model = sp.build_model(np.zeros(8), np.eye(8))
+        ests = [sp.evaluate(system, [x], model,
+                            _dirs(n=1000, m=8, seed=seed, method=sp.SphereMethod.MONTE_CARLO))
+                for seed in range(200)]
+        ratio = np.std([e.value for e in ests], ddof=1) / np.mean([e.std_error for e in ests])
+        assert 0.85 <= ratio <= 1.15
+
     def test_oracle_with_eps(self):
         # Enlarging a ball of radius x by eps gives the chi cdf at x + eps.
         law = RadialLaw(2)
@@ -368,7 +382,7 @@ class TestEnlargedGradient:
         expected = sp.chi_pdf(law, 1.25)
         se = reference_weights(ev)[:, 0].std(ddof=1) / np.sqrt(dirs.n)
         assert abs(est.gradient[0] - expected) <= max(3 * se, 1e-9)
-        # Growth check in oracle mode: |sensitivity| / |u| = |d/dx dist| = 1.
+        # Growth check in oracle mode: |sensitivity| at a unit normal = |d/dx dist| = 1.
         assert est.max_ratio == pytest.approx(1.0, abs=1e-12)
         assert dirs.n - ev.n_infinite == dirs.n
 
@@ -398,10 +412,79 @@ class TestEnlargedGradient:
         with pytest.raises(sp.MissingSensitivity):
             sp.evaluate(bare, [1.0], _model2(), _dirs(n=16), eps=0.1).gradient()
 
-    def test_nonpositive_eps_rejected(self):
-        with pytest.raises(ValueError):
-            sp.evaluate(sp.make_ball(np.zeros(2)), [1.0], _model2(), _dirs(n=16),
-                        eps=0.0).gradient()
+
+def _energy_box(params):
+    """The energy event as a set oracle, the box z_w >= max(0, cbrt(pw / c)),
+    z_l <= pw + pg, sharing no callback with ``make_energy_system``."""
+    T, c = params.periods, params.wind_coeff
+
+    def bounds(x):
+        pw, pg = np.split(np.asarray(x, dtype=float).reshape(-1), 2)
+        return (np.r_[np.maximum(0.0, np.cbrt(pw / c)), np.full(T, -np.inf)],
+                np.r_[np.full(T, np.inf), pw + pg])
+
+    def contains(x, Z):
+        lo, hi = bounds(x)
+        return np.all((Z >= lo) & (Z <= hi), axis=1)
+
+    def sensitivity(x, P, n):
+        # Minus the x-gradient of the support function: a wind face moves out
+        # along -e_t at d lo_t / d pw_t, a load face along e_{T+t} at -1.
+        pw = np.asarray(x, dtype=float)[:T]
+        wind, load = -np.minimum(n[:, :T], 0.0), np.maximum(n[:, T:], 0.0)
+        return np.hstack([wind / (3 * np.cbrt(c) * np.cbrt(pw) ** 2) - load, -load])
+
+    return sp.ConvexSetOracle(z_dim=2 * T, contains=contains,
+                              project=lambda x, Z: np.clip(Z, *bounds(x)),
+                              sensitivity=sensitivity, x_dim=2 * T, name="energy_box")
+
+
+class TestOracleGradientAtZero:
+    """At eps = 0 the oracle gradient reads its normals just outside the body."""
+
+    @pytest.mark.parametrize("x", [0.75, 2.25, 3.25])
+    def test_hyperbolic_set_matches_system(self, x):
+        dirs, model = _dirs(), _model2()
+        ev = sp.evaluate(sp.make_hyperbolic_set(), [x], model, dirs, eps=0.0)
+        g = ev.gradient()
+        ref = sp.evaluate(sp.make_hyperbolic_system(), [x], model, dirs).gradient()
+        assert abs(g.gradient[0] / ref.gradient[0] - 1) <= 1e-7
+        assert g.max_ratio == pytest.approx(ref.max_ratio, rel=1e-6)
+        fd = fd_gradient(sp.make_hyperbolic_set(), [x], model, dirs, h0=5e-5, eps=0.0)
+        assert abs(fd[0] / g.gradient[0] - 1) <= 1e-6
+        np.testing.assert_allclose(g.gradient, dirs.weights @ reference_weights(ev),
+                                   rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("m", [2, 8])
+    def test_ball_at_mean_gives_chi_pdf(self, m):
+        model = sp.build_model(np.zeros(m), np.eye(m))
+        est = sp.evaluate(sp.make_ball(np.zeros(m)), [1.5], model, _dirs(n=2000, m=m),
+                          eps=0.0).gradient()
+        assert abs(est.gradient[0] - sp.chi_pdf(RadialLaw(m), 1.5)) <= 1e-12
+        assert est.max_ratio == pytest.approx(1.0, abs=1e-12)
+
+    def test_energy_box_matches_system(self):
+        system, model, x, _ = energy_case("interior")
+        box, dirs = _energy_box(sp.EnergyParams()), _dirs(m=8)
+        ev = sp.evaluate(box, x, model, dirs, eps=0.0)
+        ref = sp.evaluate(system, x, model, dirs)
+        assert abs(ev.value - ref.value) <= 1e-12
+        g, g_ref = ev.gradient().gradient, ref.gradient().gradient
+        assert np.linalg.norm(g - g_ref) <= 1e-12 * np.linalg.norm(g_ref)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    def test_one_projection_per_finite_direction(self, eps):
+        oracle, rows = sp.make_hyperbolic_set(), []
+
+        def project(x, Z):
+            rows.append(Z.shape[0])
+            return oracle.project(x, Z)
+
+        counted = dataclasses.replace(oracle, project=project)
+        ev = sp.evaluate(counted, [2.25], _model2(), _dirs(n=2000), eps=eps)
+        rows.clear()
+        ev.gradient()
+        assert sum(rows) == ev.dirs.n - ev.n_infinite
 
 
 class TestEnlargedValueOracle:
