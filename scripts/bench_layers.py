@@ -39,6 +39,10 @@ projection per finite ray at either eps.  A ray-rows section counts the
 ``eval_g`` and ``grad_z_g`` rows per ray of one ``evaluate`` on 10k QMC
 directions of the standard model, for the systems on the doubling scan:
 the slab in dimension 8 at x = -0.5 and the hyperbolic system at x = 2.25.
+A periods section times ``closed_form_roots``, ``evaluate`` and
+``gradient`` of the dispatch at 4, 24 and 48 periods, at the interior
+decision ``(pw, pg) = (0.35, 10)`` in every period, on 10k QMC directions
+(the evaluation set of ``make_energy_problem``); it solves nothing.
 A chi-cdf sweep times the tail sum of ``sphrad.gaussian`` against the
 ``gammainc`` path it falls back to, each forced at every swept dimension,
 on 10k radii of two kinds: a chi law's, 30% infinite, and uniform on
@@ -202,6 +206,29 @@ def ray_rows():
     return out
 
 
+PERIODS = (4, 24, 48)
+PERIODS_DECISION = (0.35, 10.0)     # (wind, generation) in every period
+
+
+def period_layers(repeats):
+    """Median ms of the dispatch's layers at each of PERIODS, and its value."""
+    out = {}
+    for T in PERIODS:
+        params = sp.EnergyParams(periods=T)
+        system, model = sp.make_energy_system(params), sp.build_energy_covariance(params)
+        dirs = sp.sample_sphere(model.dim, 10000, seed=sp.DEFAULT_SEED)
+        x = np.repeat(PERIODS_DECISION, T)
+        ev = estimates.evaluate(system, x, model, dirs)
+        layers = {
+            "closed_form_roots": lambda: radial.inequality_hits(system, x, dirs.directions, model),
+            "evaluate": lambda: estimates.evaluate(system, x, model, dirs),
+            "gradient": ev.gradient,
+        }
+        out[str(T)] = {"value": ev.value, **{name: round(median_ms(fn, repeats), 4)
+                                               for name, fn in layers.items()}}
+    return out
+
+
 ABOVE_DIM = 320                 # a chi dimension above the tail sum's cutoff
 SWEEP_DIMS = (8, 64, 128, 192, 256, 288)    # the sum overflows from m = 296
 
@@ -289,6 +316,10 @@ def main() -> int:
     for name, rec in rays.items():
         print(f"{name:24s} {rec['eval_g_rows_per_ray']:7.3f} eval_g "
               f"{rec['grad_z_g_rows_per_ray']:7.3f} grad_z_g rows/ray")
+    periods = period_layers(args.repeats)
+    for T, rec in periods.items():
+        print(f"periods={T:>3s} " + "  ".join(f"{name} {ms:.3f} ms" for name, ms in rec.items()
+                                              if name != "value"))
     sweep = chi_sweep(args.repeats)
     for m, rec in sweep.items():
         print(f"chi_cdf m={m:>4s} " + "  ".join(
@@ -311,14 +342,16 @@ def main() -> int:
         "oracle": {"eps": ORACLE_EPS, "n": 10000, "cases": oracle,
                    "gradient_project_rows_per_finite_ray": grad_rows},
         "ray_rows": {"n": 10000, "cases": rays},
+        "periods": {"decision": PERIODS_DECISION, "n": 10000, "cases": periods},
         "chi_cdf_sweep": {"n": 10000, "dims": sweep},
     }
     if args.baseline:
         with open(args.baseline, encoding="utf-8") as fh:
             base = json.load(fh)
-        # Files from before the oracle or ray-rows section have none.
+        # Files from before the oracle, ray-rows or periods section have none.
         report["baseline"] = {k: base[k] for k in ("machine", "repeats", "solve", "counts",
-                                                   "layers_ms", "peak_mb", "oracle", "ray_rows")
+                                                   "layers_ms", "peak_mb", "oracle", "ray_rows",
+                                                   "periods")
                               if k in base}
         report["speedup"] = {name: round(base["layers_ms"][name] / ms, 3)
                              for name, ms in layers_ms.items() if name in base["layers_ms"]}
@@ -326,6 +359,11 @@ def main() -> int:
             for name, rec in oracle.items():
                 report["speedup"][f"enlarged_hits/{name}"] = round(
                     base["oracle"]["cases"][name]["enlarged_hits_ms"] / rec["enlarged_hits_ms"], 3)
+        for T, rec in base.get("periods", {}).get("cases", {}).items():
+            for name, ms in rec.items():
+                if name != "value":
+                    report["speedup"][f"periods/{T}/{name}"] = round(
+                        ms / periods[T][name], 3)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")

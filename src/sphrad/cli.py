@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import ctypes
 import dataclasses
 import functools
 import json
@@ -30,8 +31,8 @@ from .energy import EnergyParams, make_energy_problem
 from .errors import ConfigError, NumericalError, SolverError
 from .estimates import evaluate, fd_gradient
 from .gaussian import DEFAULT_SEED, SphereMethod, build_model, sample_sphere
-from .oracles import (make_ball, make_constant, make_halfspace,
-                      make_hyperbolic_set, make_hyperbolic_system, make_slab)
+from .oracles import (build_energy_covariance, make_ball, make_constant, make_energy_system,
+                      make_halfspace, make_hyperbolic_set, make_hyperbolic_system, make_slab)
 from .solver import solve, validate
 from .verify import run_all
 
@@ -49,7 +50,7 @@ COMMAND_FIELDS = {
 }
 
 _FLAGS = {
-    "fixture": dict(help="halfspace | slab | hyperbolic | ball | constant"),
+    "fixture": dict(help="halfspace | slab | hyperbolic | ball | constant | energy"),
     "x": dict(help="comma separated decision vector"),
     "eps": dict(type=float, help="enlargement radius (hyperbolic and ball fixtures)"),
     "n": dict(type=int, help="number of sphere directions"),
@@ -148,11 +149,12 @@ def _parse_x(text):
 def _build_fixture(cfg: RunConfig):
     """Return (target, model, dirs); settings the fixture ignores are rejected."""
     m = cfg.dim
-    if cfg.fixture in ("halfspace", "slab", "constant") and cfg.eps is not None:
+    if cfg.fixture in ("halfspace", "slab", "constant", "energy") and cfg.eps is not None:
         raise ConfigError(f"eps applies to hyperbolic and ball, not to {cfg.fixture}")
     if cfg.fixture == "hyperbolic" and m != 2:
         raise ConfigError(f"the hyperbolic fixture is two-dimensional, got dim {m}")
     e1 = np.eye(m)[0]
+    model = build_model(np.zeros(m), np.eye(m))
     if cfg.fixture == "halfspace":
         target = make_halfspace(e1)
     elif cfg.fixture == "slab":
@@ -163,13 +165,16 @@ def _build_fixture(cfg: RunConfig):
         target = make_ball(np.zeros(m), z_dim=m)
     elif cfg.fixture == "constant":
         target = make_constant(z_dim=m)
+    elif cfg.fixture == "energy":       # the dispatch case study's system and model
+        params = EnergyParams()
+        target, model = make_energy_system(params), build_energy_covariance(params)
     else:
         raise ConfigError(f"unknown fixture {cfg.fixture!r} "
-                          "(choose halfspace, slab, hyperbolic, ball, constant)")
+                          "(choose halfspace, slab, hyperbolic, ball, constant, energy)")
     if len(cfg.x) != target.x_dim:
         raise ConfigError(f"x has {len(cfg.x)} entries, {cfg.fixture} takes {target.x_dim}")
-    model = build_model(np.zeros(m), np.eye(m))
-    return target, model, sample_sphere(m, cfg.n, seed=cfg.seed, method=SphereMethod(cfg.method))
+    return target, model, sample_sphere(model.dim, cfg.n, seed=cfg.seed,
+                                        method=SphereMethod(cfg.method))
 
 
 @contextlib.contextmanager
@@ -315,7 +320,25 @@ def _build_parser():
     return parser
 
 
+@functools.cache                 # once per process: main is also called in-process
+def _one_blas_thread():
+    """Pin numpy's bundled OpenBLAS to one thread where it exports the setter.
+
+    A BLAS product's last bits, and so the radii and every artifact, may
+    depend on the thread count; one thread keeps them the same on any core
+    count.  A numpy built against another BLAS is left as it is.
+    """
+    root = Path(np.__file__).parent
+    for path in sorted([*root.parent.glob("numpy.libs/libscipy_openblas*"),
+                        *root.glob(".dylibs/libscipy_openblas*")]):
+        setter = getattr(ctypes.CDLL(str(path)), "scipy_openblas_set_num_threads64_", None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+
+
 def main(argv=None) -> int:
+    _one_blas_thread()
     args = _build_parser().parse_args(argv)
     overrides = {k: v for k, v in vars(args).items()
                  if k not in ("command", "config") and v is not None}

@@ -112,14 +112,14 @@ class Evaluation(ProbEstimate):
             n_active = act.sum(axis=0)
             n_tied += int(np.count_nonzero(n_active > 1))
             first = np.argmax(act, axis=0) if tie_policy == "min_index" else None
-            pdf = chi_pdf(RadialLaw(model.dim), rho)
-            w = np.zeros((rho.shape[0], target.x_dim))
+            mass = self.dirs.weights[sl] * chi_pdf(RadialLaw(model.dim), rho)
+            LV = self.dirs.directions[sl] @ model.factor_L.T
             for i, mask in enumerate(act[:n_x]):
                 rows = np.flatnonzero(mask)
                 if rows.size == 0:
                     continue
-                LV = self.dirs.directions[sl][rows] @ model.factor_L.T
-                Z = model.mean + (push * rho[rows])[:, None] * LV
+                LV_i = LV[rows]
+                Z = model.mean + (push * rho[rows])[:, None] * LV_i
                 if oracle:
                     P = target.project(x, Z)
                     gz = Z - P
@@ -128,18 +128,17 @@ class Evaluation(ProbEstimate):
                 else:
                     gx = np.asarray(target.grad_x_g(i, x, Z), dtype=float)
                     gz = np.asarray(target.grad_z_g(i, x, Z), dtype=float)
-                slope = np.einsum("km,km->k", gz, LV)
+                slope = np.einsum("km,km->k", gz, LV_i)
                 if not np.all(slope > SLOPE_FLOOR):     # NaN slopes fail too
                     offender = sl.start + int(rows[np.argmin(slope)])
                     raise TransversalityBreakdown(
                         f"constraint {i}: ray slope {slope.min():.3e} at direction "
                         f"{offender} is below the slope floor", direction_index=offender)
                 lam = 1 / n_active[rows] if first is None else first[rows] == i
-                w[rows] += (-pdf[rows] * lam / slope)[:, None] * gx
+                grad -= (mass[rows] * lam / slope) @ gx
                 # slope > 0 implies |z_i| > 0.  Squared norms; one sqrt at the end.
                 ratio2 = np.einsum("km,km->k", gx, gx) / np.einsum("km,km->k", gz, gz)
                 max_ratio2 = max(max_ratio2, float(ratio2.max()))
-            grad += self.dirs.weights[sl] @ w
         return GradEstimate(gradient=grad, tie_fraction=n_tied / self.dirs.n,
                             max_ratio=float(np.sqrt(max_ratio2)))
 

@@ -238,31 +238,47 @@ def _hyperbolic_project(x: float, W: np.ndarray) -> np.ndarray:
     ``(t+2, s+2) > 0``, stay in the body, so only the outward normal at the
     projection ``a* >= p`` passes through ``w``.  As ``f'' = 6a (2a - p) > 0``
     on ``[a*, inf)``, Newton falls monotonically to ``a*`` from any start above
-    it.  Two such starts are ``p + |w - c| >= p + |w - P(w)| >= a*``, ``c``
-    the curve point at ``a = max(p, sqrt x)``, and ``max(p, 0) + t`` with
-    ``t = cbrt(x |q|) + sqrt(x)``, where ``f >= a t^3 - x |q| a - x^2 >= 0``;
-    Newton starts at the smaller, which is within a factor of the foot far
-    below or left of the body.  A row stops when ``f <= 0`` or its step is
-    within 4 ulps; only moving rows are iterated, so each row's result is
-    its own.
+    it.  Such starts are ``p + |w - c| >= p + |w - P(w)| >= a*`` for any
+    curve point ``c``: at ``a = max(p, sqrt x)``, and where ``q > 0`` at the
+    same height, which gives ``x / q`` (``p < x / q`` outside the body); and
+    ``max(p, 0) + t`` with ``t = cbrt(x |q|) + sqrt(x)``, where
+    ``f >= a t^3 - x |q| a - x^2 >= 0``.  Newton starts at the smallest,
+    which is within a factor of the foot far below or left of the body.
+    Far left (``p < 0``) ``p + |w - c|`` cancels, so that start is taken as
+    ``(c (c - 2p) + e^2) / (|w - c| - p)``, ``e = q - x / c``; and a step
+    ``a - f / f'`` larger than ``a / 2``, which would cancel too, is taken
+    as the one quotient ``(a^3 (3a - 2p) + x^2) / (a^2 (4a - 3p) + x q)``.
+    Smaller steps keep the difference, which is the more accurate near the
+    foot.  A row stops when ``f <= 0`` or its step is within 4 ulps; only
+    moving rows are iterated, so each row's result is its own.
     """
     p, q = W[:, 0] + 2.0, W[:, 1] + 2.0
-    c = np.maximum(p, np.sqrt(x))
-    a = np.minimum(p + np.hypot(p - c, q - x / c),
-                   np.maximum(p, 0.0) + np.cbrt(x * np.abs(q)) + np.sqrt(x))
+    r = np.sqrt(x)
+    c = np.maximum(p, r)        # r where p < 0
+    e = q - x / c
+    d = np.hypot(p - c, e)
+    g = d + np.abs(p)           # p + d, or d - p >= |e| where p < 0 and p + d cancels
+    a = np.where(p < 0.0, r * (r - 2.0 * p) / g + e * (e / g), g)
+    a = np.minimum(a, np.maximum(p, 0.0) + np.cbrt(x * np.abs(q)) + r)
+    with np.errstate(divide="ignore"):      # q = 0: no curve point at that height
+        a = np.minimum(a, np.where(q > 0.0, x / q, np.inf))
     live = np.arange(W.shape[0])
     for _ in range(_PROJECT_MAX_NEWTON):
         a_k, p_k, q_k = a[live], p[live], q[live]
         a2 = a_k * a_k
-        f = a2 * a_k * (a_k - p_k) + x * (q_k * a_k - x)
-        step = np.maximum(f / (a2 * (4.0 * a_k - 3.0 * p_k) + x * q_k), 0.0)    # 0 where f <= 0
-        a[live] = a_k - step
+        a3, df = a2 * a_k, a2 * (4.0 * a_k - 3.0 * p_k) + x * q_k
+        step = np.maximum((a3 * (a_k - p_k) + x * (q_k * a_k - x)) / df, 0.0)    # 0 where f <= 0
+        new = a_k - step
+        far = np.flatnonzero(new < step)    # a_k - step cancels: take the one quotient
+        if far.size:
+            new[far] = (a3[far] * (3.0 * a_k[far] - 2.0 * p_k[far]) + x * x) / df[far]
+        a[live] = new
         live = live[~(step <= 4.0 * np.spacing(a_k))]     # NaN (overflow) runs to the cap
         if live.size == 0:
             break
     else:
         raise ProjectionDiverged("hyperbolic projection failed to converge")
-    if np.any(a <= 0.0):        # far left of the body the start or a step cancelled
+    if np.any(a <= 0.0):        # a foot below the smallest double
         raise ProjectionDiverged("hyperbolic projection lost its foot to rounding")
     return np.stack([a - 2.0, x / a - 2.0], axis=1)
 

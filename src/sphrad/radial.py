@@ -4,14 +4,17 @@ For a direction ``v`` the ray ``r -> mean + r * L @ v`` leaves the feasible
 region at the radial function value: the largest radius whose point still
 satisfies every constraint (or stays within distance ``eps`` of the body, in
 enlarged mode).  Declared halfspaces (``InequalitySystem.halfspaces``) and
-affine domain caps have explicit roots, all from one product of their
-stacked rows with the batch's directions.  Other constraints go through a
-doubling scan that brackets the root, then a safeguarded Newton iteration
-from the bracket's outer end that bisects where a step would leave the
-bracket.  Both modes give the ray as ``h`` plus its slope on request, from
-the same evaluation (a ``grad_z_g`` call, or the residual of the projection
-just made), so Newton starts from the scan's values at the outer end
-instead of evaluating it again.
+affine domain caps ``{z : w . z <= t}`` form a gauge: one product of their
+stacked rows with the directions, scaled by ``1 / (t - w . mean)`` after it,
+gives their inverse radii; the largest is the exit's.  A declared row counts
+only above ``1 / r_max`` and the caps' (pulled in by 1e-10, so a root on a
+cap stays the cap's).  Other constraints go through a doubling scan that
+brackets the root, then a safeguarded Newton iteration from the bracket's
+outer end that bisects where a step would leave the bracket.  Both modes
+give the ray as ``h`` plus its slope on request, from the same evaluation
+(a ``grad_z_g`` call, or the residual of the projection just made), so
+Newton starts from the scan's values at the outer end instead of
+evaluating it again.
 Quasi-convexity in ``z`` makes this reliable: the feasible radii form an
 interval starting at zero (in oracle mode, distance minus ``eps`` is
 convex in r, so Newton from the outer end does not overshoot).  A second
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketFailure, NumericalError
+from .errors import BracketFailure, InteriorViolated, NumericalError
 from .gaussian import GaussianModel, RadialLaw
 from .oracles import (ConvexSetOracle, InequalitySystem, check_interior,
                       check_oracle_interior)
@@ -160,14 +163,15 @@ def _newton_step(rows, h, dh, r, lo, hi, newton):
     return done
 
 
-def _classify(radii, r_max) -> HitBatch:
-    """Hits from stacked per-row radii (rows, N): the smallest radius, finite
-    below ``r_max``, and the rows that attain it within the tie band."""
-    rho = radii.min(axis=0)
-    finite = rho < r_max
-    rho = np.where(finite, rho, np.inf)
-    thresh = np.where(finite, rho * (1.0 + TIE_REL) + TIE_ABS, -np.inf)
-    return HitBatch(rho=rho, act=radii <= thresh)
+def _classify(inv, r_max) -> HitBatch:
+    """Hits from stacked inverse radii (rows, N), at most 0 where a row has no
+    exit: ``rho = 1 / max``, finite where the max exceeds ``1 / r_max``, and
+    the rows at or above ``1 / (rho (1 + TIE_REL) + TIE_ABS)`` tie there."""
+    top = inv.max(axis=0, initial=1.0 / r_max)     # > 0, so 1 / top is finite
+    finite = top > 1.0 / r_max
+    rho = np.where(finite, 1.0 / top, np.inf)
+    thresh = np.where(finite, 1.0 / (rho * (1.0 + TIE_REL) + TIE_ABS), np.inf)
+    return HitBatch(rho=rho, act=inv >= thresh)
 
 
 def _blocks(n_dirs):
@@ -175,13 +179,11 @@ def _blocks(n_dirs):
     return [slice(start, start + BLOCK_ROWS) for start in range(0, max(n_dirs, 1), BLOCK_ROWS)]
 
 
-def _solve_blocks(solve, n_dirs, r_max) -> HitBatch:
-    """Hits of ``n_dirs`` directions from ``solve(sl)``, the radii of block ``sl``."""
-    hits = None
+def _solve_blocks(solve, n_dirs, n_rows, r_max) -> HitBatch:
+    """Hits of ``n_dirs`` directions; ``solve(sl)`` gives block ``sl``'s inverse radii."""
+    hits = HitBatch(np.empty(n_dirs), np.empty((n_rows, n_dirs), bool))
     for sl in _blocks(n_dirs):
         part = _classify(solve(sl), r_max)
-        if hits is None:
-            hits = HitBatch(np.empty(n_dirs), np.empty((part.act.shape[0], n_dirs), bool))
         hits.rho[sl], hits.act[:, sl] = part.rho, part.act
     return hits
 
@@ -204,28 +206,26 @@ def inequality_hits(system: InequalitySystem, x, dirs: np.ndarray,
     mean, L = model.mean, model.factor_L
     r_max = RadialLaw(model.dim).r_max
 
-    # Rays leave {z : w . z <= t} at (t - w . mean) / (w . L v) where that speed
-    # is positive; declared rows and caps (-a, b), caps last, are one product.
     s, declared = system.s, system.halfspaces is not None
     W, t = system.halfspaces(x) if declared else (np.empty((0, model.dim)), np.empty(0))
     if np.isnan(W).any() or np.isnan(t).any():
         raise NumericalError(f"{system.name}: halfspaces(x) returned a NaN")
-    caps = system.domain_caps
-    W = np.vstack([W, *(-cap.a for cap in caps)])
-    t = np.r_[t, [cap.b for cap in caps]]
+    n_real = W.shape[0]         # s declared rows, or none
+    W = np.vstack([W, *(-cap.a for cap in system.domain_caps)])     # caps (-a, b) last
+    t = np.r_[t, [cap.b for cap in system.domain_caps]]
     WL, gap = W @ L, t - W @ mean
+    if not (gap[:n_real] > 0).all():       # check_interior asks eval_g, not halfspaces
+        i = int(np.argmin(gap[:n_real] > 0))
+        raise InteriorViolated(f"{system.name}: mean outside declared halfspace {i}", index=i)
 
     def solve(sl):
-        speed = WL @ V[sl].T
-        with np.errstate(all="ignore"):
-            radii = np.where(speed > 0, gap[:, None] / speed, np.inf)
-        r_dom = radii[W.shape[0] - len(caps):].min(axis=0, initial=np.inf)
-        # Real roots are searched strictly inside the validity window, so a root
-        # exactly on a cap is attributed to the cap (whose geometry is regular).
-        r_search = np.minimum(r_max, r_dom * (1.0 - 1e-10))
+        G = WL @ V[sl].T
+        G *= (1.0 / gap)[:, None]
+        cut = np.maximum(1.0 / r_max, G[n_real:].max(axis=0, initial=0.0) / (1.0 - 1e-10))
         if declared:
-            radii[:s] = np.where(radii[:s] < r_search, radii[:s], np.inf)
-            return radii
+            G[:n_real] *= G[:n_real] > cut      # 0 at or below the cut
+            return G
+        r_search = np.where(cut > 1.0 / r_max, 1.0 / cut, r_max)
         LV = V[sl] @ L.T
         rho_real = np.empty((s, r_search.shape[0]))
         for i in range(s):
@@ -236,9 +236,9 @@ def inequality_hits(system: InequalitySystem, x, dirs: np.ndarray,
                 return np.asarray(system.eval_g(_i, x, Z), dtype=float), slope
 
             rho_real[i] = _roots(ray, r_search, f"{system.name}: g_{i}", sl.start)
-        return np.vstack([rho_real, radii])
+        return np.vstack([1.0 / rho_real, G])
 
-    return _solve_blocks(solve, V.shape[0], r_max)
+    return _solve_blocks(solve, V.shape[0], s + len(system.domain_caps), r_max)
 
 
 def enlarged_hits(oracle: ConvexSetOracle, x, dirs: np.ndarray, eps: float,
@@ -259,6 +259,6 @@ def enlarged_hits(oracle: ConvexSetOracle, x, dirs: np.ndarray, eps: float,
             return dist - eps, lambda rows: (np.einsum("km,km->k", U, LV[idx])
                                              / np.maximum(dist, 1e-300))[rows]
 
-        return _roots(ray, np.full(LV.shape[0], r_max), oracle.name, sl.start)[None, :]
+        return 1.0 / _roots(ray, np.full(LV.shape[0], r_max), oracle.name, sl.start)[None, :]
 
-    return _solve_blocks(solve, V.shape[0], r_max)
+    return _solve_blocks(solve, V.shape[0], 1, r_max)

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -11,9 +12,9 @@ from sphrad.cli import RunConfig, main
 from sphrad.errors import ConfigError
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, env=None):
     proc = subprocess.run([sys.executable, "-m", "sphrad", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=env)
     return proc
 
 
@@ -228,6 +229,21 @@ class TestDeterminism:
             assert proc.returncode == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_radii_independent_of_blas_threads(self, tmp_path):
+        # OpenBLAS may round a column of (W L) V^T by the thread count, and
+        # the energy model is correlated; the CLI pins BLAS to one thread.
+        rho = []
+        for threads in ("1", "2"):
+            path = tmp_path / f"dirs{threads}.csv"
+            proc = run_cli("eval", "--fixture", "energy", "--x", "1.5,1.5,1.5,1.5,11,11,11,11",
+                           "--n", "10007", "--seed", "5", "--method", "mc",
+                           "--directions-csv", str(path),
+                           env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            with open(path, newline="") as fh:
+                rho.append([row["rho"] for row in csv.DictReader(fh)])
+        assert rho[0] == rho[1]
 
     @pytest.mark.parametrize("bad", [["grad", "--no-such-flag"], ["grad", "--n", "many"],
                                      ["no-such-command"]])

@@ -191,8 +191,12 @@ class TestHyperbolicOracle:
     @staticmethod
     def _assert_feet_polished(x, W):
         # Polishing each foot with long-double Newton steps on the quartic
-        # moves it by a few ulps at most.
-        a = sp.make_hyperbolic_set().project([x], W)[:, 0] + 2.0
+        # moves it by a few ulps at most.  The foot's a = s + 2 is read from
+        # the coordinate that carries it: s + 2 where a >= sqrt(x), else
+        # x / (t + 2), as s + 2 loses a tiny a to the shift by 2.
+        A = sp.make_hyperbolic_set().project([x], W) + 2.0
+        with np.errstate(divide="ignore"):
+            a = np.where(A[:, 0] >= np.sqrt(x), A[:, 0], x / A[:, 1])
         p, q = (W + 2.0).astype(np.longdouble).T
         ref, xl = a.astype(np.longdouble), np.longdouble(x)
         for _ in range(4):
@@ -214,6 +218,15 @@ class TestHyperbolicOracle:
         P = sp.make_hyperbolic_set().project([1.0], W)
         assert np.array_equal(P[1], [-1.0, -1.0])
         self._assert_feet_polished(1.0, W)
+
+    @pytest.mark.parametrize("radius", [1e6, 1e12, 1e17, 1e20])
+    def test_far_circle_feet(self, radius):
+        # Far left of the body neither the start nor a Newton step may cancel:
+        # p + |w - c| and a - f / f' both subtract nearly equal numbers there.
+        oracle = sp.make_hyperbolic_set()
+        theta = np.deg2rad(np.arange(0.0, 360.0, 0.05))
+        W = radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        self._assert_feet_polished(1.0, W[~oracle.contains([1.0], W)])
 
     def test_idempotent_and_variational(self):
         oracle = sp.make_hyperbolic_set()
@@ -274,12 +287,12 @@ class TestHyperbolicOracle:
     def test_step_cap_raises(self, monkeypatch):
         # A row still moving when the Newton steps run out is reported, and so
         # is one whose quartic overflows (with numpy's warnings), never a NaN
-        # projection; so is a foot that cancels to a <= 0 far left of the
-        # body, never an infinite one.
+        # projection; so is a foot below the smallest double (a* near
+        # x / q = 1e-400), never an infinite one.
         with pytest.raises(sp.ProjectionDiverged), np.errstate(over="ignore", invalid="ignore"):
             _hyperbolic_project(0.75, np.array([[-3.0, -1e300]]))
-        with pytest.raises(sp.ProjectionDiverged):
-            _hyperbolic_project(1.0, np.array([[-1e17, 0.0]]))
+        with pytest.raises(sp.ProjectionDiverged, match="rounding"):
+            _hyperbolic_project(1e-200, np.array([[-3.0, 1e200]]))
         monkeypatch.setattr(oracles, "_PROJECT_MAX_NEWTON", 2)
         with pytest.raises(sp.ProjectionDiverged):
             _hyperbolic_project(0.75, np.array([[-5.0, 3.0]]))

@@ -309,10 +309,24 @@ class TestHalfspaceClosedForm:
             hit_rows = fast.act[:, np.isfinite(fast.rho)].any(axis=1)
             assert hit_rows.all(), hit_rows
 
+    def test_mean_outside_declared_halfspace_raised(self):
+        # eval_g has the mean inside, but the declared row 5 leaves it out:
+        # its gap t - w . mean is negative, and so would its radii be.
+        system, model, x, _ = energy_case("interior")
+        W, t = system.halfspaces(x)
+        t = t.copy()
+        t[5] = W[5] @ model.mean - 1.0
+        system = dataclasses.replace(system, halfspaces=lambda x_: (W, t))
+        with pytest.raises(sp.InteriorViolated, match="declared halfspace 5") as info:
+            inequality_hits(system, x, sp.sample_sphere(model.dim, 10).directions, model)
+        assert info.value.index == 5
+
     @pytest.mark.parametrize("case", ["start", "interior", "tied"])
-    def test_axis_rows_match_per_row_form_bit_for_bit(self, case):
-        # Energy's rows are all +-e_j, so W L is exact and the stacked product
-        # must give the per-row form (t - w . mean) / (L v . w) exactly.
+    def test_axis_rows_match_per_row_form(self, case):
+        # The per-row form divides (t - w . mean) / (L v . w) row by row; the
+        # gauge takes 1 / max of the rows scaled by 1 / (t - w . mean).  Energy's
+        # rows are all +-e_j, so both see the same speeds, and the gauge's two
+        # extra roundings keep rho within 2 ulps with the same hits and ties.
         system, model, x, tie = energy_case(case)
         dirs = sp.sample_sphere(model.dim, 10000, seed=5).directions
         if tie is not None:
@@ -325,13 +339,18 @@ class TestHalfspaceClosedForm:
         for k, (w, ti) in enumerate(rows):
             speed = LV @ w
             np.divide(ti - w @ model.mean, speed, out=ref[k], where=speed > 0)
-        r_search = np.minimum(sp.RadialLaw(model.dim).r_max,
-                              ref[system.s:].min(axis=0) * (1.0 - 1e-10))
+        r_max = sp.RadialLaw(model.dim).r_max
+        r_search = np.minimum(r_max, ref[system.s:].min(axis=0) * (1.0 - 1e-10))
         ref[:system.s][ref[:system.s] >= r_search] = np.inf
         rho = ref.min(axis=0)
+        f = rho < r_max
+        act = ref <= np.where(f, rho * (1.0 + radial.TIE_REL) + radial.TIE_ABS, -np.inf)
         fast = inequality_hits(system, x, dirs, model)
-        f = np.isfinite(fast.rho)
-        assert np.array_equal(fast.rho[f], rho[f])
+        assert np.array_equal(np.isfinite(fast.rho), f)
+        assert np.array_equal(fast.act, act)
+        assert np.all(np.abs(fast.rho[f] - rho[f]) <= 2 * np.spacing(rho[f]))
+        if tie is not None:
+            assert fast.act[:, -1].sum() == 2
 
 
 class TestEnlargedRoots:
