@@ -9,6 +9,9 @@ layer:
 - ``closed_form_roots``: ``radial.inequality_hits`` on those directions
   (interior check, every closed-form root, tie classification);
 - ``evaluate`` and ``gradient`` at the solved dispatch;
+- ``gradient_halfspace_dim8``: ``gradient`` of the halfspace ``z_0 <= x`` in
+  dimension 8 at x = 0.7, standard model, 10k QMC directions, where about
+  half the directions are infinite;
 - ``validate``: the 200k-direction validation;
 - ``solve``: the full solve from the starting point;
 - ``chi_cdf_10k`` and ``chi_cdf_200k``: ``chi_cdf`` on the exit radii of
@@ -247,7 +250,7 @@ def chi_sweep(repeats):
         return {}
     rng = np.random.default_rng(13)
     radii = {m: {"chi": chi_radii(m, rng),
-                 "uniform": rng.uniform(0.0, 1.2 * sp.RadialLaw(m).r_max, 10000)}
+                 "uniform": rng.uniform(0.0, 1.2 * sp.chi_cutoff(m), 10000)}
              for m in SWEEP_DIMS}
     saved, out = gaussian._SUM_MAX_DIM, {}
     try:
@@ -284,18 +287,21 @@ def main() -> int:
     V = dirs.directions
     ev = estimates.evaluate(system, x, model, dirs)
     ev_validate = estimates.evaluate(system, x, model, problem.validate_dirs)
-    law, above = sp.RadialLaw(model.dim), sp.RadialLaw(ABOVE_DIM)
+    halfspace, model8 = sp.make_halfspace(np.eye(8)[0]), sp.build_model(np.zeros(8), np.eye(8))
+    ev_half = estimates.evaluate(halfspace, [0.7], model8,
+                                 sp.sample_sphere(8, 10000, seed=sp.DEFAULT_SEED))
     rho_above = chi_radii(ABOVE_DIM, np.random.default_rng(7))
     layers = {
         "unit_check": lambda: radial._unit_rows(x, V),
         "closed_form_roots": lambda: radial.inequality_hits(system, x, V, model),
         "evaluate": lambda: estimates.evaluate(system, x, model, dirs),
         "gradient": lambda: ev.gradient(),
+        "gradient_halfspace_dim8": lambda: ev_half.gradient(),
         "validate": lambda: solver.validate(x, problem),
         "solve": lambda: solver.solve(problem),
-        "chi_cdf_10k": lambda: sp.chi_cdf(law, ev.hits.rho),
-        "chi_cdf_200k": lambda: sp.chi_cdf(law, ev_validate.hits.rho),
-        f"chi_cdf_m{ABOVE_DIM}": lambda: sp.chi_cdf(above, rho_above),
+        "chi_cdf_10k": lambda: sp.chi_cdf(model.dim, ev.hits.rho),
+        "chi_cdf_200k": lambda: sp.chi_cdf(model.dim, ev_validate.hits.rho),
+        f"chi_cdf_m{ABOVE_DIM}": lambda: sp.chi_cdf(ABOVE_DIM, rho_above),
     }
     layers_ms = {name: round(median_ms(fn, args.repeats), 4) for name, fn in layers.items()}
     for name, ms in layers_ms.items():

@@ -7,9 +7,8 @@ from .errors import (BracketFailure, ConfigError, InteriorViolated,
                      NotPositiveDefinite, NumericalError, ProjectionDiverged,
                      SolverError, TransversalityBreakdown)
 from .estimates import Evaluation, GradEstimate, ProbEstimate, evaluate
-from .gaussian import (DEFAULT_SEED, DirectionSet, GaussianModel, RadialLaw,
-                       SphereMethod, build_model, chi_cdf, chi_pdf,
-                       sample_sphere)
+from .gaussian import (DEFAULT_SEED, DirectionSet, GaussianModel, SphereMethod,
+                       build_model, chi_cdf, chi_cutoff, chi_pdf, sample_sphere)
 from .oracles import (AffineDomainCap, ConvexSetOracle, InequalitySystem,
                       build_energy_covariance, make_ball, make_constant,
                       make_energy_system, make_halfspace, make_hyperbolic_set,

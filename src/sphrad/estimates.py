@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import MissingSensitivity, TransversalityBreakdown
-from .gaussian import DirectionSet, GaussianModel, RadialLaw, SphereMethod, chi_cdf, chi_pdf
+from .gaussian import DirectionSet, GaussianModel, SphereMethod, chi_cdf, chi_pdf
 from .oracles import ConvexSetOracle, InequalitySystem
 from .radial import SLOPE_FLOOR, HitBatch, _blocks, enlarged_hits, inequality_hits
 
@@ -112,13 +112,17 @@ class Evaluation(ProbEstimate):
             n_active = act.sum(axis=0)
             n_tied += int(np.count_nonzero(n_active > 1))
             first = np.argmax(act, axis=0) if tie_policy == "min_index" else None
-            mass = self.dirs.weights[sl] * chi_pdf(RadialLaw(model.dim), rho)
-            LV = self.dirs.directions[sl] @ model.factor_L.T
+            # The chi density only where some x-dependent row is active (at[k]
+            # is direction k's entry in mass), L v only on each row's own.
+            reads = act[:n_x].any(axis=0)
+            at = np.cumsum(reads) - 1
+            mass = chi_pdf(model.dim, rho[reads]) * (1.0 / self.dirs.n)
+            V = self.dirs.directions[sl]
             for i, mask in enumerate(act[:n_x]):
                 rows = np.flatnonzero(mask)
                 if rows.size == 0:
                     continue
-                LV_i = LV[rows]
+                LV_i = V.take(rows, axis=0) @ model.factor_L.T
                 Z = model.mean + (push * rho[rows])[:, None] * LV_i
                 if oracle:
                     P = target.project(x, Z)
@@ -135,7 +139,7 @@ class Evaluation(ProbEstimate):
                         f"constraint {i}: ray slope {slope.min():.3e} at direction "
                         f"{offender} is below the slope floor", direction_index=offender)
                 lam = 1 / n_active[rows] if first is None else first[rows] == i
-                grad -= (mass[rows] * lam / slope) @ gx
+                grad -= (mass[at[rows]] * lam / slope) @ gx
                 # slope > 0 implies |z_i| > 0.  Squared norms; one sqrt at the end.
                 ratio2 = np.einsum("km,km->k", gx, gx) / np.einsum("km,km->k", gz, gz)
                 max_ratio2 = max(max_ratio2, float(ratio2.max()))
@@ -157,6 +161,8 @@ def evaluate(target, x, model: GaussianModel, dirs: DirectionSet,
         raise ValueError(f"direction dimension {dirs.dim} != model dimension {model.dim}")
     if not isinstance(target, (InequalitySystem, ConvexSetOracle)):
         raise TypeError(f"unsupported target {type(target).__name__}")
+    if target.z_dim != model.dim:
+        raise ValueError(f"{target.name}: z_dim {target.z_dim} != model dimension {model.dim}")
     x = np.asarray(x, dtype=float).reshape(-1)
     eps = 0.0 if eps is None else float(eps)
     if x.shape[0] != target.x_dim:
@@ -167,13 +173,13 @@ def evaluate(target, x, model: GaussianModel, dirs: DirectionSet,
         hits = inequality_hits(target, x, dirs.directions, model)
     else:
         hits = enlarged_hits(target, x, dirs.directions, eps, model)
-    e = np.asarray(chi_cdf(RadialLaw(model.dim), hits.rho))
+    e = np.asarray(chi_cdf(model.dim, hits.rho))
     std_error = None
     if dirs.method is SphereMethod.MONTE_CARLO:
         pairs = e if dirs.n % 2 else (e[0::2] + e[1::2]) / 2    # even n: antithetic pairs
         if pairs.size > 1:
             std_error = float(np.std(pairs, ddof=1) / np.sqrt(pairs.size))
-    return Evaluation(value=float(dirs.weights @ e), std_error=std_error,
+    return Evaluation(value=float(e.mean()), std_error=std_error,
                       n_infinite=int((~np.isfinite(hits.rho)).sum()), e=e, hits=hits,
                       target=target, x=x, model=model, dirs=dirs, eps=eps)
 

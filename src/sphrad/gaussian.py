@@ -14,7 +14,7 @@ import enum
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -94,24 +94,13 @@ def build_model(mean, covariance) -> GaussianModel:
     return GaussianModel(mean=mean, covariance=cov, factor_L=L, dim=m)
 
 
-@dataclass(frozen=True)
-class RadialLaw:
-    """Chi law with ``dim`` degrees of freedom, the radial part of a standard
-    Gaussian vector in ``dim`` dimensions."""
-
-    dim: int
-    r_max: float = field(init=False)
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        object.__setattr__(self, "r_max", _chi_cutoff(self.dim))
-
-
 @functools.cache
-def _chi_cutoff(m):
-    """The chi quantile of ``1 - TAIL_MASS``, nudged up until :func:`chi_cdf`
-    itself reaches ``1 - TAIL_MASS`` there."""
+def chi_cutoff(m):
+    """The ray cutoff of the chi law with ``m`` degrees of freedom: its
+    quantile of ``1 - TAIL_MASS``, nudged up until :func:`chi_cdf` itself
+    reaches ``1 - TAIL_MASS`` there."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
     q = 1.0 - TAIL_MASS
     r = float(np.sqrt(2.0 * special.gammaincinv(m / 2.0, q)))
     for _ in range(_MAX_NUDGES):
@@ -180,8 +169,10 @@ def _chi_cdf(m, r):
     return cdf
 
 
-def chi_cdf(law: RadialLaw, r):
-    """P[R <= r] for the chi law; accepts scalars or arrays, with cdf(inf) = 1.
+def chi_cdf(m, r):
+    """P[R <= r] for the chi law with ``m`` degrees of freedom, the radial
+    part of a standard Gaussian vector in R^m; accepts scalars or arrays,
+    with cdf(inf) = 1.
 
     The cdf is the regularized incomplete gamma ``P(m/2, r^2/2)``, whose
     shape is an integer or a half-integer.  Up to dimension 256 it is a sum
@@ -194,19 +185,22 @@ def chi_cdf(law: RadialLaw, r):
     towards none, and from 296 up it overflows, so the cdf is ``gammainc``
     itself.
     """
+    if m < 1:
+        raise ValueError("m must be >= 1")
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("r must be nonnegative")
-    out = _chi_cdf(law.dim, r.reshape(-1))
+    out = _chi_cdf(m, r.reshape(-1))
     return out.reshape(r.shape) if r.ndim else float(out[0])
 
 
-def chi_pdf(law: RadialLaw, r):
+def chi_pdf(m, r):
     """Density 2^(1-m/2) r^(m-1) exp(-r^2/2) / Gamma(m/2), zero at infinity."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("r must be nonnegative")
-    m = law.dim
     pos = np.isfinite(r) & (r > 0)
     rr = np.where(pos, r, 1.0)
     log_pdf = (
@@ -223,14 +217,13 @@ def chi_pdf(law: RadialLaw, r):
 
 @dataclass(frozen=True)
 class DirectionSet:
-    """Weighted unit vectors on S^(m-1) with a reproducible construction.
+    """Unit vectors on S^(m-1) with a reproducible construction; each
+    direction weighs 1/n.
 
     Identical ``(seed, method, n, m)`` reproduce bit-identical directions.
-    All weights equal 1/n.
     """
 
     directions: np.ndarray
-    weights: np.ndarray
     seed: int
     method: SphereMethod
 
@@ -289,5 +282,4 @@ def sample_sphere(m: int, n: int, seed: int = DEFAULT_SEED,
         dirs[1::2] = -half
     else:
         dirs = _normalize_rows(block(m, n, seed))
-    weights = np.full(n, 1.0 / n)
-    return DirectionSet(directions=dirs, weights=weights, seed=int(seed), method=method)
+    return DirectionSet(directions=dirs, seed=int(seed), method=method)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketFailure, InteriorViolated, NumericalError
-from .gaussian import GaussianModel, RadialLaw
+from .gaussian import GaussianModel, chi_cutoff
 from .oracles import (ConvexSetOracle, InequalitySystem, check_interior,
                       check_oracle_interior)
 
@@ -204,13 +204,16 @@ def inequality_hits(system: InequalitySystem, x, dirs: np.ndarray,
     x, V = _unit_rows(x, dirs)
     check_interior(system, x, model.mean)
     mean, L = model.mean, model.factor_L
-    r_max = RadialLaw(model.dim).r_max
+    r_max = chi_cutoff(model.dim)
 
     s, declared = system.s, system.halfspaces is not None
+    n_real = s if declared else 0       # s declared rows, or none
     W, t = system.halfspaces(x) if declared else (np.empty((0, model.dim)), np.empty(0))
+    if np.shape(W) != (n_real, model.dim) or np.shape(t) != (n_real,):
+        raise ValueError(f"{system.name}: halfspaces(x) gave shapes {np.shape(W)} and "
+                         f"{np.shape(t)}, not {(s, model.dim)} and {(s,)}")
     if np.isnan(W).any() or np.isnan(t).any():
         raise NumericalError(f"{system.name}: halfspaces(x) returned a NaN")
-    n_real = W.shape[0]         # s declared rows, or none
     W = np.vstack([W, *(-cap.a for cap in system.domain_caps)])     # caps (-a, b) last
     t = np.r_[t, [cap.b for cap in system.domain_caps]]
     WL, gap = W @ L, t - W @ mean
@@ -248,7 +251,7 @@ def enlarged_hits(oracle: ConvexSetOracle, x, dirs: np.ndarray, eps: float,
         raise ValueError("eps must be nonnegative")
     x, V = _unit_rows(x, dirs)
     check_oracle_interior(oracle, x, model.mean)
-    r_max = RadialLaw(model.dim).r_max
+    r_max = chi_cutoff(model.dim)
 
     def solve(sl):
         LV = V[sl] @ model.factor_L.T

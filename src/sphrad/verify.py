@@ -11,8 +11,8 @@ import numpy as np
 from scipy import integrate, special, stats
 
 from .estimates import evaluate, fd_gradient
-from .gaussian import (_SUM_MAX_DIM, DEFAULT_SEED, RadialLaw, SphereMethod,
-                       build_model, chi_cdf, chi_pdf, sample_sphere)
+from .gaussian import (_SUM_MAX_DIM, DEFAULT_SEED, SphereMethod, build_model,
+                       chi_cdf, chi_cutoff, chi_pdf, sample_sphere)
 from .oracles import (make_ball, make_halfspace, make_hyperbolic_set,
                       make_hyperbolic_system, make_slab, slab_threshold)
 from .radial import enlarged_hits
@@ -31,9 +31,7 @@ def check_chi_normalization(quick=False):
     dims = (1, 2, 8, 16) if quick else tuple(range(1, 17))
     worst = 0.0
     for m in dims:
-        law = RadialLaw(m)
-        total, _ = integrate.quad(lambda r: chi_pdf(law, r), 0.0, law.r_max,
-                                  limit=200)
+        total, _ = integrate.quad(lambda r: chi_pdf(m, r), 0.0, chi_cutoff(m), limit=200)
         worst = max(worst, abs(total - 1.0))
     ok = worst <= 1e-9
     return ok, f"max |integral - 1| = {worst:.2e} over m in {dims[0]}..{dims[-1]}"
@@ -45,10 +43,9 @@ def check_chi_consistency(quick=False):
     # against cancellation where cdf is close to 1 (large r).
     h = 1e-4
     for m in (1, 2, 5, 9):
-        law = RadialLaw(m)
         for r in (0.5, 1.0, 2.0, 5.0):
-            fd = (chi_cdf(law, r + h) - chi_cdf(law, r - h)) / (2 * h)
-            pdf = chi_pdf(law, r)
+            fd = (chi_cdf(m, r + h) - chi_cdf(m, r - h)) / (2 * h)
+            pdf = chi_pdf(m, r)
             if pdf > 1e-300:
                 worst = max(worst, abs(fd - pdf) / pdf)
     ok = worst <= 1e-6
@@ -60,8 +57,8 @@ def check_chi_cdf_reference(quick=False):
     # reads the cdf itself, on both sides of the tail sum's dimension limit.
     worst = 0.0
     for m in (*range(1, 17), 63, 64, _SUM_MAX_DIM, _SUM_MAX_DIM + 1, 320):
-        r = np.linspace(0.0, RadialLaw(m).r_max, 2001)
-        err = chi_cdf(RadialLaw(m), r) - special.gammainc(m / 2.0, r * r / 2.0)
+        r = np.linspace(0.0, chi_cutoff(m), 2001)
+        err = chi_cdf(m, r) - special.gammainc(m / 2.0, r * r / 2.0)
         worst = max(worst, float(np.abs(err).max()))
     return worst <= 1e-14, f"max |cdf - gammainc| = {worst:.2e} over m in 1..320"
 
@@ -204,7 +201,7 @@ def check_oracle_gradient_eps0(quick=False):
 
     rel = max(abs(grad(make_hyperbolic_set(), 2, x, 0.0) / grad(make_hyperbolic_system(), 2, x)
                   - 1.0) for x in (0.75, 2.25, 3.25))
-    err = max(abs(grad(make_ball(np.zeros(m)), m, 1.5, 0.0) - chi_pdf(RadialLaw(m), 1.5))
+    err = max(abs(grad(make_ball(np.zeros(m)), m, 1.5, 0.0) - chi_pdf(m, 1.5))
               for m in (2, 8))
     ok = rel <= 1e-7 and err <= 1e-12
     return ok, f"hyperbolic set vs system {rel:.2e} rel; ball vs chi pdf {err:.2e}"

@@ -6,7 +6,6 @@ import numpy as np
 
 import sphrad as sp
 from sphrad.estimates import NORMAL_PUSH, fd_gradient
-from sphrad.gaussian import RadialLaw
 from sphrad.radial import inequality_hits
 
 
@@ -22,10 +21,10 @@ def reference_weights(ev, tie_policy="average"):
     constraints i of ``-pdf(rho) * lam_i * grad_x g_i / <grad_z g_i, L v>``
     (sensitivity and unit outward normal for a set oracle, read at the hit
     pushed out by ``NORMAL_PUSH`` when eps = 0), zero on infinite
-    directions.  ``dirs.weights @`` these is the gradient."""
+    directions.  Their mean over the directions is the gradient."""
     hits, target, x, model = ev.hits, ev.target, ev.x, ev.model
     oracle = isinstance(target, sp.ConvexSetOracle)
-    pdf = sp.chi_pdf(RadialLaw(model.dim), hits.rho)
+    pdf = sp.chi_pdf(model.dim, hits.rho)
     n_active = hits.act.sum(axis=0)
     w = np.zeros((ev.dirs.n, target.x_dim))
     push = 1.0 + NORMAL_PUSH if oracle and ev.eps == 0 else 1.0

@@ -328,9 +328,9 @@ class TestVerifyCommand:
         # A wrong density exponent must fail the normalization check.
         import sphrad.verify as verify_mod
 
-        def broken_pdf(law, r):
+        def broken_pdf(m, r):
             import sphrad.gaussian as g
-            return g.chi_pdf(law, r) * np.exp(0.05 * np.asarray(r, dtype=float))
+            return g.chi_pdf(m, r) * np.exp(0.05 * np.asarray(r, dtype=float))
 
         monkeypatch.setattr(verify_mod, "chi_pdf", broken_pdf)
         ok, _ = verify_mod.check_chi_normalization(quick=True)
@@ -341,9 +341,9 @@ class TestVerifyCommand:
         # but not the comparison with gammainc.
         import sphrad.verify as verify_mod
 
-        def shifted_cdf(law, r):
+        def shifted_cdf(m, r):
             import sphrad.gaussian as g
-            return g.chi_cdf(law, r) * (1.0 - 1e-12)
+            return g.chi_cdf(m, r) * (1.0 - 1e-12)
 
         monkeypatch.setattr(verify_mod, "chi_cdf", shifted_cdf)
         assert verify_mod.check_chi_consistency(quick=True)[0]

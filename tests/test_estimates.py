@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +11,6 @@ from scipy import stats
 
 import sphrad as sp
 from sphrad import radial
-from sphrad.gaussian import RadialLaw
 
 from _helpers import (energy_case, fd_gradient, fd_rel_error, reference_weights,
                       window_tie_free)
@@ -176,7 +179,7 @@ class TestProbValue:
     def test_value_equals_weighted_contributions(self):
         est = sp.evaluate(sp.make_hyperbolic_system(), [1.0], _model2(), _dirs(n=500))
         es = est.e
-        assert est.value == pytest.approx(es.mean(), abs=1e-14)
+        assert est.value == es.mean()
         assert np.all((es >= 0) & (es <= 1))
         assert np.all(es[~np.isfinite(est.hits.rho)] == 1.0)
 
@@ -209,10 +212,9 @@ class TestProbValue:
 
     def test_oracle_with_eps(self):
         # Enlarging a ball of radius x by eps gives the chi cdf at x + eps.
-        law = RadialLaw(2)
         est = sp.evaluate(sp.make_ball(np.zeros(2)), [1.0], _model2(), _dirs(),
                           eps=0.5)
-        assert est.value == pytest.approx(sp.chi_cdf(law, 1.5), abs=1e-9)
+        assert est.value == pytest.approx(sp.chi_cdf(2, 1.5), abs=1e-9)
 
     def test_empty_budget_rejected(self):
         with pytest.raises(ValueError):
@@ -228,6 +230,46 @@ class TestProbValue:
     def test_decision_length_checked(self, target):
         with pytest.raises(ValueError, match="decision has 2 entries"):
             sp.evaluate(target, [1.0, 2.0], _model2(), _dirs(n=16))
+
+    @pytest.mark.parametrize("target, callback, eps", [
+        (sp.make_hyperbolic_system(), "eval_g", None),
+        (sp.make_hyperbolic_set(), "contains", 0.05)], ids=["system", "oracle"])
+    def test_z_dim_checked_before_any_callback(self, target, callback, eps):
+        # A body in R^2 under a model on R^3 is refused before the interior
+        # check asks a callback about the mean.
+        calls = []
+        fn = getattr(target, callback)
+        target = dataclasses.replace(target, **{callback: lambda *a: calls.append(a) or fn(*a)})
+        model = sp.build_model(np.zeros(3), np.eye(3))
+        with pytest.raises(ValueError, match="z_dim 2 != model dimension 3"):
+            sp.evaluate(target, [1.0], model, _dirs(n=16, m=3), eps=eps)
+        assert calls == []
+
+
+# The value bits of three fixtures on 10,007 MC directions (standard models).
+_VALUE_BITS = """
+import numpy as np
+import sphrad as sp
+for system, x, m in [(sp.make_halfspace(np.eye(8)[0]), 0.5, 8),
+                     (sp.make_slab(np.eye(8)[0], lambda x: x[0], lambda x: np.array([1.0])),
+                      -0.5, 8),
+                     (sp.make_hyperbolic_system(), 2.25, 2)]:
+    dirs = sp.sample_sphere(m, 10007, seed=5, method=sp.SphereMethod.MONTE_CARLO)
+    print(sp.evaluate(system, [x], sp.build_model(np.zeros(m), np.eye(m)), dirs).value.hex())
+"""
+
+
+def test_values_independent_of_blas_threads():
+    # The value is a numpy mean of the per-direction contributions.  A BLAS
+    # dot product with the direction weights rounds by the OpenBLAS thread
+    # count at this length.
+    src = str(Path(sp.__file__).resolve().parents[1])
+    out = [subprocess.run([sys.executable, "-c", _VALUE_BITS], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src,
+                                           "OPENBLAS_NUM_THREADS": threads}).stdout
+           for threads in ("1", "2")]
+    assert len(out[0].split()) == 3
+    assert out[0] == out[1]
 
 
 class TestProbGradient:
@@ -259,7 +301,7 @@ class TestProbGradient:
     def test_gradient_is_weighted_contribution_sum(self):
         dirs = _dirs(n=400)
         ev = sp.evaluate(sp.make_hyperbolic_system(), [1.0], _model2(), dirs)
-        assert np.allclose(ev.gradient().gradient, dirs.weights @ reference_weights(ev),
+        assert np.allclose(ev.gradient().gradient, reference_weights(ev).mean(axis=0),
                            atol=1e-15)
 
     def test_transversality_breakdown(self):
@@ -297,13 +339,13 @@ class TestProbGradient:
         # direction: min_index keeps the wind term alone, average takes the
         # mean of the two terms -pdf(rho) n_i / <z_i, L v>.
         system, model, x, tie = energy_case("tied")
-        dirs = sp.DirectionSet(tie[None, :], np.ones(1), sp.DEFAULT_SEED, sp.SphereMethod.QMC)
+        dirs = sp.DirectionSet(tie[None, :], sp.DEFAULT_SEED, sp.SphereMethod.QMC)
         ev = sp.evaluate(system, x, model, dirs)
         assert tuple(np.flatnonzero(ev.hits.act[:, -1])) == (0, 4)
         rho = ev.hits.rho[-1:]
         lv = tie[None, :] @ model.factor_L.T
         z = model.mean + rho[:, None] * lv
-        pdf = sp.chi_pdf(RadialLaw(8), rho)[0]
+        pdf = sp.chi_pdf(8, rho)[0]
         wind, load = (-pdf * system.grad_x_g(i, x, z)[0]
                       / (system.grad_z_g(i, x, z)[0] @ lv[0]) for i in (0, 4))
         assert np.array_equal(ev.gradient("min_index").gradient, wind)
@@ -323,7 +365,7 @@ class TestProbGradient:
         cap_only = np.isfinite(val.hits.rho) & act[2] & ~act[:2].any(axis=0)
         k = int(cap_only.sum())
         assert k > 0
-        sub = sp.DirectionSet(dirs.directions[cap_only], np.full(k, 1 / k), dirs.seed, dirs.method)
+        sub = sp.DirectionSet(dirs.directions[cap_only], dirs.seed, dirs.method)
         cap_val = sp.evaluate(sys_, x, model, sub)
         assert np.isfinite(cap_val.hits.rho).all()
         assert np.array_equal(cap_val.hits.act, np.tile([[False], [False], [True]], sub.n))
@@ -343,12 +385,12 @@ class TestBlockedGradient:
         V = sp.sample_sphere(8, radial.BLOCK_ROWS + 5000, seed=5,
                              method=sp.SphereMethod.MONTE_CARLO).directions.copy()
         V[radial.BLOCK_ROWS + 3] = tie           # a tied direction in the second block
-        dirs = sp.DirectionSet(V, np.full(len(V), 1 / len(V)), 5, sp.SphereMethod.MONTE_CARLO)
+        dirs = sp.DirectionSet(V, 5, sp.SphereMethod.MONTE_CARLO)
         ev = sp.evaluate(system, x, model, dirs)
         for policy in ("average", "min_index"):
             blocked = ev.gradient(policy)
             np.testing.assert_allclose(blocked.gradient,
-                                       dirs.weights @ reference_weights(ev, policy),
+                                       reference_weights(ev, policy).mean(axis=0),
                                        rtol=1e-14, atol=0)
             with monkeypatch.context() as m:
                 m.setattr(radial, "BLOCK_ROWS", dirs.n)
@@ -363,8 +405,7 @@ class TestBlockedGradient:
         k = radial.BLOCK_ROWS + 5
         V = np.tile([0.0, 1.0], (k + 6, 1))
         V[k] = [1.0, 0.0]
-        dirs = sp.DirectionSet(V, np.full(len(V), 1 / len(V)), sp.DEFAULT_SEED,
-                               sp.SphereMethod.QMC)
+        dirs = sp.DirectionSet(V, sp.DEFAULT_SEED, sp.SphereMethod.QMC)
         ev = sp.evaluate(_cubic(), [0.0], _model2(), dirs)
         assert np.flatnonzero(np.isfinite(ev.hits.rho)).tolist() == [k]
         with pytest.raises(sp.TransversalityBreakdown) as info:
@@ -375,11 +416,10 @@ class TestBlockedGradient:
 class TestEnlargedGradient:
     def test_ball_matches_density(self):
         # d/dx P[|z| <= x + eps] = chi pdf at x + eps.
-        law = RadialLaw(2)
         dirs = _dirs(n=4000, method=sp.SphereMethod.MONTE_CARLO, seed=21)
         ev = sp.evaluate(sp.make_ball(np.zeros(2)), [1.0], _model2(), dirs, eps=0.25)
         est = ev.gradient()
-        expected = sp.chi_pdf(law, 1.25)
+        expected = sp.chi_pdf(2, 1.25)
         se = reference_weights(ev)[:, 0].std(ddof=1) / np.sqrt(dirs.n)
         assert abs(est.gradient[0] - expected) <= max(3 * se, 1e-9)
         # Growth check in oracle mode: |sensitivity| at a unit normal = |d/dx dist| = 1.
@@ -452,7 +492,7 @@ class TestOracleGradientAtZero:
         assert g.max_ratio == pytest.approx(ref.max_ratio, rel=1e-6)
         fd = fd_gradient(sp.make_hyperbolic_set(), [x], model, dirs, h0=5e-5, eps=0.0)
         assert abs(fd[0] / g.gradient[0] - 1) <= 1e-6
-        np.testing.assert_allclose(g.gradient, dirs.weights @ reference_weights(ev),
+        np.testing.assert_allclose(g.gradient, reference_weights(ev).mean(axis=0),
                                    rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("m", [2, 8])
@@ -460,7 +500,7 @@ class TestOracleGradientAtZero:
         model = sp.build_model(np.zeros(m), np.eye(m))
         est = sp.evaluate(sp.make_ball(np.zeros(m)), [1.5], model, _dirs(n=2000, m=m),
                           eps=0.0).gradient()
-        assert abs(est.gradient[0] - sp.chi_pdf(RadialLaw(m), 1.5)) <= 1e-12
+        assert abs(est.gradient[0] - sp.chi_pdf(m, 1.5)) <= 1e-12
         assert est.max_ratio == pytest.approx(1.0, abs=1e-12)
 
     def test_energy_box_matches_system(self):

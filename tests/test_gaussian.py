@@ -6,7 +6,7 @@ from scipy import integrate, special, stats
 
 import sphrad as sp
 from sphrad import gaussian
-from sphrad.gaussian import RadialLaw, TAIL_MASS
+from sphrad.gaussian import TAIL_MASS
 
 # Every dimension the tail sum serves, and two served by gammainc.
 CDF_DIMS = [*range(1, gaussian._SUM_MAX_DIM + 1), gaussian._SUM_MAX_DIM + 1,
@@ -57,66 +57,64 @@ class TestBuildModel:
 
 class TestChiLaw:
     def test_cdf_m2_closed_form(self):
-        law = RadialLaw(2)
-        assert sp.chi_cdf(law, 1.0) == pytest.approx(1 - np.exp(-0.5), abs=1e-12)
+        assert sp.chi_cdf(2, 1.0) == pytest.approx(1 - np.exp(-0.5), abs=1e-12)
 
     def test_cdf_at_zero(self):
         for m in (1, 2, 5, 16):
-            assert sp.chi_cdf(RadialLaw(m), 0.0) == 0.0
+            assert sp.chi_cdf(m, 0.0) == 0.0
 
     def test_cdf_m1_matches_normal(self):
         # For one degree of freedom the cdf folds two normal tails.
-        law = RadialLaw(1)
         r = stats.norm.ppf(0.975)
-        assert sp.chi_cdf(law, r) == pytest.approx(0.95, abs=1e-9)
-        assert sp.chi_cdf(law, 1.959964) == pytest.approx(0.95, abs=1e-6)
+        assert sp.chi_cdf(1, r) == pytest.approx(0.95, abs=1e-9)
+        assert sp.chi_cdf(1, 1.959964) == pytest.approx(0.95, abs=1e-6)
 
     def test_pdf_values(self):
-        assert sp.chi_pdf(RadialLaw(1), 0.0) == pytest.approx(np.sqrt(2 / np.pi), abs=1e-13)
-        assert sp.chi_pdf(RadialLaw(3), 0.0) == 0.0
-        assert sp.chi_pdf(RadialLaw(2), 1.0) == pytest.approx(np.exp(-0.5), abs=1e-13)
+        assert sp.chi_pdf(1, 0.0) == pytest.approx(np.sqrt(2 / np.pi), abs=1e-13)
+        assert sp.chi_pdf(3, 0.0) == 0.0
+        assert sp.chi_pdf(2, 1.0) == pytest.approx(np.exp(-0.5), abs=1e-13)
 
     def test_negative_r_rejected(self):
-        law = RadialLaw(2)
         with pytest.raises(ValueError):
-            sp.chi_cdf(law, -0.1)
+            sp.chi_cdf(2, -0.1)
         with pytest.raises(ValueError):
-            sp.chi_pdf(law, -0.1)
+            sp.chi_pdf(2, -0.1)
 
     def test_quantile_roundtrip(self):
         for m in (1, 2, 8):
-            law = RadialLaw(m)
             for q in (0.1, 0.5, 0.95):
                 r = np.sqrt(2.0 * special.gammaincinv(m / 2.0, q))
-                assert sp.chi_cdf(law, r) == pytest.approx(q, abs=1e-12)
+                assert sp.chi_cdf(m, r) == pytest.approx(q, abs=1e-12)
 
     def test_normalization_by_quadrature(self):
         for m in range(1, 17):
-            law = RadialLaw(m)
-            total, _ = integrate.quad(lambda r: sp.chi_pdf(law, r), 0.0, law.r_max,
+            total, _ = integrate.quad(lambda r: sp.chi_pdf(m, r), 0.0, sp.chi_cutoff(m),
                                       limit=200)
             assert abs(total - 1.0) <= 1e-9
 
     def test_cdf_pdf_consistency(self):
         h = 1e-4
         for m in (1, 2, 5, 9):
-            law = RadialLaw(m)
             for r in (0.5, 1.0, 2.0, 5.0):
-                fd = (sp.chi_cdf(law, r + h) - sp.chi_cdf(law, r - h)) / (2 * h)
-                assert fd == pytest.approx(sp.chi_pdf(law, r), rel=1e-6)
+                fd = (sp.chi_cdf(m, r + h) - sp.chi_cdf(m, r - h)) / (2 * h)
+                assert fd == pytest.approx(sp.chi_pdf(m, r), rel=1e-6)
 
     def test_cutoff_retains_mass(self):
         for m in CDF_DIMS:
-            law = RadialLaw(m)
-            assert sp.chi_cdf(law, law.r_max) >= 1.0 - TAIL_MASS
+            assert sp.chi_cdf(m, sp.chi_cutoff(m)) >= 1.0 - TAIL_MASS
+
+    @pytest.mark.parametrize("fn", [sp.chi_cutoff, lambda m: sp.chi_cdf(m, 1.0),
+                                    lambda m: sp.chi_pdf(m, 1.0)], ids=["cutoff", "cdf", "pdf"])
+    def test_dimension_below_one_rejected(self, fn):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            fn(0)
 
     @pytest.mark.parametrize("m", CDF_DIMS)
     def test_cdf_matches_gammainc(self, m):
-        law = RadialLaw(m)
         # Radii beyond the sum's cap of 37 included: the cdf is 1 there.
-        r = np.r_[np.linspace(0.0, 1.2 * law.r_max, 2001), 36.9, 37.0, 37.1, 1e3]
+        r = np.r_[np.linspace(0.0, 1.2 * sp.chi_cutoff(m), 2001), 36.9, 37.0, 37.1, 1e3]
         ref = special.gammainc(m / 2.0, r * r / 2.0)
-        got = sp.chi_cdf(law, np.r_[r, np.inf])
+        got = sp.chi_cdf(m, np.r_[r, np.inf])
         assert got[-1] == 1.0
         err = np.abs(got[:-1] - ref)
         assert err.max() <= 1e-14
@@ -126,19 +124,18 @@ class TestChiLaw:
         assert np.all(err[lower] <= 1e-12 * ref[lower])
 
     def test_cdf_keeps_shape_and_scalars(self):
-        law = RadialLaw(8)
         r = np.array([[0.0, 1.0], [2.5, np.inf]])
-        out = sp.chi_cdf(law, r)
+        out = sp.chi_cdf(8, r)
         assert out.shape == (2, 2)
-        assert isinstance(sp.chi_cdf(law, 2.5), float)
-        assert sp.chi_cdf(law, 2.5) == out[1, 0]
+        assert isinstance(sp.chi_cdf(8, 2.5), float)
+        assert sp.chi_cdf(8, 2.5) == out[1, 0]
 
     def test_cutoff_nudge_is_bounded(self, monkeypatch):
         # One ulp of r near r_max moves the cdf by about 1e-26, so a cdf that
         # misses the bound there must raise rather than step ulp by ulp.
         monkeypatch.setattr(gaussian, "_chi_cdf", lambda m, r: np.zeros_like(r))
         with pytest.raises(sp.NumericalError, match="stays below"):
-            gaussian._chi_cutoff.__wrapped__(3)
+            gaussian.chi_cutoff.__wrapped__(3)
 
 
 class TestSampleSphere:
@@ -183,7 +180,5 @@ class TestSampleSphere:
         d = sp.sample_sphere(m, n, seed=seed, method=method)
         assert d.directions.shape == (n, m)
         assert np.abs(np.linalg.norm(d.directions, axis=1) - 1.0).max() <= 1e-12
-        assert abs(d.weights.sum() - 1.0) <= 1e-12
-        assert np.all(d.weights == d.weights[0])
         if n % 2 == 0:
             assert np.array_equal(d.directions[0::2], -d.directions[1::2])

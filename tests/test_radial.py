@@ -197,6 +197,17 @@ class TestNaNRayValues:
             inequality_hits(broken, x, np.eye(model.dim), model)
 
 
+@pytest.mark.parametrize("w_shape, t_shape", [((2, 2), (2,)), ((1, 3), (1,)),
+                                              ((1, 2), (2,)), ((2,), (1,))])
+def test_declared_halfspace_shapes_checked(w_shape, t_shape):
+    # A one-row system in R^2 must declare W of shape (1, 2) and t of (1,).
+    broken = dataclasses.replace(sp.make_halfspace([1.0, 0.0]), halfspaces=lambda x: (
+        np.ones(w_shape), np.ones(t_shape)))
+    with pytest.raises(ValueError, match=r"halfspace: halfspaces\(x\) gave shapes "
+                                         r".* not \(1, 2\) and \(1,\)"):
+        _ineq(broken, [1.0], [1.0, 0.0], _model2())
+
+
 class TestDomainCaps:
     def test_cap_attribution_at_zero_commitment(self):
         # With zero committed wind power the wind-speed positivity cap is the
@@ -339,7 +350,7 @@ class TestHalfspaceClosedForm:
         for k, (w, ti) in enumerate(rows):
             speed = LV @ w
             np.divide(ti - w @ model.mean, speed, out=ref[k], where=speed > 0)
-        r_max = sp.RadialLaw(model.dim).r_max
+        r_max = sp.chi_cutoff(model.dim)
         r_search = np.minimum(r_max, ref[system.s:].min(axis=0) * (1.0 - 1e-10))
         ref[:system.s][ref[:system.s] >= r_search] = np.inf
         rho = ref.min(axis=0)
@@ -435,7 +446,7 @@ class TestClosedFormRoots:
         model = sp.build_model(np.zeros(m), np.eye(m))
         dirs = sp.sample_sphere(m, 10000, seed=sp.DEFAULT_SEED,
                                 method=sp.SphereMethod.QMC).directions
-        return model, dirs, sp.RadialLaw(m).r_max
+        return model, dirs, sp.chi_cutoff(m)
 
     @staticmethod
     def _agree(hits, closed, r_max):
