@@ -33,15 +33,26 @@ peaks, with the ratio baseline / this run per layer.
 
 An oracle section times ``radial.enlarged_hits`` in oracle mode, where the
 projection dominates, on 10k QMC directions of the standard model: the
-hyperbolic set at x = 0.75 and 2.25 and the ball in dimension 8 at x = 3,
-all at eps = 0.05.  It reports the median ms of one call and the
-``project`` rows per ray that call asks for.  It also counts the ``project``
-rows per finite ray of one ``Evaluation.gradient`` at eps = 0 and 0.05, on
-the hyperbolic set at x = 2.25 and the ball in dimension 8 at x = 3: one
-projection per finite ray at either eps.  A ray-rows section counts the
-``eval_g`` and ``grad_z_g`` rows per ray of one ``evaluate`` on 10k QMC
-directions of the standard model, for the systems on the doubling scan:
-the slab in dimension 8 at x = -0.5 and the hyperbolic system at x = 2.25.
+hyperbolic set at x = 0.75 and 2.25, the ball in dimension 8 at x = 3 and
+the ball in dimension 2 at x = 1.5, all at eps = 0.05.  It reports the
+median ms of one call and the ``project`` rows per ray that call asks for.
+It also counts the ``project`` rows per finite ray of one
+``Evaluation.gradient`` at eps = 0 and 0.05, on the hyperbolic set at
+x = 2.25 and the ball in dimension 8 at x = 3: one projection per finite
+ray at either eps.  A scan section times
+``radial.inequality_hits`` on 10k QMC directions of the standard model for
+the systems on the doubling scan, the slab in dimensions 2 and 8 at
+x = -0.5 and the hyperbolic system at x = 2.25, and counts the ``eval_g``
+and ``grad_z_g`` rows per ray that call asks for.
+
+Timed one layer after another, a change of machine speed between two runs
+lands in every layer, so two runs of this script on a shared box can
+differ by more than a change does.  ``--baseline-src`` takes another
+checkout's ``src/``, imports its ``sphrad`` beside this one and times the
+oracle and scan cases of both in one process, a call of each in turn; the
+``interleaved`` section gives both medians, their ratio and in how many
+pairs this checkout's call was the faster.
+
 A periods section times ``closed_form_roots``, ``evaluate`` and
 ``gradient`` of the dispatch at 4, 24 and 48 periods, at the interior
 decision ``(pw, pg) = (0.35, 10)`` in every period, on 10k QMC directions
@@ -53,6 +64,8 @@ on 10k radii of two kinds: a chi law's, 30% infinite, and uniform on
 the tail sum has no sweep.
 
     PYTHONPATH=src python scripts/bench_layers.py --out bench.json
+    PYTHONPATH=src python scripts/bench_layers.py --out bench.json \
+        --baseline parent.json --baseline-src ../parent/src
 """
 
 import os
@@ -62,6 +75,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import dataclasses
+import functools
+import importlib.util
 import json
 import platform
 import statistics
@@ -126,12 +141,43 @@ def solve_counts(problem):
 INFEASIBLE_START = (1.0, 9.5)      # (wind, generation) in every period
 
 
+# Each case builds its target from a ``sphrad`` package, so the interleaved
+# timing can build the same case from another checkout.
 ORACLE_CASES = {
-    "hyperbolic_set_x0.75": (sp.make_hyperbolic_set, 0.75, 2),
-    "hyperbolic_set_x2.25": (sp.make_hyperbolic_set, 2.25, 2),
-    "ball_dim8_x3": (lambda: sp.make_ball(np.zeros(8)), 3.0, 8),
+    "hyperbolic_set_x0.75": (lambda pkg: pkg.make_hyperbolic_set(), 0.75, 2),
+    "hyperbolic_set_x2.25": (lambda pkg: pkg.make_hyperbolic_set(), 2.25, 2),
+    "ball_dim8_x3": (lambda pkg: pkg.make_ball(np.zeros(8)), 3.0, 8),
+    "ball_dim2_x1.5": (lambda pkg: pkg.make_ball(np.zeros(2)), 1.5, 2),
 }
 ORACLE_EPS = 0.05
+SCAN_CASES = {
+    "slab_dim2_x-0.5": (lambda pkg: pkg.make_slab(np.eye(2)[0], lambda x: x[0],
+                                                  lambda x: np.array([1.0])), -0.5, 2),
+    "slab_dim8_x-0.5": (lambda pkg: pkg.make_slab(np.eye(8)[0], lambda x: x[0],
+                                                  lambda x: np.array([1.0])), -0.5, 8),
+    "hyperbolic_system_x2.25": (lambda pkg: pkg.make_hyperbolic_system(), 2.25, 2),
+}
+
+
+def ray_calls(pkg):
+    """One 10k-direction ray solve per oracle and scan case, built from ``pkg``
+    on the standard model, keyed ``enlarged_hits/<case>`` and
+    ``inequality_hits/<case>``; each is ``(call, target)`` with ``call(target)``."""
+    def enlarged(target, x, V, model):
+        return pkg.radial.enlarged_hits(target, [x], V, ORACLE_EPS, model)
+
+    def scan(target, x, V, model):
+        return pkg.radial.inequality_hits(target, [x], V, model)
+
+    calls = {}
+    for solve, cases in ((enlarged, ORACLE_CASES), (scan, SCAN_CASES)):
+        for name, (make, x, m) in cases.items():
+            V = pkg.sample_sphere(m, 10000, seed=pkg.DEFAULT_SEED).directions
+            model = pkg.build_model(np.zeros(m), np.eye(m))
+            layer = "enlarged_hits" if solve is enlarged else "inequality_hits"
+            calls[f"{layer}/{name}"] = (functools.partial(solve, x=x, V=V, model=model),
+                                        make(pkg))
+    return calls
 
 
 def counted_project(oracle):
@@ -145,18 +191,71 @@ def counted_project(oracle):
     return dataclasses.replace(oracle, project=project), rows
 
 
-def oracle_layers(repeats):
-    """Median ms of one ``enlarged_hits`` call and its ``project`` rows per ray."""
+def counted_rows(system, rows):
+    """``system`` with ``eval_g`` and ``grad_z_g`` adding their rows to ``rows``."""
+    def counting(callback, fn):
+        def counted(i, x_, Z):
+            rows[callback] += Z.shape[0]
+            return fn(i, x_, Z)
+        return counted
+
+    return dataclasses.replace(system, **{cb: counting(cb, getattr(system, cb)) for cb in rows})
+
+
+def ray_layers(repeats):
+    """Median ms of each case of ``ray_calls``, with the ``project`` rows per
+    ray (oracle cases) or the ``eval_g`` and ``grad_z_g`` rows per ray (scan
+    cases) that one call asks for, in two sections: ``oracle`` and ``scan``."""
+    out = {"oracle": {}, "scan": {}}
+    for key, (call, target) in ray_calls(sp).items():
+        layer, name = key.split("/")
+        if layer == "enlarged_hits":
+            counted, rows = counted_project(target)
+            call(counted)
+            counts = {"project_rows_per_ray": round(sum(rows) / 10000, 4)}
+        else:
+            rows = {"eval_g": 0, "grad_z_g": 0}
+            call(counted_rows(target, rows))
+            counts = {f"{cb}_rows_per_ray": round(n / 10000, 4) for cb, n in rows.items()}
+        ms = median_ms(lambda: call(target), repeats)
+        out["oracle" if layer == "enlarged_hits" else "scan"][name] = {
+            f"{layer}_ms": round(ms, 4), **counts}
+    return out["oracle"], out["scan"]
+
+
+def load_sphrad(src):
+    """The ``sphrad`` package of another checkout's ``src``, imported as
+    ``sphrad_baseline`` beside this one."""
+    path = os.path.join(os.path.abspath(src), "sphrad")
+    spec = importlib.util.spec_from_file_location(
+        "sphrad_baseline", os.path.join(path, "__init__.py"), submodule_search_locations=[path])
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = pkg
+    spec.loader.exec_module(pkg)
+    return pkg
+
+
+def interleaved_layers(baseline, repeats):
+    """Each case of ``ray_calls`` timed in this checkout and in ``baseline``,
+    one call of each in turn (which goes first alternates), so a change of
+    machine speed during the run lands on both: the two medians in ms, their
+    ratio baseline / this, and in how many of the pairs this call was faster."""
+    mine, theirs = ray_calls(sp), ray_calls(baseline)
     out = {}
-    for name, (make, x, m) in ORACLE_CASES.items():
-        oracle = make()
-        V = sp.sample_sphere(m, 10000, seed=sp.DEFAULT_SEED).directions
-        model = sp.build_model(np.zeros(m), np.eye(m))
-        counted, rows = counted_project(oracle)
-        radial.enlarged_hits(counted, [x], V, ORACLE_EPS, model)
-        ms = median_ms(lambda: radial.enlarged_hits(oracle, [x], V, ORACLE_EPS, model), repeats)
-        out[name] = {"enlarged_hits_ms": round(ms, 4),
-                     "project_rows_per_ray": round(sum(rows) / V.shape[0], 4)}
+    for key, (call, target) in mine.items():
+        pair = (theirs[key], (call, target))
+        for fn, t in pair:
+            fn(t)                                   # warm-up, not timed
+        times = ([], [])
+        for k in range(repeats):
+            for j in ((0, 1) if k % 2 == 0 else (1, 0)):
+                t0 = time.perf_counter()
+                pair[j][0](pair[j][1])
+                times[j].append(time.perf_counter() - t0)
+        base_ms, ms = (1e3 * statistics.median(t) for t in times)
+        out[key] = {"baseline_ms": round(base_ms, 4), "ms": round(ms, 4),
+                    "speedup": round(base_ms / ms, 3),
+                    "faster_pairs": f"{sum(b > a for b, a in zip(*times))}/{repeats}"}
     return out
 
 
@@ -169,7 +268,7 @@ def gradient_project_rows():
     out = {}
     for name in GRADIENT_CASES:
         make, x, m = ORACLE_CASES[name]
-        counted, rows = counted_project(make())
+        counted, rows = counted_project(make(sp))
         dirs = sp.sample_sphere(m, 10000, seed=sp.DEFAULT_SEED)
         model = sp.build_model(np.zeros(m), np.eye(m))
         out[name] = {}
@@ -178,34 +277,6 @@ def gradient_project_rows():
             rows.clear()
             ev.gradient()
             out[name][f"eps{eps:g}"] = round(sum(rows) / (dirs.n - ev.n_infinite), 4)
-    return out
-
-
-RAY_CASES = {
-    "slab_dim8_x-0.5": (lambda: sp.make_slab(np.eye(8)[0], lambda x: x[0],
-                                             lambda x: np.array([1.0])), -0.5, 8),
-    "hyperbolic_system_x2.25": (sp.make_hyperbolic_system, 2.25, 2),
-}
-
-
-def ray_rows():
-    """``eval_g`` and ``grad_z_g`` rows per ray of one 10k ``evaluate``."""
-    out = {}
-    for name, (make, x, m) in RAY_CASES.items():
-        system = make()
-        rows = {"eval_g": 0, "grad_z_g": 0}
-
-        def counting(callback, fn):
-            def counted(i, x_, Z):
-                rows[callback] += Z.shape[0]
-                return fn(i, x_, Z)
-            return counted
-
-        counted = dataclasses.replace(system, **{cb: counting(cb, getattr(system, cb))
-                                                 for cb in rows})
-        dirs = sp.sample_sphere(m, 10000, seed=sp.DEFAULT_SEED)
-        estimates.evaluate(counted, [x], sp.build_model(np.zeros(m), np.eye(m)), dirs)
-        out[name] = {f"{cb}_rows_per_ray": round(n / dirs.n, 4) for cb, n in rows.items()}
     return out
 
 
@@ -274,6 +345,8 @@ def main() -> int:
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--repeats", type=int, default=15, help="timed runs per layer")
     parser.add_argument("--baseline", help="a file this script wrote on another checkout")
+    parser.add_argument("--baseline-src", help="another checkout's src/, whose oracle and "
+                        "scan layers are timed interleaved with this one's")
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
@@ -310,7 +383,7 @@ def main() -> int:
     peaks = {"evaluate": peak_mb(layers["evaluate"]), "validate": peak_mb(layers["validate"]),
              "gradient": peak_mb(ev_validate.gradient)}
     print(f"peak_mb: {peaks}")
-    oracle = oracle_layers(args.repeats)
+    oracle, scan = ray_layers(args.repeats)
     for name, rec in oracle.items():
         print(f"{name:22s} {rec['enlarged_hits_ms']:10.3f} ms "
               f"{rec['project_rows_per_ray']:7.3f} project rows/ray")
@@ -318,9 +391,9 @@ def main() -> int:
     for name, rec in grad_rows.items():
         print(f"{name:22s} gradient() " + "  ".join(
             f"{eps} {n:.3f}" for eps, n in rec.items()) + " project rows/finite ray")
-    rays = ray_rows()
-    for name, rec in rays.items():
-        print(f"{name:24s} {rec['eval_g_rows_per_ray']:7.3f} eval_g "
+    for name, rec in scan.items():
+        print(f"{name:24s} {rec['inequality_hits_ms']:10.3f} ms "
+              f"{rec['eval_g_rows_per_ray']:7.3f} eval_g "
               f"{rec['grad_z_g_rows_per_ray']:7.3f} grad_z_g rows/ray")
     periods = period_layers(args.repeats)
     for T, rec in periods.items():
@@ -331,6 +404,12 @@ def main() -> int:
         print(f"chi_cdf m={m:>4s} " + "  ".join(
             f"{kind} sum {r['sum_ms']:.3f} gammainc {r['gammainc_ms']:.3f} ms"
             for kind, r in rec.items()))
+
+    if args.baseline_src:
+        interleaved = interleaved_layers(load_sphrad(args.baseline_src), args.repeats)
+        for key, rec in interleaved.items():
+            print(f"{key:40s} {rec['baseline_ms']:8.3f} -> {rec['ms']:8.3f} ms "
+                  f"x{rec['speedup']:.3f}, faster in {rec['faster_pairs']} pairs")
 
     report = {
         "workload": "energy_dispatch: make_energy_problem() defaults, layers at the "
@@ -347,24 +426,29 @@ def main() -> int:
         "peak_mb": peaks,
         "oracle": {"eps": ORACLE_EPS, "n": 10000, "cases": oracle,
                    "gradient_project_rows_per_finite_ray": grad_rows},
-        "ray_rows": {"n": 10000, "cases": rays},
+        "scan": {"n": 10000, "cases": scan},
         "periods": {"decision": PERIODS_DECISION, "n": 10000, "cases": periods},
         "chi_cdf_sweep": {"n": 10000, "dims": sweep},
     }
+    if args.baseline_src:
+        report["interleaved"] = {"n": 10000, "cases": interleaved}
     if args.baseline:
         with open(args.baseline, encoding="utf-8") as fh:
             base = json.load(fh)
-        # Files from before the oracle, ray-rows or periods section have none.
+        # Files from before the oracle, scan or periods section have none.
         report["baseline"] = {k: base[k] for k in ("machine", "repeats", "solve", "counts",
-                                                   "layers_ms", "peak_mb", "oracle", "ray_rows",
+                                                   "layers_ms", "peak_mb", "oracle", "scan",
                                                    "periods")
                               if k in base}
         report["speedup"] = {name: round(base["layers_ms"][name] / ms, 3)
                              for name, ms in layers_ms.items() if name in base["layers_ms"]}
-        if "oracle" in base:
-            for name, rec in oracle.items():
-                report["speedup"][f"enlarged_hits/{name}"] = round(
-                    base["oracle"]["cases"][name]["enlarged_hits_ms"] / rec["enlarged_hits_ms"], 3)
+        for section, layer, cases in (("oracle", "enlarged_hits", oracle),
+                                      ("scan", "inequality_hits", scan)):
+            base_cases = base.get(section, {}).get("cases", {})
+            for name, rec in cases.items():
+                if name in base_cases:
+                    report["speedup"][f"{layer}/{name}"] = round(
+                        base_cases[name][f"{layer}_ms"] / rec[f"{layer}_ms"], 3)
         for T, rec in base.get("periods", {}).get("cases", {}).items():
             for name, ms in rec.items():
                 if name != "value":

@@ -109,7 +109,7 @@ class Evaluation(ProbEstimate):
         grad, n_tied, max_ratio2 = np.zeros(target.x_dim), 0, 0.0
         for sl in _blocks(self.dirs.n):
             act, rho = hits.act[:, sl], hits.rho[sl]
-            n_active = act.sum(axis=0)
+            n_active = act.sum(axis=0, dtype=np.min_scalar_type(act.shape[0]))
             n_tied += int(np.count_nonzero(n_active > 1))
             first = np.argmax(act, axis=0) if tie_policy == "min_index" else None
             # The chi density only where some x-dependent row is active (at[k]

@@ -4,8 +4,8 @@ Two families are supported.  :class:`InequalitySystem` describes finitely
 many smooth constraints ``g_i(x, z) <= 0`` that are quasi-convex in ``z``;
 :class:`ConvexSetOracle` describes a parametric convex body through
 membership and Euclidean projection.  All callbacks are batched over the
-``z`` argument: they accept an array of shape ``(k, m)`` and return per-row
-results.
+``z`` argument: they accept an array of shape ``(k, m)``, which may be a
+column-major view they must not write into, and return per-row results.
 """
 
 from __future__ import annotations
@@ -295,7 +295,7 @@ def make_hyperbolic_set() -> ConvexSetOracle:
         if not 0.0 < xv < 4.0:
             raise InteriorViolated(f"hyperbolic set requires x in (0, 4), got {xv}")
         out = np.array(Z, dtype=float, copy=True)
-        outside = ~contains(x, Z)
+        outside = np.flatnonzero(~contains(x, Z))      # an index gathers faster than a mask
         out[outside] = _hyperbolic_project(xv, Z[outside])
         return out
 
@@ -322,13 +322,12 @@ def make_ball(center=None, z_dim: int = 2) -> ConvexSetOracle:
         xv = float(np.asarray(x).reshape(-1)[0])
         if xv <= 0:
             raise InteriorViolated(f"ball radius must be positive, got {xv}")
-        diff = Z - center
-        norms = np.linalg.norm(diff, axis=1)
-        out = np.array(Z, dtype=float, copy=True)
-        outside = norms > xv
-        if outside.any():
-            out[outside] = center + diff[outside] * (xv / norms[outside])[:, None]
-        return out
+        Z = np.asarray(Z, dtype=float)
+        D = np.subtract(Z.T, center[:, None], order="C")   # (m, k) C array in any layout
+        norms = np.linalg.norm(D, axis=0)
+        D *= xv / np.maximum(norms, xv)                   # 1 inside, no 0 / 0 at the center
+        D += center[:, None]
+        return np.where(norms > xv, D, Z.T).T
 
     def sensitivity(x, P, n):
         return np.full((P.shape[0], 1), -1.0)      # growing the radius grows the body

@@ -25,6 +25,8 @@ and a later root may then be returned.
 Every solve runs over a batch of directions, one unit vector per row, in
 blocks of at most ``BLOCK_ROWS``: a large batch holds its O(N) results plus
 one block's temporaries.  A NaN ray value or halfspace is a NumericalError.
+A block keeps its directions as ``L V^T``, (m, N), so a ray's points
+``mean + r L v`` reach the callbacks as the (k, m) transpose of a C array.
 """
 
 from __future__ import annotations
@@ -229,13 +231,14 @@ def inequality_hits(system: InequalitySystem, x, dirs: np.ndarray,
             G[:n_real] *= G[:n_real] > cut      # 0 at or below the cut
             return G
         r_search = np.where(cut > 1.0 / r_max, 1.0 / cut, r_max)
-        LV = V[sl] @ L.T
+        LVT = L @ V[sl].T
         rho_real = np.empty((s, r_search.shape[0]))
         for i in range(s):
             def ray(r, idx, _i=i):
-                Z = mean + r[:, None] * LV[idx]
-                slope = lambda rows: np.einsum("km,km->k", np.asarray(
-                    system.grad_z_g(_i, x, Z[rows]), dtype=float), LV[idx][rows])
+                LVT_k = LVT[:, idx]
+                Z = (mean[:, None] + r * LVT_k).T
+                slope = lambda rows: np.einsum("km,mk->k", np.asarray(
+                    system.grad_z_g(_i, x, Z[rows]), dtype=float), LVT_k[:, rows])
                 return np.asarray(system.eval_g(_i, x, Z), dtype=float), slope
 
             rho_real[i] = _roots(ray, r_search, f"{system.name}: g_{i}", sl.start)
@@ -254,14 +257,15 @@ def enlarged_hits(oracle: ConvexSetOracle, x, dirs: np.ndarray, eps: float,
     r_max = chi_cutoff(model.dim)
 
     def solve(sl):
-        LV = V[sl] @ model.factor_L.T
+        LVT = model.factor_L @ V[sl].T
         def ray(r, idx):             # the slope reads this projection's residual
-            U = model.mean + r[:, None] * LV[idx]
-            U -= oracle.project(x, U)
-            dist = np.linalg.norm(U, axis=1)
-            return dist - eps, lambda rows: (np.einsum("km,km->k", U, LV[idx])
-                                             / np.maximum(dist, 1e-300))[rows]
+            LVT_k = LVT[:, idx]
+            UT = model.mean[:, None] + r * LVT_k
+            UT -= oracle.project(x, UT.T).T
+            dist = np.linalg.norm(UT, axis=0)
+            return dist - eps, lambda rows: (np.einsum("mk,mk->k", UT[:, rows], LVT_k[:, rows])
+                                             / np.maximum(dist[rows], 1e-300))
 
-        return 1.0 / _roots(ray, np.full(LV.shape[0], r_max), oracle.name, sl.start)[None, :]
+        return 1.0 / _roots(ray, np.full(LVT.shape[1], r_max), oracle.name, sl.start)[None, :]
 
     return _solve_blocks(solve, V.shape[0], 1, r_max)

@@ -315,6 +315,54 @@ class TestBallOracle:
         PA, PB = oracle.project([1.0], A), oracle.project([1.0], B)
         assert np.linalg.norm(PA - PB) <= np.linalg.norm(A - B) + 1e-9
 
+    @pytest.mark.parametrize("m", [2, 8])
+    def test_center_projects_silently(self, m):
+        # The scale x / max(|z - c|, x) never divides by 0; pytest turns a
+        # RuntimeWarning into an error, so this also checks it stays silent.
+        center = np.linspace(-0.5, 0.5, m)
+        P = sp.make_ball(center, m).project([1.5], center[None, :])
+        assert P.tobytes() == center[None, :].tobytes()
+
+
+class TestProjectionLayout:
+    """Ray points reach ``project`` as column-major (k, m) views; a C-ordered
+    and a Fortran-ordered copy of the same points project to the same bytes."""
+
+    @staticmethod
+    def _ball_points(center, x, rng):
+        m = center.shape[0]
+        u = rng.standard_normal((40, m))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        r = np.r_[np.zeros(1), rng.uniform(0.0, 3.0 * x, 29), np.full(10, x)]
+        return center + r[:, None] * u     # the center, inside, outside, on the sphere
+
+    @pytest.mark.parametrize("m, offset", [(2, 0.0), (2, 0.7), (8, 0.0), (8, 0.7)])
+    def test_ball(self, m, offset):
+        center = offset * np.linspace(-1.0, 1.0, m)
+        Z = self._ball_points(center, 1.5, np.random.default_rng(m))
+        self._same_bytes(sp.make_ball(center, m), [1.5], Z)
+
+    @pytest.mark.parametrize("x", [0.75, 2.25])
+    def test_hyperbolic_set(self, x):
+        rng = np.random.default_rng(3)
+        a = rng.uniform(0.2, 4.0, 10)
+        boundary = np.stack([a - 2.0, x / a - 2.0], axis=1)
+        Z = np.vstack([rng.uniform(-4.0, 3.0, (60, 2)), boundary, np.zeros((1, 2))])
+        self._same_bytes(sp.make_hyperbolic_set(), [x], Z)
+
+    @staticmethod
+    def _same_bytes(oracle, x, Z):
+        C, F = np.array(Z, order="C"), np.array(Z, order="F")
+        strided = np.asfortranarray(np.repeat(Z, 2, axis=0))[::2]     # neither order
+        assert F.flags.f_contiguous and not F.flags.c_contiguous
+        assert not (strided.flags.c_contiguous or strided.flags.f_contiguous)
+        want = np.ascontiguousarray(oracle.project(x, C)).tobytes()
+        for points in (F, strided):
+            P = oracle.project(x, points)
+            assert P.shape == Z.shape and np.ascontiguousarray(P).tobytes() == want
+        for points in (C, F, strided):
+            assert np.array_equal(points, Z)        # project wrote into none of them
+
 
 class TestEnergySystem:
     def test_mean_wind_power_bound(self):

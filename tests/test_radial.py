@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -608,3 +609,57 @@ class TestBlockedBatches:
             Z[:, :1] > 0.5, np.nan, ball.project(x, Z)))
         with pytest.raises(NumericalError, match=f"ball: NaN ray value at direction {k}$"):
             enlarged_hits(oracle, [1.0], dirs, 0.05, _model2())
+
+
+class TestPinnedRadii:
+    """Radii of the scan and set-oracle ray paths at 1,000 QMC directions
+    (``DEFAULT_SEED``, standard models, so no product rounds).  A change of
+    these bits changes every output built on them; say so when it does."""
+
+    DIGESTS = {
+        "slab-dim2": "29cf4e3d2b205fae00c0eed2c4dd48bc043c5c49bb72af22bd3f4ae715569e4f",
+        "slab-dim8": "fb99339807e7f74fbb49863b48bd412ff71aa8a1a56929f7163cf862ed80bad4",
+        "hyperbolic-system": "7a11c1041a8bf83520d056eb8bbdf53bb80b255f0a05ddec928d782d7b8ef582",
+        "hyperbolic-set-eps0": "e3bfa49f870f45599755d2c1a0c74266e58b7b71ff531f48efa3a2467c81c4a7",
+        "hyperbolic-set-eps0.05":
+            "773afa835139167d36164421301c1f34080f0c50e75be2384be0f89232b788c0",
+    }
+    # Every 100th radius of a ball in dimension 8 around BALL_CENTER, x = 3.
+    # The residual norm sums its 8 squares in a set order, so these may move
+    # by a few ulps when that order does; 4 ulps is the bar.
+    BALL_CENTER = np.array([0.4, -0.3, 0.2, 0.0, 0.1, -0.2, 0.3, -0.1])
+    BALL_RADII = {
+        0.05: [2.848851113914913, 3.0027694748955316, 2.765888118650058, 2.8853263474162123,
+               2.722475781270212, 2.9359514650977485, 3.0735077094236525, 3.2022268183299336,
+               2.7609977097373775, 3.1028994713193154],
+        0.0: [2.79765418356455, 2.9515240507387395, 2.714781481808815, 2.8341044795636465,
+              2.6714359608684255, 2.884709128083698, 3.0222868761854693, 3.1511178219470657,
+              2.709897909375421, 3.0516968125978656],
+    }
+
+    @staticmethod
+    def _setup(m):
+        return (sp.sample_sphere(m, 1000, seed=sp.DEFAULT_SEED).directions,
+                sp.build_model(np.zeros(m), np.eye(m)))
+
+    @pytest.mark.parametrize("case", list(DIGESTS))
+    def test_digest(self, case):
+        slab = lambda m: sp.make_slab(np.eye(m)[0], lambda x: x[0], lambda x: np.array([1.0]))
+        if case.startswith("slab"):
+            m = int(case[-1])
+            hits = inequality_hits(slab(m), [-0.5], *self._setup(m))
+        elif case == "hyperbolic-system":
+            hits = inequality_hits(sp.make_hyperbolic_system(), [2.25], *self._setup(2))
+        else:
+            eps = float(case.rsplit("eps", 1)[1])
+            V, model = self._setup(2)
+            hits = enlarged_hits(sp.make_hyperbolic_set(), [2.25], V, eps, model)
+        assert np.isfinite(hits.rho).sum() > 600
+        assert hashlib.sha256(hits.rho.tobytes()).hexdigest() == self.DIGESTS[case]
+
+    @pytest.mark.parametrize("eps", list(BALL_RADII))
+    def test_ball_dim8_within_4_ulps(self, eps):
+        V, model = self._setup(8)
+        rho = enlarged_hits(sp.make_ball(self.BALL_CENTER, 8), [3.0], V, eps, model).rho
+        want = np.array(self.BALL_RADII[eps])
+        assert np.all(np.abs(rho[::100] - want) <= 4 * np.spacing(want))
