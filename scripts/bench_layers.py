@@ -34,8 +34,10 @@ peaks, with the ratio baseline / this run per layer.
 An oracle section times ``radial.enlarged_hits`` in oracle mode, where the
 projection dominates, on 10k QMC directions of the standard model: the
 hyperbolic set at x = 0.75 and 2.25, the ball in dimension 8 at x = 3 and
-the ball in dimension 2 at x = 1.5, all at eps = 0.05.  It reports the
-median ms of one call and the ``project`` rows per ray that call asks for.
+the ball in dimension 2 at x = 1.5, all at eps = 0.05, and the hyperbolic
+set at x = 0.75 and eps = 0.  It reports each case's eps, the median ms of
+one call, and the ``project`` calls (the ray rounds of the batch) and rows
+per ray that call asks for.
 It also counts the ``project`` rows per finite ray of one
 ``Evaluation.gradient`` at eps = 0 and 0.05, on the hyperbolic set at
 x = 2.25 and the ball in dimension 8 at x = 3: one projection per finite
@@ -43,7 +45,8 @@ ray at either eps.  A scan section times
 ``radial.inequality_hits`` on 10k QMC directions of the standard model for
 the systems on the doubling scan, the slab in dimensions 2 and 8 at
 x = -0.5 and the hyperbolic system at x = 2.25, and counts the ``eval_g``
-and ``grad_z_g`` rows per ray that call asks for.
+calls (the ray rounds) and the ``eval_g`` and ``grad_z_g`` rows per ray that
+call asks for.
 
 Timed one layer after another, a change of machine speed between two runs
 lands in every layer, so two runs of this script on a shared box can
@@ -143,19 +146,20 @@ INFEASIBLE_START = (1.0, 9.5)      # (wind, generation) in every period
 
 # Each case builds its target from a ``sphrad`` package, so the interleaved
 # timing can build the same case from another checkout.
+# (make, x, m, eps); the scan cases have no eps.
 ORACLE_CASES = {
-    "hyperbolic_set_x0.75": (lambda pkg: pkg.make_hyperbolic_set(), 0.75, 2),
-    "hyperbolic_set_x2.25": (lambda pkg: pkg.make_hyperbolic_set(), 2.25, 2),
-    "ball_dim8_x3": (lambda pkg: pkg.make_ball(np.zeros(8)), 3.0, 8),
-    "ball_dim2_x1.5": (lambda pkg: pkg.make_ball(np.zeros(2)), 1.5, 2),
+    "hyperbolic_set_x0.75": (lambda pkg: pkg.make_hyperbolic_set(), 0.75, 2, 0.05),
+    "hyperbolic_set_x2.25": (lambda pkg: pkg.make_hyperbolic_set(), 2.25, 2, 0.05),
+    "ball_dim8_x3": (lambda pkg: pkg.make_ball(np.zeros(8)), 3.0, 8, 0.05),
+    "ball_dim2_x1.5": (lambda pkg: pkg.make_ball(np.zeros(2)), 1.5, 2, 0.05),
+    "hyperbolic_set_x0.75_eps0": (lambda pkg: pkg.make_hyperbolic_set(), 0.75, 2, 0.0),
 }
-ORACLE_EPS = 0.05
 SCAN_CASES = {
     "slab_dim2_x-0.5": (lambda pkg: pkg.make_slab(np.eye(2)[0], lambda x: x[0],
-                                                  lambda x: np.array([1.0])), -0.5, 2),
+                                                  lambda x: np.array([1.0])), -0.5, 2, None),
     "slab_dim8_x-0.5": (lambda pkg: pkg.make_slab(np.eye(8)[0], lambda x: x[0],
-                                                  lambda x: np.array([1.0])), -0.5, 8),
-    "hyperbolic_system_x2.25": (lambda pkg: pkg.make_hyperbolic_system(), 2.25, 2),
+                                                  lambda x: np.array([1.0])), -0.5, 8, None),
+    "hyperbolic_system_x2.25": (lambda pkg: pkg.make_hyperbolic_system(), 2.25, 2, None),
 }
 
 
@@ -163,19 +167,19 @@ def ray_calls(pkg):
     """One 10k-direction ray solve per oracle and scan case, built from ``pkg``
     on the standard model, keyed ``enlarged_hits/<case>`` and
     ``inequality_hits/<case>``; each is ``(call, target)`` with ``call(target)``."""
-    def enlarged(target, x, V, model):
-        return pkg.radial.enlarged_hits(target, [x], V, ORACLE_EPS, model)
+    def enlarged(target, x, V, eps, model):
+        return pkg.radial.enlarged_hits(target, [x], V, eps, model)
 
-    def scan(target, x, V, model):
+    def scan(target, x, V, eps, model):
         return pkg.radial.inequality_hits(target, [x], V, model)
 
     calls = {}
     for solve, cases in ((enlarged, ORACLE_CASES), (scan, SCAN_CASES)):
-        for name, (make, x, m) in cases.items():
+        for name, (make, x, m, eps) in cases.items():
             V = pkg.sample_sphere(m, 10000, seed=pkg.DEFAULT_SEED).directions
             model = pkg.build_model(np.zeros(m), np.eye(m))
             layer = "enlarged_hits" if solve is enlarged else "inequality_hits"
-            calls[f"{layer}/{name}"] = (functools.partial(solve, x=x, V=V, model=model),
+            calls[f"{layer}/{name}"] = (functools.partial(solve, x=x, V=V, eps=eps, model=model),
                                         make(pkg))
     return calls
 
@@ -192,10 +196,11 @@ def counted_project(oracle):
 
 
 def counted_rows(system, rows):
-    """``system`` with ``eval_g`` and ``grad_z_g`` adding their rows to ``rows``."""
+    """``system`` with ``eval_g`` and ``grad_z_g`` appending each call's row
+    count to the list ``rows[name]``."""
     def counting(callback, fn):
         def counted(i, x_, Z):
-            rows[callback] += Z.shape[0]
+            rows[callback].append(Z.shape[0])
             return fn(i, x_, Z)
         return counted
 
@@ -203,20 +208,24 @@ def counted_rows(system, rows):
 
 
 def ray_layers(repeats):
-    """Median ms of each case of ``ray_calls``, with the ``project`` rows per
-    ray (oracle cases) or the ``eval_g`` and ``grad_z_g`` rows per ray (scan
-    cases) that one call asks for, in two sections: ``oracle`` and ``scan``."""
+    """Median ms of each case of ``ray_calls``, with the ``project`` calls
+    and rows per ray (oracle cases, with their eps) or the ``eval_g`` calls
+    and the ``eval_g`` and ``grad_z_g`` rows per ray (scan cases) that one
+    call asks for, in two sections: ``oracle`` and ``scan``.  A call is one
+    ray round of the batch: a scan point or a Newton step."""
     out = {"oracle": {}, "scan": {}}
     for key, (call, target) in ray_calls(sp).items():
         layer, name = key.split("/")
         if layer == "enlarged_hits":
             counted, rows = counted_project(target)
             call(counted)
-            counts = {"project_rows_per_ray": round(sum(rows) / 10000, 4)}
+            counts = {"eps": call.keywords["eps"], "project_calls": len(rows),
+                      "project_rows_per_ray": round(sum(rows) / 10000, 4)}
         else:
-            rows = {"eval_g": 0, "grad_z_g": 0}
+            rows = {"eval_g": [], "grad_z_g": []}
             call(counted_rows(target, rows))
-            counts = {f"{cb}_rows_per_ray": round(n / 10000, 4) for cb, n in rows.items()}
+            counts = {"eval_g_calls": len(rows["eval_g"]),
+                      **{f"{cb}_rows_per_ray": round(sum(n) / 10000, 4) for cb, n in rows.items()}}
         ms = median_ms(lambda: call(target), repeats)
         out["oracle" if layer == "enlarged_hits" else "scan"][name] = {
             f"{layer}_ms": round(ms, 4), **counts}
@@ -260,14 +269,14 @@ def interleaved_layers(baseline, repeats):
 
 
 GRADIENT_CASES = ("hyperbolic_set_x2.25", "ball_dim8_x3")
-GRADIENT_EPS = (0.0, ORACLE_EPS)
+GRADIENT_EPS = (0.0, 0.05)
 
 
 def gradient_project_rows():
     """``project`` rows per finite ray of one ``gradient()`` at each GRADIENT_EPS."""
     out = {}
     for name in GRADIENT_CASES:
-        make, x, m = ORACLE_CASES[name]
+        make, x, m, _ = ORACLE_CASES[name]
         counted, rows = counted_project(make(sp))
         dirs = sp.sample_sphere(m, 10000, seed=sp.DEFAULT_SEED)
         model = sp.build_model(np.zeros(m), np.eye(m))
@@ -385,15 +394,16 @@ def main() -> int:
     print(f"peak_mb: {peaks}")
     oracle, scan = ray_layers(args.repeats)
     for name, rec in oracle.items():
-        print(f"{name:22s} {rec['enlarged_hits_ms']:10.3f} ms "
-              f"{rec['project_rows_per_ray']:7.3f} project rows/ray")
+        print(f"{name:26s} eps {rec['eps']:<5g} {rec['enlarged_hits_ms']:10.3f} ms "
+              f"{rec['project_calls']:3d} project calls "
+              f"{rec['project_rows_per_ray']:7.3f} rows/ray")
     grad_rows = gradient_project_rows()
     for name, rec in grad_rows.items():
         print(f"{name:22s} gradient() " + "  ".join(
             f"{eps} {n:.3f}" for eps, n in rec.items()) + " project rows/finite ray")
     for name, rec in scan.items():
         print(f"{name:24s} {rec['inequality_hits_ms']:10.3f} ms "
-              f"{rec['eval_g_rows_per_ray']:7.3f} eval_g "
+              f"{rec['eval_g_calls']:3d} eval_g calls {rec['eval_g_rows_per_ray']:7.3f} eval_g "
               f"{rec['grad_z_g_rows_per_ray']:7.3f} grad_z_g rows/ray")
     periods = period_layers(args.repeats)
     for T, rec in periods.items():
@@ -424,7 +434,7 @@ def main() -> int:
         "counts": counts,
         "layers_ms": layers_ms,
         "peak_mb": peaks,
-        "oracle": {"eps": ORACLE_EPS, "n": 10000, "cases": oracle,
+        "oracle": {"n": 10000, "cases": oracle,
                    "gradient_project_rows_per_finite_ray": grad_rows},
         "scan": {"n": 10000, "cases": scan},
         "periods": {"decision": PERIODS_DECISION, "n": 10000, "cases": periods},

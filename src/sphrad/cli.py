@@ -105,10 +105,10 @@ class RunConfig:
             if (not (_number(value, int) and value >= low)
                     and (name, value) != ("validate_seed", None)):
                 raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-        if self.eps is not None and not (_number(self.eps) and self.eps >= 0):
-            raise ConfigError(f"eps must be a nonnegative number, got {self.eps!r}")
-        if isinstance(self.x, str) or not all(_number(v) for v in self.x):
-            raise ConfigError(f"x must be a list of numbers, got {self.x!r}")
+        if self.eps is not None and not (_number(self.eps) and 0 <= self.eps < np.inf):
+            raise ConfigError(f"eps must be a finite nonnegative number, got {self.eps!r}")
+        if isinstance(self.x, str) or not all(_number(v) and np.isfinite(v) for v in self.x):
+            raise ConfigError(f"x must be a list of finite numbers, got {self.x!r}")
         self.x = [float(v) for v in self.x]
         bad = set(self.energy) - {f.name for f in dataclasses.fields(EnergyParams)}
         if bad:

@@ -262,20 +262,23 @@ def _hyperbolic_project(x: float, W: np.ndarray) -> np.ndarray:
     a = np.minimum(a, np.maximum(p, 0.0) + np.cbrt(x * np.abs(q)) + r)
     with np.errstate(divide="ignore"):      # q = 0: no curve point at that height
         a = np.minimum(a, np.where(q > 0.0, x / q, np.inf))
-    live = np.arange(W.shape[0])
+    live, a_k = np.arange(W.shape[0]), a     # the moving rows and their iterates
     for _ in range(_PROJECT_MAX_NEWTON):
-        a_k, p_k, q_k = a[live], p[live], q[live]
         a2 = a_k * a_k
-        a3, df = a2 * a_k, a2 * (4.0 * a_k - 3.0 * p_k) + x * q_k
-        step = np.maximum((a3 * (a_k - p_k) + x * (q_k * a_k - x)) / df, 0.0)    # 0 where f <= 0
+        a3, df = a2 * a_k, a2 * (4.0 * a_k - 3.0 * p) + x * q
+        step = np.maximum((a3 * (a_k - p) + x * (q * a_k - x)) / df, 0.0)    # 0 where f <= 0
         new = a_k - step
         far = np.flatnonzero(new < step)    # a_k - step cancels: take the one quotient
         if far.size:
-            new[far] = (a3[far] * (3.0 * a_k[far] - 2.0 * p_k[far]) + x * x) / df[far]
-        a[live] = new
-        live = live[~(step <= 4.0 * np.spacing(a_k))]     # NaN (overflow) runs to the cap
+            new[far] = (a3[far] * (3.0 * a_k[far] - 2.0 * p[far]) + x * x) / df[far]
+        stop = step <= 4.0 * np.spacing(a_k)    # NaN (overflow) runs to the cap
+        if stop.any():
+            stopped, keep = np.flatnonzero(stop), np.flatnonzero(~stop)
+            a[live.take(stopped)] = new.take(stopped)
+            live, new, p, q = (v.take(keep) for v in (live, new, p, q))
         if live.size == 0:
             break
+        a_k = new
     else:
         raise ProjectionDiverged("hyperbolic projection failed to converge")
     if np.any(a <= 0.0):        # a foot below the smallest double
@@ -295,8 +298,10 @@ def make_hyperbolic_set() -> ConvexSetOracle:
         if not 0.0 < xv < 4.0:
             raise InteriorViolated(f"hyperbolic set requires x in (0, 4), got {xv}")
         out = np.array(Z, dtype=float, copy=True)
-        outside = np.flatnonzero(~contains(x, Z))      # an index gathers faster than a mask
-        out[outside] = _hyperbolic_project(xv, Z[outside])
+        outside = np.flatnonzero(~contains(x, Z))
+        # A coordinate at a time: Z is usually a C array's transpose, slow to index by row.
+        out[outside, 0], out[outside, 1] = _hyperbolic_project(
+            xv, Z.T.take(outside, axis=1).T).T
         return out
 
     def sensitivity(x, P, n):

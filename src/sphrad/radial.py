@@ -24,9 +24,14 @@ and a later root may then be returned.
 
 Every solve runs over a batch of directions, one unit vector per row, in
 blocks of at most ``BLOCK_ROWS``: a large batch holds its O(N) results plus
-one block's temporaries.  A NaN ray value or halfspace is a NumericalError.
+one block's temporaries.  A NaN ray value or halfspace, or a ray still
+moving after ``MAX_ROOT_STEPS`` Newton steps, is a NumericalError.
 A block keeps its directions as ``L V^T``, (m, N), so a ray's points
 ``mean + r L v`` reach the callbacks as the (k, m) transpose of a C array.
+Scan points take every row as a slice, so their columns are views; other
+row sets gather columns with ``take`` (C-ordered, several times faster than
+2-D fancy indexing).  Newton iterates compact arrays of the moving rows;
+each writes its radius once, when it stops.
 """
 
 from __future__ import annotations
@@ -84,7 +89,7 @@ def _roots(ray, r_search, what, first):
     every = slice(None)
     lo = np.zeros(n_dirs)
     hi = np.full(n_dirs, np.inf)
-    outer = np.zeros((2, n_dirs))       # (h, dh/dr) at hi
+    h_hi, dh_hi = np.empty(n_dirs), np.empty(n_dirs)     # (h, dh/dr) at hi
     found = np.zeros(n_dirs, dtype=bool)
     prev_r = np.zeros(n_dirs)
     r_cur = np.minimum(1.0, r_search)
@@ -96,18 +101,18 @@ def _roots(ray, r_search, what, first):
     # again, and the updates below leave it unchanged.
     for _ in range(MAX_BRACKET_DOUBLINGS):
         h[scan], slope = value(r_cur[scan], scan)
-        regression = found & (h <= 0) & (r_cur > hi)
+        below = h <= 0
+        regression = found & below & (r_cur > hi)
         if regression.any():
             raise BracketFailure(
                 f"{what}: ray function changed sign more than once; the constraint "
                 f"is not quasi-convex along direction {first + int(np.argmax(regression))}")
-        newly = (~found) & (h > 0)
+        newly = ~found & ~below
         hi = np.where(newly, r_cur, hi)
-        lo = np.where(newly, prev_r, lo)
-        lo = np.where(~found & (h <= 0), r_cur, lo)
+        lo = np.where(found | newly, lo, r_cur)     # a newly closed lo is the last r inside
         closed = np.flatnonzero(newly)
         if closed.size:                 # a callback never sees a 0-row array
-            outer[:, closed] = h[closed], slope(
+            h_hi[closed], dh_hi[closed] = h[closed], slope(
                 closed if scan is every else np.searchsorted(scan, closed))
         del slope                       # frees this evaluation's points before the next
         found |= newly
@@ -117,52 +122,56 @@ def _roots(ray, r_search, what, first):
         if not moved.any():
             break
         scan = every if moved.all() else np.flatnonzero(moved)
-    del prev_r, r_cur, h, regression, newly, moved    # (N,) arrays, freed early
+    del prev_r, r_cur, h, below, regression, newly, moved   # (N,) arrays, freed early
 
-    idx = np.flatnonzero(found)
-    lo, hi, outer = lo[idx], hi[idx], outer[:, idx]
-    r = hi.copy()                   # start at the outer end, from the scan's (h, dh/dr)
-    newton = np.zeros(idx.size, dtype=bool)     # r came from a Newton step
-    live = np.flatnonzero(~_newton_step(np.arange(idx.size), *outer, r, lo, hi, newton))
-    del outer
-    for _ in range(MAX_ROOT_STEPS - 1):
-        if live.size == 0:
-            break
-        h, slope = value(r[live], idx[live])
-        dh, slope = slope(every), None  # frees this evaluation's points before the next
-        live = live[~_newton_step(live, h, dh, r, lo, hi, newton)]
+    idx = np.flatnonzero(found)     # Newton from hi, with the scan's (h, dh/dr) there
+    r, lo, h, dh = hi.take(idx), lo.take(idx), h_hi.take(idx), dh_hi.take(idx)
+    hi, newton = r, np.zeros(idx.size, dtype=bool)     # newton: r came from a Newton step
     rho = np.full(n_dirs, np.inf)
-    rho[idx] = r
-    return rho
+    for _ in range(MAX_ROOT_STEPS):
+        r, lo, hi, newton, done = _newton_step(h, dh, r, lo, hi, newton)
+        if done.any():
+            stop, keep = np.flatnonzero(done), np.flatnonzero(~done)
+            rho[idx.take(stop)] = r.take(stop)
+            idx, r, lo, hi, newton = (a.take(keep) for a in (idx, r, lo, hi, newton))
+        if idx.size == 0:
+            return rho
+        h, slope = value(r, idx)
+        dh, slope = slope(every), None  # frees this evaluation's points before the next
+    raise NumericalError(f"{what}: ray root not converged in {MAX_ROOT_STEPS} steps "
+                         f"at direction {first + int(idx[0])}")
 
 
-def _newton_step(rows, h, dh, r, lo, hi, newton):
-    """Move ``rows`` one safeguarded Newton step from ``r[rows]``, where the
-    ray function is ``h`` with slope ``dh``, in place; return the stopped rows.
+def _newton_step(h, dh, r, lo, hi, newton):
+    """One safeguarded Newton step of each row from ``r`` in the bracket
+    ``[lo, hi]``, where the ray function is ``h`` with slope ``dh`` and
+    ``newton`` marks an ``r`` that came from a Newton step.  Return the new
+    ``(r, lo, hi, newton)`` and the stopped rows.
 
     A row stops when its step or bracket is within ``1e-13 * max(1, hi)``,
     never on h == 0: at eps = 0, h vanishes on the whole feasible segment.
     """
-    r_k = r[rows]
     out = h > 0
-    lo_k = np.where(out, lo[rows], r_k)
-    hi_k = np.where(out, r_k, hi[rows])
-    tol = 1e-13 * np.maximum(1.0, hi_k)
+    lo = np.where(out, lo, r)
+    hi = np.where(out, r, hi)
+    tol = 1e-13 * np.maximum(1.0, hi)
     ok = dh > SLOPE_FLOOR
-    with np.errstate(all="ignore"):
-        step = np.where(ok, -h / dh, 0.0)
-    cand = r_k + step
-    mid = 0.5 * (lo_k + hi_k)
+    with np.errstate(all="ignore"):     # read only where ok
+        step = h / dh                   # the Newton step is -step
+    cand = r - step
+    mid = 0.5 * (lo + hi)
     conv = ok & (np.abs(step) <= tol)
-    done = conv | (hi_k - lo_k <= tol)
-    take = ok & (cand > lo_k) & (cand < hi_k)
-    # A Newton iterate that lands inside is probed just beyond, not bisected
-    # from: at eps = 0 it is usually within rounding of the root.
-    probe = np.where(newton[rows] & ~out, np.minimum(lo_k + 0.5 * tol, mid), mid)
-    r[rows] = np.where(done, np.where(conv, np.clip(cand, lo_k, hi_k), mid),
-                       np.where(take, cand, probe))
-    lo[rows], hi[rows], newton[rows] = lo_k, hi_k, take
-    return done
+    done = conv | (hi - lo <= tol)
+    inside = ok & (cand > lo) & (cand < hi)
+    # A Newton iterate is probed just beyond, not bisected from, where it
+    # lands inside, or outside with a slope too flat to trust: at eps = 0 it
+    # is usually within rounding of the root, where the slope is noise.
+    half = 0.5 * tol
+    near = np.where(out, np.maximum(hi - half, mid), np.minimum(lo + half, mid))
+    probe = np.where(newton & ~(out & ok), near, mid)
+    r = np.where(done, np.where(conv, np.minimum(np.maximum(cand, lo), hi), mid),
+                 np.where(inside, cand, probe))
+    return r, lo, hi, inside, done
 
 
 def _classify(inv, r_max) -> HitBatch:
@@ -188,6 +197,11 @@ def _solve_blocks(solve, n_dirs, n_rows, r_max) -> HitBatch:
         part = _classify(solve(sl), r_max)
         hits.rho[sl], hits.act[:, sl] = part.rho, part.act
     return hits
+
+
+def _columns(A, idx):
+    """Columns ``idx`` of ``A``: a view for a slice, else a C-ordered ``take``."""
+    return A[:, idx] if isinstance(idx, slice) else A.take(idx, axis=1)
 
 
 def _unit_rows(x, dirs):
@@ -235,11 +249,12 @@ def inequality_hits(system: InequalitySystem, x, dirs: np.ndarray,
         rho_real = np.empty((s, r_search.shape[0]))
         for i in range(s):
             def ray(r, idx, _i=i):
-                LVT_k = LVT[:, idx]
-                Z = (mean[:, None] + r * LVT_k).T
+                LVT_k = _columns(LVT, idx)
+                ZT = mean[:, None] + r * LVT_k
                 slope = lambda rows: np.einsum("km,mk->k", np.asarray(
-                    system.grad_z_g(_i, x, Z[rows]), dtype=float), LVT_k[:, rows])
-                return np.asarray(system.eval_g(_i, x, Z), dtype=float), slope
+                    system.grad_z_g(_i, x, _columns(ZT, rows).T), dtype=float),
+                    _columns(LVT_k, rows))
+                return np.asarray(system.eval_g(_i, x, ZT.T), dtype=float), slope
 
             rho_real[i] = _roots(ray, r_search, f"{system.name}: g_{i}", sl.start)
         return np.vstack([1.0 / rho_real, G])
@@ -250,8 +265,8 @@ def inequality_hits(system: InequalitySystem, x, dirs: np.ndarray,
 def enlarged_hits(oracle: ConvexSetOracle, x, dirs: np.ndarray, eps: float,
                   model: GaussianModel) -> HitBatch:
     """Solve rays against the eps-enlargement of a projection oracle (eps >= 0)."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    if not (np.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be finite and nonnegative, got {eps!r}")
     x, V = _unit_rows(x, dirs)
     check_oracle_interior(oracle, x, model.mean)
     r_max = chi_cutoff(model.dim)
@@ -259,12 +274,13 @@ def enlarged_hits(oracle: ConvexSetOracle, x, dirs: np.ndarray, eps: float,
     def solve(sl):
         LVT = model.factor_L @ V[sl].T
         def ray(r, idx):             # the slope reads this projection's residual
-            LVT_k = LVT[:, idx]
+            LVT_k = _columns(LVT, idx)
             UT = model.mean[:, None] + r * LVT_k
             UT -= oracle.project(x, UT.T).T
             dist = np.linalg.norm(UT, axis=0)
-            return dist - eps, lambda rows: (np.einsum("mk,mk->k", UT[:, rows], LVT_k[:, rows])
-                                             / np.maximum(dist[rows], 1e-300))
+            return dist - eps, lambda rows: (
+                np.einsum("mk,mk->k", _columns(UT, rows), _columns(LVT_k, rows))
+                / np.maximum(dist[rows], 1e-300))
 
         return 1.0 / _roots(ray, np.full(LVT.shape[1], r_max), oracle.name, sl.start)[None, :]
 

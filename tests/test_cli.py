@@ -119,6 +119,19 @@ class TestEvalCommand:
         key = list(config)[-1]
         assert f"configuration error: {key} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, key", [
+        (["eval", "--fixture", "halfspace", "--x", "nan"], "x"),
+        (["eval", "--fixture", "halfspace", "--x", "inf"], "x"),
+        (["grad", "--fixture", "slab", "--x=-inf"], "x"),
+        (["eval", "--fixture", "ball", "--x", "inf", "--eps", "0.1"], "x"),
+        (["eval", "--fixture", "ball", "--x", "1", "--eps", "inf"], "eps"),
+        (["grad", "--fixture", "hyperbolic", "--x", "1", "--eps", "inf"], "eps")])
+    def test_non_finite_decision_or_eps_exit_2(self, capsys, argv, key):
+        # Before any ray solve: an infinite x or eps would print JSON
+        # Infinity, and a NaN x would read as an interior violation.
+        assert main(argv + ["--n", "16"]) == 2
+        assert f"configuration error: {key} must be" in capsys.readouterr().err
+
     def test_numerical_error_exit_3(self):
         # Slab fixture evaluated where the interior condition fails.
         proc = run_cli("eval", "--fixture", "slab", "--x", "0.5", "--n", "100")

@@ -225,6 +225,12 @@ class TestProbValue:
             sp.evaluate(sp.make_halfspace([1.0, 0.0]), [1.0], _model2(), _dirs(n=16),
                         eps=0.1)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -0.1])
+    def test_non_finite_or_negative_eps_rejected(self, eps):
+        # Before any ray solve: a NaN eps would surface as a NaN ray value.
+        with pytest.raises(ValueError, match="eps must be finite and nonnegative"):
+            sp.evaluate(sp.make_ball(np.zeros(2)), [1.0], _model2(), _dirs(n=16), eps=eps)
+
     @pytest.mark.parametrize("target", [sp.make_halfspace([1.0, 0.0]),
                                         sp.make_ball(np.zeros(2))])
     def test_decision_length_checked(self, target):

@@ -198,6 +198,19 @@ class TestNaNRayValues:
             inequality_hits(broken, x, np.eye(model.dim), model)
 
 
+@pytest.mark.parametrize("cap, block, direction", [(2, radial.BLOCK_ROWS, 0), (6, 50, 64)])
+def test_newton_step_cap_raises(monkeypatch, cap, block, direction):
+    # The cap never binds (8 steps suffice here); when it does, the rows
+    # still moving hold no root, and the error names the first of them.
+    slab = sp.make_slab(np.eye(2)[0], lambda x: x[0], lambda x: np.array([1.0]))
+    V = sp.sample_sphere(2, 1000, seed=sp.DEFAULT_SEED).directions
+    monkeypatch.setattr(radial, "MAX_ROOT_STEPS", cap)
+    monkeypatch.setattr(radial, "BLOCK_ROWS", block)
+    with pytest.raises(NumericalError, match=f"slab: g_0: ray root not converged in {cap} "
+                                             f"steps at direction {direction}$"):
+        inequality_hits(slab, [-0.5], V, _model2())
+
+
 @pytest.mark.parametrize("w_shape, t_shape", [((2, 2), (2,)), ((1, 3), (1,)),
                                               ((1, 2), (2,)), ((2,), (1,))])
 def test_declared_halfspace_shapes_checked(w_shape, t_shape):
@@ -620,9 +633,12 @@ class TestPinnedRadii:
         "slab-dim2": "29cf4e3d2b205fae00c0eed2c4dd48bc043c5c49bb72af22bd3f4ae715569e4f",
         "slab-dim8": "fb99339807e7f74fbb49863b48bd412ff71aa8a1a56929f7163cf862ed80bad4",
         "hyperbolic-system": "7a11c1041a8bf83520d056eb8bbdf53bb80b255f0a05ddec928d782d7b8ef582",
-        "hyperbolic-set-eps0": "e3bfa49f870f45599755d2c1a0c74266e58b7b71ff531f48efa3a2467c81c4a7",
+        "hyperbolic-set-eps0": "0f78af90c203b3608b052af14d7363fbb14f6d505e6339e569fafb8092d4e301",
         "hyperbolic-set-eps0.05":
             "773afa835139167d36164421301c1f34080f0c50e75be2384be0f89232b788c0",
+        # A ball in dimension 2 around (0.4, -0.3), x = 1.5.
+        "ball-dim2-eps0": "942dae559fe6b16c8a0f9289e7b1abc10d3dc08e852be216e14f89da23d5174d",
+        "ball-dim2-eps0.05": "b328ea1606aeb1c7381b0742e7dd5d311aecf69a0f878a3044e8e79eda786fd4",
     }
     # Every 100th radius of a ball in dimension 8 around BALL_CENTER, x = 3.
     # The residual norm sums its 8 squares in a set order, so these may move
@@ -653,7 +669,9 @@ class TestPinnedRadii:
         else:
             eps = float(case.rsplit("eps", 1)[1])
             V, model = self._setup(2)
-            hits = enlarged_hits(sp.make_hyperbolic_set(), [2.25], V, eps, model)
+            oracle, x = ((sp.make_ball(np.array([0.4, -0.3])), 1.5) if case.startswith("ball")
+                         else (sp.make_hyperbolic_set(), 2.25))
+            hits = enlarged_hits(oracle, [x], V, eps, model)
         assert np.isfinite(hits.rho).sum() > 600
         assert hashlib.sha256(hits.rho.tobytes()).hexdigest() == self.DIGESTS[case]
 
@@ -663,3 +681,55 @@ class TestPinnedRadii:
         rho = enlarged_hits(sp.make_ball(self.BALL_CENTER, 8), [3.0], V, eps, model).rho
         want = np.array(self.BALL_RADII[eps])
         assert np.all(np.abs(rho[::100] - want) <= 4 * np.spacing(want))
+
+
+class TestRayCallbackCounts:
+    """Callback calls and rows of one 10k-direction ray solve of each case of
+    ``scripts/bench_layers.py`` (``DEFAULT_SEED``, standard models).  They
+    are deterministic; a change that moves them changes the ray work."""
+
+    # case: (target, x, m, eps, {callback: (calls, rows)})
+    CASES = {
+        "hyperbolic-set-x0.75": (sp.make_hyperbolic_set, 0.75, 2, 0.05,
+                                 {"project": (8, 59010)}),
+        "hyperbolic-set-x2.25": (sp.make_hyperbolic_set, 2.25, 2, 0.05,
+                                 {"project": (8, 63124)}),
+        # Bisecting after an untrusted outside slope would take 50 calls here.
+        "hyperbolic-set-x0.75-eps0": (sp.make_hyperbolic_set, 0.75, 2, 0.0,
+                                      {"project": (14, 62288)}),
+        "ball-dim8-x3": (lambda: sp.make_ball(np.zeros(8)), 3.0, 8, 0.05,
+                         {"project": (6, 60000)}),
+        "ball-dim2-x1.5": (lambda: sp.make_ball(np.zeros(2)), 1.5, 2, 0.05,
+                           {"project": (5, 50000)}),
+        "slab-dim2": (lambda: sp.make_slab(np.eye(2)[0], lambda x: x[0],
+                                           lambda x: np.array([1.0])), -0.5, 2, None,
+                      {"eval_g": (12, 75381), "grad_z_g": (10, 44242)}),
+        "slab-dim8": (lambda: sp.make_slab(np.eye(8)[0], lambda x: x[0],
+                                           lambda x: np.array([1.0])), -0.5, 8, None,
+                      {"eval_g": (14, 77705), "grad_z_g": (12, 34642)}),
+        "hyperbolic-system": (sp.make_hyperbolic_system, 2.25, 2, None,
+                              {"eval_g": (10, 60649), "grad_z_g": (9, 33217)}),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_counts(self, case):
+        make, x, m, eps, want = self.CASES[case]
+        target = make()
+        seen = {name: [0, 0] for name in want}
+
+        def counting(name, fn):
+            def counted(*args):
+                seen[name][0] += 1
+                seen[name][1] += np.shape(args[-1])[0]
+                return fn(*args)
+            return counted
+
+        counted = dataclasses.replace(
+            target, **{name: counting(name, getattr(target, name)) for name in want})
+        V = sp.sample_sphere(m, 10000, seed=sp.DEFAULT_SEED).directions
+        model = sp.build_model(np.zeros(m), np.eye(m))
+        if eps is None:
+            inequality_hits(counted, [x], V, model)
+        else:
+            enlarged_hits(counted, [x], V, eps, model)
+        assert {name: tuple(n) for name, n in seen.items()} == want
