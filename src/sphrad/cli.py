@@ -88,7 +88,7 @@ class RunConfig:
     check_fd: bool = False
     out: str = None
     quick: bool = False
-    dim: int = 2
+    dim: int = None
     directions_csv: str = None
     validate_n: int = 200000
     validate_seed: int = None
@@ -103,7 +103,7 @@ class RunConfig:
                           ("validate_seed", 0)):
             value = getattr(self, name)
             if (not (_number(value, int) and value >= low)
-                    and (name, value) != ("validate_seed", None)):
+                    and not (name in ("dim", "validate_seed") and value is None)):
                 raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.eps is not None and not (_number(self.eps) and 0 <= self.eps < np.inf):
             raise ConfigError(f"eps must be a finite nonnegative number, got {self.eps!r}")
@@ -135,9 +135,6 @@ class RunConfig:
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def _parse_x(text):
     try:
@@ -148,9 +145,11 @@ def _parse_x(text):
 
 def _build_fixture(cfg: RunConfig):
     """Return (target, model, dirs); settings the fixture ignores are rejected."""
-    m = cfg.dim
+    m = 2 if cfg.dim is None else cfg.dim
     if cfg.fixture in ("halfspace", "slab", "constant", "energy") and cfg.eps is not None:
         raise ConfigError(f"eps applies to hyperbolic and ball, not to {cfg.fixture}")
+    if cfg.fixture == "energy" and cfg.dim is not None:
+        raise ConfigError("dim does not apply to energy, whose dimension is fixed")
     if cfg.fixture == "hyperbolic" and m != 2:
         raise ConfigError(f"the hyperbolic fixture is two-dimensional, got dim {m}")
     e1 = np.eye(m)[0]

@@ -116,7 +116,7 @@ class Evaluation(ProbEstimate):
             # is direction k's entry in mass), L v only on each row's own.
             reads = act[:n_x].any(axis=0)
             at = np.cumsum(reads) - 1
-            mass = chi_pdf(model.dim, rho[reads]) * (1.0 / self.dirs.n)
+            mass = chi_pdf(model.dim, rho.take(np.flatnonzero(reads))) * (1.0 / self.dirs.n)
             V = self.dirs.directions[sl]
             for i, mask in enumerate(act[:n_x]):
                 rows = np.flatnonzero(mask)

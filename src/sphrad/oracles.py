@@ -2,8 +2,8 @@
 
 Two families are supported.  :class:`InequalitySystem` describes finitely
 many smooth constraints ``g_i(x, z) <= 0`` that are quasi-convex in ``z``;
-:class:`ConvexSetOracle` describes a parametric convex body through
-membership and Euclidean projection.  All callbacks are batched over the
+:class:`ConvexSetOracle` describes a parametric convex body through its
+Euclidean projection alone.  All callbacks are batched over the
 ``z`` argument: they accept an array of shape ``(k, m)``, which may be a
 column-major view they must not write into, and return per-row results.
 """
@@ -59,18 +59,18 @@ class InequalitySystem:
 
 @dataclass(frozen=True)
 class ConvexSetOracle:
-    """Parametric convex body S(x) exposed through membership and projection.
+    """Parametric convex body S(x) exposed through its Euclidean projection.
 
-    ``contains(x, Z)`` returns booleans of shape (k,); ``project(x, Z)``
-    returns the Euclidean projections, shape (k, m).  ``sensitivity`` is an
-    optional callback ``(x, P, n) -> (k, x_dim)`` for boundary points ``P``
-    with unit outward normals ``n``: minus the x-gradient of the support
-    function of S(x) at ``n``, so ``grad_x g / |grad_z g|`` for a body
-    ``{g <= 0}``.  Gradients need it, at every eps >= 0.
+    ``project(x, Z)`` returns the projections, shape (k, m), and must return
+    a point of S(x) unchanged, bit for bit: membership is read as
+    ``project(x, z) == z``.  ``sensitivity`` is an optional callback
+    ``(x, P, n) -> (k, x_dim)`` for boundary points ``P`` with unit outward
+    normals ``n``: minus the x-gradient of the support function of S(x) at
+    ``n``, so ``grad_x g / |grad_z g|`` for a body ``{g <= 0}``.  Gradients
+    need it, at every eps >= 0.
     """
 
     z_dim: int
-    contains: Callable
     project: Callable
     sensitivity: Optional[Callable] = None
     x_dim: int = 1
@@ -95,10 +95,9 @@ def check_interior(system: InequalitySystem, x, mean) -> None:
 
 
 def check_oracle_interior(oracle: ConvexSetOracle, x, mean) -> None:
-    x = np.asarray(x, dtype=float).reshape(-1)
+    """Require the mean in S(x): its projection must return it unchanged."""
     mean2 = np.asarray(mean, dtype=float).reshape(1, -1)
-    inside = np.asarray(oracle.contains(x, mean2)).reshape(-1)
-    if not bool(inside[0]):
+    if not np.array_equal(oracle.project(np.asarray(x, dtype=float).reshape(-1), mean2), mean2):
         raise InteriorViolated(f"{oracle.name}: mean is not contained in S(x)")
 
 
@@ -286,19 +285,20 @@ def _hyperbolic_project(x: float, W: np.ndarray) -> np.ndarray:
     return np.stack([a - 2.0, x / a - 2.0], axis=1)
 
 
+def _hyperbolic_inside(x: float, Z: np.ndarray) -> np.ndarray:
+    """Rows of Z in the hyperbolic body at x, as booleans of shape (k,)."""
+    return ((Z[:, 0] + 2.0) * (Z[:, 1] + 2.0) >= x) & (Z[:, 0] >= -2.0) & (Z[:, 1] >= -2.0)
+
+
 def make_hyperbolic_set() -> ConvexSetOracle:
     """Projection oracle for the hyperbolic body; x must lie in (0, 4)."""
-
-    def contains(x, Z):
-        xv = float(np.asarray(x).reshape(-1)[0])
-        return ((Z[:, 0] + 2.0) * (Z[:, 1] + 2.0) >= xv) & (Z[:, 0] >= -2.0) & (Z[:, 1] >= -2.0)
 
     def project(x, Z):
         xv = float(np.asarray(x).reshape(-1)[0])
         if not 0.0 < xv < 4.0:
             raise InteriorViolated(f"hyperbolic set requires x in (0, 4), got {xv}")
         out = np.array(Z, dtype=float, copy=True)
-        outside = np.flatnonzero(~contains(x, Z))
+        outside = np.flatnonzero(~_hyperbolic_inside(xv, Z))
         # A coordinate at a time: Z is usually a C array's transpose, slow to index by row.
         out[outside, 0], out[outside, 1] = _hyperbolic_project(
             xv, Z.T.take(outside, axis=1).T).T
@@ -308,7 +308,7 @@ def make_hyperbolic_set() -> ConvexSetOracle:
         # 1 / |grad_z g| at P, positive because growing x shrinks the body.
         return 1.0 / np.hypot(P[:, 1] + 2.0, P[:, 0] + 2.0)[:, None]
 
-    return ConvexSetOracle(z_dim=2, contains=contains, project=project,
+    return ConvexSetOracle(z_dim=2, project=project,
                            sensitivity=sensitivity, x_dim=1, name="hyperbolic_set")
 
 
@@ -318,10 +318,6 @@ def make_ball(center=None, z_dim: int = 2) -> ConvexSetOracle:
         center = np.zeros(z_dim)
     center = np.asarray(center, dtype=float).reshape(-1)
     m = center.shape[0]
-
-    def contains(x, Z):
-        xv = float(np.asarray(x).reshape(-1)[0])
-        return np.linalg.norm(Z - center, axis=1) <= xv
 
     def project(x, Z):
         xv = float(np.asarray(x).reshape(-1)[0])
@@ -337,7 +333,7 @@ def make_ball(center=None, z_dim: int = 2) -> ConvexSetOracle:
     def sensitivity(x, P, n):
         return np.full((P.shape[0], 1), -1.0)      # growing the radius grows the body
 
-    return ConvexSetOracle(z_dim=m, contains=contains, project=project,
+    return ConvexSetOracle(z_dim=m, project=project,
                            sensitivity=sensitivity, x_dim=1, name="ball")
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -22,8 +23,8 @@ class TestRunConfig:
     def test_round_trip_identity(self):
         cfg = RunConfig(fixture="slab", x=[-1.0], n=500, seed=4, method="mc",
                         energy={"periods": 2})
-        again = RunConfig(**cfg.to_dict())
-        assert again.to_dict() == cfg.to_dict()
+        again = RunConfig(**dataclasses.asdict(cfg))
+        assert dataclasses.asdict(again) == dataclasses.asdict(cfg)
 
     def test_unknown_keys_rejected(self, tmp_path):
         # Valid values throughout: each key is rejected only for being unread.
@@ -76,7 +77,9 @@ class TestCommandFlags:
         ["grad", "--fixture", "hyperbolic", "--x", "1", "--dim", "3"],
         ["eval", "--fixture", "hyperbolic", "--x", "1", "--eps", "0.1", "--dim", "8"],
         ["eval", "--fixture", "halfspace", "--x", "1,2"],
-        ["grad", "--fixture", "ball", "--x", "1,2", "--eps", "0.1"]])
+        ["grad", "--fixture", "ball", "--x", "1,2", "--eps", "0.1"],
+        ["eval", "--fixture", "energy", "--x", "0.35,0.35,0.35,0.35,10,10,10,10",
+         "--dim", "5"]])
     def test_ignored_setting_exit_2(self, argv, capsys):
         assert main(argv + ["--n", "16"]) == 2
         assert "configuration error" in capsys.readouterr().err

@@ -239,7 +239,7 @@ class TestProbValue:
 
     @pytest.mark.parametrize("target, callback, eps", [
         (sp.make_hyperbolic_system(), "eval_g", None),
-        (sp.make_hyperbolic_set(), "contains", 0.05)], ids=["system", "oracle"])
+        (sp.make_hyperbolic_set(), "project", 0.05)], ids=["system", "oracle"])
     def test_z_dim_checked_before_any_callback(self, target, callback, eps):
         # A body in R^2 under a model on R^3 is refused before the interior
         # check asks a callback about the mean.
@@ -452,11 +452,62 @@ class TestEnlargedGradient:
         assert rel <= 5e-2
 
     def test_missing_sensitivity(self):
-        bare = sp.ConvexSetOracle(z_dim=2,
-                                  contains=sp.make_ball(np.zeros(2)).contains,
-                                  project=sp.make_ball(np.zeros(2)).project)
+        bare = sp.ConvexSetOracle(z_dim=2, project=sp.make_ball(np.zeros(2)).project)
         with pytest.raises(sp.MissingSensitivity):
             sp.evaluate(bare, [1.0], _model2(), _dirs(n=16), eps=0.1).gradient()
+
+
+class TestOracleContract:
+    """A set oracle is its projection: the mean is inside S(x) exactly when
+    ``project`` returns it unchanged, bit for bit."""
+
+    @staticmethod
+    def _counted(oracle, calls):
+        def project(x, Z):
+            calls.append(Z.shape[0])
+            return oracle.project(x, Z)
+        return dataclasses.replace(oracle, project=project)
+
+    def test_projection_alone_evaluates_and_differentiates(self):
+        # A ball of radius x around the mean, enlarged by eps: every ray exits
+        # at x + eps, so the value is the chi cdf there and the x-derivative
+        # the chi density.
+        ball = sp.make_ball(np.zeros(2))
+        oracle = sp.ConvexSetOracle(z_dim=2, project=ball.project,
+                                    sensitivity=ball.sensitivity)
+        ev = sp.evaluate(oracle, [1.5], _model2(), _dirs(), eps=0.05)
+        assert ev.value == pytest.approx(stats.chi.cdf(1.55, 2), rel=1e-12)
+        assert ev.gradient().gradient[0] == pytest.approx(stats.chi.pdf(1.55, 2), rel=1e-9)
+
+    def test_mean_on_boundary_accepted(self):
+        # The unit ball around (1, 0) has the mean 0 on its boundary, which the
+        # projection returns unchanged; eps > 0 puts it inside the enlarged body.
+        calls = []
+        oracle = self._counted(sp.make_ball(np.array([1.0, 0.0])), calls)
+        ev = sp.evaluate(oracle, [1.0], _model2(), _dirs(), eps=0.05)
+        assert calls[0] == 1
+        assert ev.value == pytest.approx(stats.ncx2.cdf(1.05 ** 2, 2, 1.0), abs=1e-3)
+
+    def test_outside_mean_refused_after_one_projection(self):
+        calls = []
+        oracle = self._counted(sp.make_ball(np.array([3.0, 0.0])), calls)
+        with pytest.raises(sp.InteriorViolated, match="mean is not contained"):
+            sp.evaluate(oracle, [1.0], _model2(), _dirs(), eps=0.05)
+        assert calls == [1]
+
+    def test_inside_mean_moved_by_one_ulp_refused(self):
+        ball = sp.make_ball(np.zeros(2))
+        oracle = dataclasses.replace(
+            ball, project=lambda x, Z: np.nextafter(ball.project(x, Z), np.inf))
+        assert np.array_equal(ball.project([1.0], np.zeros((1, 2))), np.zeros((1, 2)))
+        with pytest.raises(sp.InteriorViolated, match="mean is not contained"):
+            sp.evaluate(oracle, [1.0], _model2(), _dirs(n=16), eps=0.05)
+
+    def test_hyperbolic_set_x_range(self):
+        # The interior check is the projection's own, so an x outside (0, 4)
+        # is reported by the projection's x-range guard.
+        with pytest.raises(sp.InteriorViolated, match=r"requires x in \(0, 4\), got 5.0"):
+            sp.evaluate(sp.make_hyperbolic_set(), [5.0], _model2(), _dirs(n=16), eps=0.1)
 
 
 def _energy_box(params):
@@ -469,10 +520,6 @@ def _energy_box(params):
         return (np.r_[np.maximum(0.0, np.cbrt(pw / c)), np.full(T, -np.inf)],
                 np.r_[np.full(T, np.inf), pw + pg])
 
-    def contains(x, Z):
-        lo, hi = bounds(x)
-        return np.all((Z >= lo) & (Z <= hi), axis=1)
-
     def sensitivity(x, P, n):
         # Minus the x-gradient of the support function: a wind face moves out
         # along -e_t at d lo_t / d pw_t, a load face along e_{T+t} at -1.
@@ -480,8 +527,7 @@ def _energy_box(params):
         wind, load = -np.minimum(n[:, :T], 0.0), np.maximum(n[:, T:], 0.0)
         return np.hstack([wind / (3 * np.cbrt(c) * np.cbrt(pw) ** 2) - load, -load])
 
-    return sp.ConvexSetOracle(z_dim=2 * T, contains=contains,
-                              project=lambda x, Z: np.clip(Z, *bounds(x)),
+    return sp.ConvexSetOracle(z_dim=2 * T, project=lambda x, Z: np.clip(Z, *bounds(x)),
                               sensitivity=sensitivity, x_dim=2 * T, name="energy_box")
 
 
