@@ -52,9 +52,11 @@ Timed one layer after another, a change of machine speed between two runs
 lands in every layer, so two runs of this script on a shared box can
 differ by more than a change does.  ``--baseline-src`` takes another
 checkout's ``src/``, imports its ``sphrad`` beside this one and times the
-oracle and scan cases of both in one process, a call of each in turn; the
-``interleaved`` section gives both medians, their ratio and in how many
-pairs this checkout's call was the faster.
+oracle and scan cases of both in one process, a call of each in turn, and
+in the same way the dispatch's ``evaluate`` and ``gradient`` at 4, 24 and
+48 periods (the periods section's cases) and one default ``solve`` plus
+its ``validate``; the ``interleaved`` section gives both medians, their
+ratio and in how many pairs this checkout's call was the faster.
 
 A periods section times ``closed_form_roots``, ``evaluate`` and
 ``gradient`` of the dispatch at 4, 24 and 48 periods, at the interior
@@ -245,21 +247,24 @@ def load_sphrad(src):
 
 
 def interleaved_layers(baseline, repeats):
-    """Each case of ``ray_calls`` timed in this checkout and in ``baseline``,
-    one call of each in turn (which goes first alternates), so a change of
-    machine speed during the run lands on both: the two medians in ms, their
-    ratio baseline / this, and in how many of the pairs this call was faster."""
-    mine, theirs = ray_calls(sp), ray_calls(baseline)
+    """Each case of ``ray_calls`` and ``energy_calls`` timed in this checkout
+    and in ``baseline``, one call of each in turn (which goes first
+    alternates), so a change of machine speed during the run lands on both:
+    the two medians in ms, their ratio baseline / this, and in how many of the
+    pairs this call was faster."""
+    mine, theirs = ({**{key: functools.partial(call, target)
+                        for key, (call, target) in ray_calls(pkg).items()}, **energy_calls(pkg)}
+                    for pkg in (sp, baseline))
     out = {}
-    for key, (call, target) in mine.items():
-        pair = (theirs[key], (call, target))
-        for fn, t in pair:
-            fn(t)                                   # warm-up, not timed
+    for key, call in mine.items():
+        pair = (theirs[key], call)
+        for fn in pair:
+            fn()                                    # warm-up, not timed
         times = ([], [])
         for k in range(repeats):
             for j in ((0, 1) if k % 2 == 0 else (1, 0)):
                 t0 = time.perf_counter()
-                pair[j][0](pair[j][1])
+                pair[j]()
                 times[j].append(time.perf_counter() - t0)
         base_ms, ms = (1e3 * statistics.median(t) for t in times)
         out[key] = {"baseline_ms": round(base_ms, 4), "ms": round(ms, 4),
@@ -312,6 +317,25 @@ def period_layers(repeats):
     return out
 
 
+def energy_calls(pkg):
+    """Zero-argument calls of the dispatch built from ``pkg``: ``evaluate`` and
+    ``gradient`` at PERIODS_DECISION at each of PERIODS, keyed
+    ``evaluate/energy_T<T>`` and ``gradient/energy_T<T>`` (10k QMC
+    directions), and ``solve_validate/energy``: one ``solve`` of
+    ``make_energy_problem()`` and the 200k ``validate`` of its result."""
+    calls = {}
+    for T in PERIODS:
+        params = pkg.EnergyParams(periods=T)
+        system, model = pkg.make_energy_system(params), pkg.build_energy_covariance(params)
+        dirs = pkg.sample_sphere(model.dim, 10000, seed=pkg.DEFAULT_SEED)
+        x = np.repeat(PERIODS_DECISION, T)
+        calls[f"evaluate/energy_T{T}"] = functools.partial(pkg.evaluate, system, x, model, dirs)
+        calls[f"gradient/energy_T{T}"] = pkg.evaluate(system, x, model, dirs).gradient
+    problem = pkg.make_energy_problem()
+    calls["solve_validate/energy"] = lambda: pkg.validate(pkg.solve(problem)[0], problem)
+    return calls
+
+
 ABOVE_DIM = 320                 # a chi dimension above the tail sum's cutoff
 SWEEP_DIMS = (8, 64, 128, 192, 256, 288)    # the sum overflows from m = 296
 
@@ -354,8 +378,8 @@ def main() -> int:
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--repeats", type=int, default=15, help="timed runs per layer")
     parser.add_argument("--baseline", help="a file this script wrote on another checkout")
-    parser.add_argument("--baseline-src", help="another checkout's src/, whose oracle and "
-                        "scan layers are timed interleaved with this one's")
+    parser.add_argument("--baseline-src", help="another checkout's src/, whose oracle, scan "
+                        "and dispatch layers are timed interleaved with this one's")
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")

@@ -4,10 +4,10 @@ The probability of the feasible event is the direction-average of the chi
 cdf at the radial function; infinite directions contribute exactly one.
 The gradient reads the same hits: per finite direction it weighs a
 decision-space normal of each active constraint by the chi density at the
-hit over the ray slope of that constraint.  Evaluating value and gradient
-on one fixed direction set (common random numbers) makes both smooth
-deterministic functions of the decision, which the finite-difference
-identities and the outer solver rely on.
+hit over the ray slope; on a declared row ``w . z <= t(x)`` that ratio is
+``rho / gap * dt/dx``.  One fixed direction set (common random numbers)
+makes value and gradient smooth deterministic functions of the decision,
+which the finite-difference identities and the outer solver rely on.
 """
 
 from __future__ import annotations
@@ -90,11 +90,13 @@ class Evaluation(ProbEstimate):
         the unit outward normal ``n``, the direction of the residual of one
         projection ``P`` of the hit.  An eps = 0 root may lie just inside the
         body, where the residual is 0, so there the hit is first pushed out
-        to ``rho * (1 + NORMAL_PUSH)``.  Infinite directions weigh zero.  Ties
-        are split uniformly (``average``) or resolved to the smallest active
-        index (``min_index``); with ties present the result is one element of
-        the subdifferential hull rather than the gradient.  The weights are
-        summed over the ray solve's blocks of directions.
+        to ``rho * (1 + NORMAL_PUSH)``.  A declared row ``w . z <= t(x)`` sums
+        ``mass * lambda * rho / (t - w . mean)`` and reads ``dt/dx`` once, as
+        ``-grad_x g / s`` with ``grad_z g = s w`` at the mean's foot on it.
+        Infinite directions weigh zero.  Ties are split uniformly (``average``)
+        or resolved to the smallest active index (``min_index``); with ties
+        present the result is one subdifferential element, not the gradient.
+        The weights are summed over the ray solve's blocks of directions.
         """
         if tie_policy not in ("average", "min_index"):
             raise ValueError(f"unknown tie policy {tie_policy!r}")
@@ -105,8 +107,10 @@ class Evaluation(ProbEstimate):
         # Domain caps are x-independent: they contribute nothing to the gradient
         # but still take their share of the tie weight.
         n_x = hits.act.shape[0] if oracle else target.s
+        declared = not oracle and target.halfspaces is not None
         push = 1.0 + NORMAL_PUSH if oracle and self.eps == 0 else 1.0
         grad, n_tied, max_ratio2 = np.zeros(target.x_dim), 0, 0.0
+        c, rho_max = np.zeros(n_x), np.zeros(n_x)   # declared rows: sum mass lam rho, max rho
         for sl in _blocks(self.dirs.n):
             act, rho = hits.act[:, sl], hits.rho[sl]
             n_active = act.sum(axis=0, dtype=np.min_scalar_type(act.shape[0]))
@@ -115,8 +119,18 @@ class Evaluation(ProbEstimate):
             # The chi density only where some x-dependent row is active (at[k]
             # is direction k's entry in mass), L v only on each row's own.
             reads = act[:n_x].any(axis=0)
+            if not reads.any():
+                continue
             at = np.cumsum(reads) - 1
             mass = chi_pdf(model.dim, rho.take(np.flatnonzero(reads))) * (1.0 / self.dirs.n)
+            if declared:        # row sums over the (row, direction) pairs, row by row
+                ri, ci = np.divmod(np.flatnonzero(act[:n_x]), act.shape[1])
+                starts = np.flatnonzero(np.diff(ri, prepend=-1))
+                live, rho_p = ri.take(starts), rho.take(ci)
+                lam = 1 / n_active.take(ci) if first is None else first.take(ci) == ri
+                c[live] += np.add.reduceat(mass.take(at.take(ci)) * lam * rho_p, starts)
+                rho_max[live] = np.maximum(rho_max[live], np.maximum.reduceat(rho_p, starts))
+                continue
             V = self.dirs.directions[sl]
             for i, mask in enumerate(act[:n_x]):
                 rows = np.flatnonzero(mask)
@@ -143,6 +157,21 @@ class Evaluation(ProbEstimate):
                 # slope > 0 implies |z_i| > 0.  Squared norms; one sqrt at the end.
                 ratio2 = np.einsum("km,km->k", gx, gx) / np.einsum("km,km->k", gz, gz)
                 max_ratio2 = max(max_ratio2, float(ratio2.max()))
+        if rho_max.any():       # declared: dt_i/dx from one call per active row, at its foot
+            W, t = (np.asarray(a, dtype=float) for a in target.halfspaces(x))
+            gap, ww = t - W @ model.mean, np.einsum("im,im->i", W, W)
+            for i in np.flatnonzero(rho_max):
+                foot = (model.mean + gap[i] / ww[i] * W[i])[None, :]
+                gx = np.asarray(target.grad_x_g(i, x, foot), dtype=float)[0]
+                s = np.asarray(target.grad_z_g(i, x, foot), dtype=float)[0] @ W[i] / ww[i]
+                if not s * gap[i] / rho_max[i] > SLOPE_FLOOR:     # NaN fails too
+                    k = int(np.argmax(np.where(hits.act[i], hits.rho, 0.0)))   # largest rho
+                    raise TransversalityBreakdown(
+                        f"constraint {i}: ray slope {s * gap[i] / rho_max[i]:.3e} at direction "
+                        f"{k} is below the slope floor", direction_index=k)
+                J = -gx / s
+                grad += c[i] / gap[i] * J
+                max_ratio2 = max(max_ratio2, float(J @ J / ww[i]))
         return GradEstimate(gradient=grad, tie_fraction=n_tied / self.dirs.n,
                             max_ratio=float(np.sqrt(max_ratio2)))
 

@@ -166,9 +166,10 @@ def _newton_step(h, dh, r, lo, hi, newton):
     # A Newton iterate is probed just beyond, not bisected from, where it
     # lands inside, or outside with a slope too flat to trust: at eps = 0 it
     # is usually within rounding of the root, where the slope is noise.
-    half = 0.5 * tol
-    near = np.where(out, np.maximum(hi - half, mid), np.minimum(lo + half, mid))
-    probe = np.where(newton & ~(out & ok), near, mid)
+    half, probe, pick = 0.5 * tol, mid, newton & ~(out & ok)
+    if pick.any():      # none on a first step, where no r came from Newton
+        near = np.where(out, np.maximum(hi - half, mid), np.minimum(lo + half, mid))
+        probe = np.where(pick, near, mid)
     r = np.where(done, np.where(conv, np.minimum(np.maximum(cand, lo), hi), mid),
                  np.where(inside, cand, probe))
     return r, lo, hi, inside, done

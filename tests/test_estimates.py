@@ -354,7 +354,9 @@ class TestProbGradient:
         pdf = sp.chi_pdf(8, rho)[0]
         wind, load = (-pdf * system.grad_x_g(i, x, z)[0]
                       / (system.grad_z_g(i, x, z)[0] @ lv[0]) for i in (0, 4))
-        assert np.array_equal(ev.gradient("min_index").gradient, wind)
+        g_min = ev.gradient("min_index").gradient
+        assert abs(g_min[0] / wind[0] - 1) <= 1e-14
+        assert np.all(g_min[1:] == 0)
         np.testing.assert_allclose(ev.gradient("average").gradient, (wind + load) / 2,
                                    rtol=0, atol=1e-15)
 
@@ -417,6 +419,100 @@ class TestBlockedGradient:
         with pytest.raises(sp.TransversalityBreakdown) as info:
             ev.gradient()
         assert info.value.direction_index == k
+
+
+def _energy_at(T, decision):
+    """Energy system of ``T`` periods, its model and an evaluation on 10k QMC
+    directions at the start, at (pw, pg) = (0.35, 10) in every period, or at
+    (1.5, 11) with a direction appended on which period 0's wind and load
+    rows tie (``tied``)."""
+    params = sp.EnergyParams(periods=T)
+    system, model = sp.make_energy_system(params), sp.build_energy_covariance(params)
+    dirs = _dirs(m=2 * T)
+    x = {"start": sp.starting_point(params), "interior": np.repeat([0.35, 10.0], T),
+         "tied": np.repeat([1.5, 11.0], T)}[decision]
+    if decision == "tied":
+        zstar = model.mean.copy()
+        zstar[0], zstar[T] = np.cbrt(x[0] / params.wind_coeff), x[0] + x[T]
+        d = np.linalg.solve(model.factor_L, zstar - model.mean)
+        dirs = sp.DirectionSet(np.vstack([dirs.directions, d / np.linalg.norm(d)]),
+                               dirs.seed, dirs.method)
+    return sp.evaluate(system, x, model, dirs)
+
+
+def _per_direction(ev, tie_policy):
+    """Gradient, tie fraction and growth ratio of an inequality-system
+    evaluation, read direction by direction from its hits and the callbacks:
+    ``-pdf * lam * grad_x g / <grad_z g, L v>`` at each boundary point."""
+    hits, system, model = ev.hits, ev.target, ev.model
+    ratio = 0.0
+    for i in range(system.s):
+        rows = np.flatnonzero(hits.act[i])
+        if rows.size:
+            z = model.mean + hits.rho[rows, None] * (ev.dirs.directions[rows] @ model.factor_L.T)
+            gx, gz = system.grad_x_g(i, ev.x, z), system.grad_z_g(i, ev.x, z)
+            ratio = max(ratio, float(np.max(np.linalg.norm(gx, axis=1)
+                                            / np.linalg.norm(gz, axis=1))))
+    return (reference_weights(ev, tie_policy).mean(axis=0),
+            np.mean(hits.act.sum(axis=0) > 1), ratio)
+
+
+class TestDeclaredGradient:
+    """A declared row ``w . z <= t(x)`` weighs its active directions by
+    ``mass * lam * rho / gap`` and reads ``dt/dx`` once, at the mean's foot on
+    its hyperplane; that equals the per-direction formula."""
+
+    @staticmethod
+    def _assert_matches(ev):
+        for policy in ("average", "min_index"):
+            est = ev.gradient(policy)
+            ref, tie_fraction, ratio = _per_direction(ev, policy)
+            assert np.linalg.norm(est.gradient - ref) <= 1e-14 * np.linalg.norm(ref)
+            assert est.tie_fraction == tie_fraction
+            assert abs(est.max_ratio - ratio) <= 1e-14 * ratio
+
+    @pytest.mark.parametrize("T", [4, 24, 48])
+    @pytest.mark.parametrize("decision", ["start", "interior", "tied"])
+    def test_energy_matches_per_direction(self, T, decision):
+        ev = _energy_at(T, decision)
+        if decision == "tied":
+            assert tuple(np.flatnonzero(ev.hits.act[:, -1])) == (0, T)
+        self._assert_matches(ev)
+
+    @pytest.mark.parametrize("m", [2, 8])
+    def test_halfspace_matches_per_direction(self, m):
+        model = sp.build_model(np.zeros(m), np.eye(m))
+        self._assert_matches(sp.evaluate(sp.make_halfspace(np.eye(m)[0]), [0.7], model,
+                                         _dirs(m=m)))
+
+    def test_flat_row_breakdown_names_the_largest_radius(self):
+        # g = (a . z - x)^3 declared as a . z <= x: its z normal vanishes on the
+        # whole hyperplane.  Three directions reach it, the farthest
+        # (rho = x / 0.6) just past a block boundary.
+        a = np.array([1.0, 0.0])
+        system = sp.InequalitySystem(
+            s=1, x_dim=1, z_dim=2, eval_g=lambda i, x, Z: (Z @ a - x[0]) ** 3,
+            grad_x_g=lambda i, x, Z: -3.0 * (Z @ a - x[0])[:, None] ** 2,
+            grad_z_g=lambda i, x, Z: 3.0 * (Z @ a - x[0])[:, None] ** 2 * a,
+            name="flat", halfspaces=lambda x: (a[None, :], np.asarray(x, dtype=float)[:1]))
+        k = radial.BLOCK_ROWS + 5
+        V = np.tile([0.0, 1.0], (k + 6, 1))
+        V[3], V[k], V[k + 2] = [1.0, 0.0], [0.6, 0.8], [0.8, 0.6]
+        ev = sp.evaluate(system, [1.0], _model2(),
+                         sp.DirectionSet(V, sp.DEFAULT_SEED, sp.SphereMethod.QMC))
+        assert np.flatnonzero(np.isfinite(ev.hits.rho)).tolist() == [3, k, k + 2]
+        with pytest.raises(sp.TransversalityBreakdown) as info:
+            ev.gradient()
+        assert info.value.direction_index == k
+
+    def test_energy_start_is_zero(self):
+        # At pw = 0 each wind row coincides with its cap, which keeps the hits,
+        # so the wind rows' zero foot scale is never read.
+        ev = _energy_at(4, "start")
+        assert np.isfinite(ev.hits.rho).any() and not ev.hits.act[:8].any()
+        est = ev.gradient()
+        assert np.array_equal(est.gradient, np.zeros(8))
+        assert est.max_ratio == 0.0
 
 
 class TestEnlargedGradient:
