@@ -4,10 +4,10 @@ The probability of the feasible event is the direction-average of the chi
 cdf at the radial function; infinite directions contribute exactly one.
 The gradient reads the same hits: per finite direction it weighs a
 decision-space normal of each active constraint by the chi density at the
-hit over the ray slope; on a declared row ``w . z <= t(x)`` that ratio is
-``rho / gap * dt/dx``.  One fixed direction set (common random numbers)
-makes value and gradient smooth deterministic functions of the decision,
-which the finite-difference identities and the outer solver rely on.
+hit over the ray slope; on a declared row ``w . z <= t(x)``, ``w`` constant,
+that ratio is ``rho / gap * dt/dx``.  One fixed direction set (common random
+numbers) makes value and gradient smooth deterministic functions of the
+decision, which the finite-difference identities and the outer solver rely on.
 """
 
 from __future__ import annotations
@@ -92,11 +92,12 @@ class Evaluation(ProbEstimate):
         body, where the residual is 0, so there the hit is first pushed out
         to ``rho * (1 + NORMAL_PUSH)``.  A declared row ``w . z <= t(x)`` sums
         ``mass * lambda * rho / (t - w . mean)`` and reads ``dt/dx`` once, as
-        ``-grad_x g / s`` with ``grad_z g = s w`` at the mean's foot on it.
-        Infinite directions weigh zero.  Ties are split uniformly (``average``)
-        or resolved to the smallest active index (``min_index``); with ties
-        present the result is one subdifferential element, not the gradient.
-        The weights are summed over the ray solve's blocks of directions.
+        ``-grad_x g / s`` with ``grad_z g = s w`` at the mean's foot on it,
+        exact as ``w`` is constant.  Infinite directions weigh zero.  Ties are
+        split uniformly (``average``) or resolved to the smallest active index
+        (``min_index``); with ties present the result is one subdifferential
+        element, not the gradient.  The weights are summed over the ray
+        solve's blocks of directions.
         """
         if tie_policy not in ("average", "min_index"):
             raise ValueError(f"unknown tie policy {tie_policy!r}")
@@ -116,21 +117,20 @@ class Evaluation(ProbEstimate):
             n_active = act.sum(axis=0, dtype=np.min_scalar_type(act.shape[0]))
             n_tied += int(np.count_nonzero(n_active > 1))
             first = np.argmax(act, axis=0) if tie_policy == "min_index" else None
-            # The chi density only where some x-dependent row is active (at[k]
-            # is direction k's entry in mass), L v only on each row's own.
-            reads = act[:n_x].any(axis=0)
+            reads = act[:n_x].any(axis=0)   # some x-dependent row is active
             if not reads.any():
                 continue
-            at = np.cumsum(reads) - 1
-            mass = chi_pdf(model.dim, rho.take(np.flatnonzero(reads))) * (1.0 / self.dirs.n)
             if declared:        # row sums over the (row, direction) pairs, row by row
                 ri, ci = np.divmod(np.flatnonzero(act[:n_x]), act.shape[1])
                 starts = np.flatnonzero(np.diff(ri, prepend=-1))
                 live, rho_p = ri.take(starts), rho.take(ci)
                 lam = 1 / n_active.take(ci) if first is None else first.take(ci) == ri
-                c[live] += np.add.reduceat(mass.take(at.take(ci)) * lam * rho_p, starts)
+                mass = chi_pdf(model.dim, rho_p) * (1.0 / self.dirs.n)
+                c[live] += np.add.reduceat(mass * lam * rho_p, starts)
                 rho_max[live] = np.maximum(rho_max[live], np.maximum.reduceat(rho_p, starts))
                 continue
+            at = np.cumsum(reads) - 1       # direction k's entry in mass; L v by row
+            mass = chi_pdf(model.dim, rho.take(np.flatnonzero(reads))) * (1.0 / self.dirs.n)
             V = self.dirs.directions[sl]
             for i, mask in enumerate(act[:n_x]):
                 rows = np.flatnonzero(mask)
@@ -158,7 +158,7 @@ class Evaluation(ProbEstimate):
                 ratio2 = np.einsum("km,km->k", gx, gx) / np.einsum("km,km->k", gz, gz)
                 max_ratio2 = max(max_ratio2, float(ratio2.max()))
         if rho_max.any():       # declared: dt_i/dx from one call per active row, at its foot
-            W, t = (np.asarray(a, dtype=float) for a in target.halfspaces(x))
+            W, t = target.halfspaces[0], np.asarray(target.halfspaces[1](x), dtype=float)
             gap, ww = t - W @ model.mean, np.einsum("im,im->i", W, W)
             for i in np.flatnonzero(rho_max):
                 foot = (model.mean + gap[i] / ww[i] * W[i])[None, :]

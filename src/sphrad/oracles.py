@@ -40,10 +40,10 @@ class InequalitySystem:
     ``eval_g(i, x, Z)`` maps ``Z`` of shape (k, m) to values of shape (k,);
     ``grad_x_g`` returns (k, n) and ``grad_z_g`` returns (k, m).
 
-    ``halfspaces``, when given, declares that every sublevel set is a
-    halfspace in z: ``halfspaces(x)`` returns ``(W, t)`` of shapes (s, m) and
-    (s,) with ``{z : g_i(x, z) <= 0} = {z : W[i] . z <= t[i]}``.  The radial
-    solver then finds the ray roots in closed form instead of by scanning.
+    ``halfspaces``, when given, is ``(W, t)`` with ``{z : g_i(x, z) <= 0} =
+    {z : W[i] . z <= t(x)[i]}``: ``W`` a constant (s, m) array, checked here
+    once and kept read-only, and ``t(x)`` of shape (s,).  The ray roots are
+    then closed-form.  Normals that move with x are left undeclared.
     """
 
     s: int
@@ -54,7 +54,17 @@ class InequalitySystem:
     grad_z_g: Callable
     domain_caps: tuple = ()
     name: str = "system"
-    halfspaces: Optional[Callable] = None
+    halfspaces: Optional[tuple] = None
+
+    def __post_init__(self):
+        if self.halfspaces is not None:
+            W, t = self.halfspaces if isinstance(self.halfspaces, tuple) else (None, None)
+            W = None if callable(W) else np.array(W, dtype=float)
+            if not (callable(t) and np.shape(W) == (self.s, self.z_dim) and np.isfinite(W).all()):
+                raise ValueError(f"{self.name}: halfspaces must be (W, t) with W a constant, "
+                                 f"finite {(self.s, self.z_dim)} array and t a callable t(x)")
+            W.flags.writeable = False
+            object.__setattr__(self, "halfspaces", (W, t))
 
 
 @dataclass(frozen=True)
@@ -78,10 +88,10 @@ class ConvexSetOracle:
 
 
 def check_interior(system: InequalitySystem, x, mean) -> None:
-    """Require g_i(x, mean) < 0 for every i and strict cap validity at the mean."""
+    """Require strict cap validity at the mean, and g_i(x, mean) < 0 if undeclared."""
     x = np.asarray(x, dtype=float).reshape(-1)
     mean2 = np.asarray(mean, dtype=float).reshape(1, -1)
-    for i in range(system.s):
+    for i in range(system.s if system.halfspaces is None else 0):
         gi = float(np.asarray(system.eval_g(i, x, mean2)).reshape(-1)[0])
         if not gi < 0:
             raise InteriorViolated(
@@ -126,12 +136,12 @@ def make_halfspace(a) -> InequalitySystem:
     def grad_z_g(i, x, Z):
         return np.broadcast_to(a, Z.shape).copy()
 
-    def halfspaces(x):
-        return a[None, :], np.asarray(x, dtype=float).reshape(-1)[:1]
+    def levels(x):
+        return np.asarray(x, dtype=float).reshape(-1)[:1]
 
     return InequalitySystem(s=1, x_dim=1, z_dim=m, eval_g=eval_g,
                             grad_x_g=grad_x_g, grad_z_g=grad_z_g,
-                            name="halfspace", halfspaces=halfspaces)
+                            name="halfspace", halfspaces=(a[None, :], levels))
 
 
 def make_slab(c, f, f_grad, x_dim: int = 1) -> InequalitySystem:
@@ -353,8 +363,8 @@ def make_energy_system(params) -> InequalitySystem:
     Wind-speed positivity enters as an affine domain cap per period rather
     than an extra inequality, which keeps the ray geometry well behaved when
     p_wind[t] is at zero.  Both sublevel sets are halfspaces in z (wind:
-    ``z1[t] >= cbrt(p_wind[t] / c)``, as ``c > 0``) and are declared through
-    ``halfspaces``, so every ray root is explicit.
+    ``z1[t] >= cbrt(p_wind[t] / c)``, as ``c > 0``) with fixed normals, and
+    are declared through ``halfspaces``, so every ray root is explicit.
     """
     T = int(params.periods)
     c = float(params.wind_coeff)
@@ -397,9 +407,9 @@ def make_energy_system(params) -> InequalitySystem:
 
     W = np.diag(np.r_[np.full(T, -1.0), np.ones(T)])
 
-    def halfspaces(x):
+    def levels(x):
         pw, pg = split(x)
-        return W, np.r_[-np.cbrt(pw / c), pw + pg]
+        return np.r_[-np.cbrt(pw / c), pw + pg]
 
     caps = tuple(
         AffineDomainCap(a=np.eye(m)[t], b=0.0, label=f"wind speed t={t} >= 0")
@@ -407,7 +417,7 @@ def make_energy_system(params) -> InequalitySystem:
     )
     return InequalitySystem(s=2 * T, x_dim=2 * T, z_dim=m, eval_g=eval_g,
                             grad_x_g=grad_x_g, grad_z_g=grad_z_g,
-                            domain_caps=caps, name="energy", halfspaces=halfspaces)
+                            domain_caps=caps, name="energy", halfspaces=(W, levels))
 
 
 def build_energy_covariance(params) -> GaussianModel:

@@ -3,18 +3,18 @@
 For a direction ``v`` the ray ``r -> mean + r * L @ v`` leaves the feasible
 region at the radial function value: the largest radius whose point still
 satisfies every constraint (or stays within distance ``eps`` of the body, in
-enlarged mode).  Declared halfspaces (``InequalitySystem.halfspaces``) and
-affine domain caps ``{z : w . z <= t}`` form a gauge: one product of their
-stacked rows with the directions, scaled by ``1 / (t - w . mean)`` after it,
-gives their inverse radii; the largest is the exit's.  A declared row counts
-only above ``1 / r_max`` and the caps' (pulled in by 1e-10, so a root on a
-cap stays the cap's).  Other constraints go through a doubling scan that
-brackets the root, then a safeguarded Newton iteration from the bracket's
-outer end that bisects where a step would leave the bracket.  Both modes
-give the ray as ``h`` plus its slope on request, from the same evaluation
-(a ``grad_z_g`` call, or the residual of the projection just made), so
-Newton starts from the scan's values at the outer end instead of
-evaluating it again.
+enlarged mode).  Declared halfspaces (``InequalitySystem.halfspaces``: fixed
+rows ``W``, levels ``t(x)``) and affine domain caps ``{z : w . z <= t}``
+form a gauge: one product of their stacked rows with the directions, scaled
+by ``1 / (t - w . mean)`` after it, gives their inverse radii; the largest
+is the exit's.  A declared row counts only above ``1 / r_max`` and the caps'
+(pulled in by 1e-10, so a root on a cap stays the cap's).  Other constraints
+go through a doubling scan that brackets the root, then a safeguarded Newton
+iteration from the bracket's outer end that bisects where a step would leave
+the bracket.  Both modes give the ray as ``h`` plus its slope on request,
+from the same evaluation (a ``grad_z_g`` call, or the residual of the
+projection just made), so Newton starts from the scan's values at the outer
+end instead of evaluating it again.
 Quasi-convexity in ``z`` makes this reliable: the feasible radii form an
 interval starting at zero (in oracle mode, distance minus ``eps`` is
 convex in r, so Newton from the outer end does not overshoot).  A second
@@ -24,7 +24,7 @@ and a later root may then be returned.
 
 Every solve runs over a batch of directions, one unit vector per row, in
 blocks of at most ``BLOCK_ROWS``: a large batch holds its O(N) results plus
-one block's temporaries.  A NaN ray value or halfspace, or a ray still
+one block's temporaries.  A NaN ray value or level ``t(x)``, or a ray still
 moving after ``MAX_ROOT_STEPS`` Newton steps, is a NumericalError.
 A block keeps its directions as ``L V^T``, (m, N), so a ray's points
 ``mean + r L v`` reach the callbacks as the (k, m) transpose of a C array.
@@ -224,17 +224,16 @@ def inequality_hits(system: InequalitySystem, x, dirs: np.ndarray,
     r_max = chi_cutoff(model.dim)
 
     s, declared = system.s, system.halfspaces is not None
-    n_real = s if declared else 0       # s declared rows, or none
-    W, t = system.halfspaces(x) if declared else (np.empty((0, model.dim)), np.empty(0))
-    if np.shape(W) != (n_real, model.dim) or np.shape(t) != (n_real,):
-        raise ValueError(f"{system.name}: halfspaces(x) gave shapes {np.shape(W)} and "
-                         f"{np.shape(t)}, not {(s, model.dim)} and {(s,)}")
-    if np.isnan(W).any() or np.isnan(t).any():
-        raise NumericalError(f"{system.name}: halfspaces(x) returned a NaN")
+    W, level = system.halfspaces or (np.empty((0, model.dim)), lambda x_: np.empty(0))
+    t, n_real = level(x), W.shape[0]    # s declared rows, or none
+    if np.shape(t) != (n_real,):        # W was checked when the system was built
+        raise ValueError(f"{system.name}: t(x) has shape {np.shape(t)}, not {(s,)}")
+    if np.isnan(t).any():
+        raise NumericalError(f"{system.name}: t(x) returned a NaN")
     W = np.vstack([W, *(-cap.a for cap in system.domain_caps)])     # caps (-a, b) last
     t = np.r_[t, [cap.b for cap in system.domain_caps]]
     WL, gap = W @ L, t - W @ mean
-    if not (gap[:n_real] > 0).all():       # check_interior asks eval_g, not halfspaces
+    if not (gap[:n_real] > 0).all():       # the declared rows' interior check
         i = int(np.argmin(gap[:n_real] > 0))
         raise InteriorViolated(f"{system.name}: mean outside declared halfspace {i}", index=i)
 

@@ -39,10 +39,10 @@ def _cubic():
 
 
 class TestRayWork:
-    def test_energy_evaluation_evaluates_g_only_at_the_mean(self):
+    def test_energy_evaluation_never_evaluates_g(self):
         # Every energy constraint is a declared halfspace, so value and
-        # gradient call eval_g once per constraint, on the mean, for the
-        # interior check, and never along a ray.
+        # gradient never call eval_g: not along a ray, and not for the
+        # interior check, which the declared rows' gaps make.
         params = sp.EnergyParams()
         system = sp.make_energy_system(params)
         rows = []
@@ -55,7 +55,7 @@ class TestRayWork:
         x = np.r_[np.full(4, 1.5), np.full(4, 11.0)]
         ev = sp.evaluate(counted, x, sp.build_energy_covariance(params), _dirs(m=8))
         ev.gradient()
-        assert rows == [1] * system.s
+        assert rows == []
 
     @pytest.mark.parametrize("case, bound", [
         ("hyperbolic-set-eps0.05", 7.5), ("hyperbolic-set-eps0", 8.5),
@@ -494,7 +494,7 @@ class TestDeclaredGradient:
             s=1, x_dim=1, z_dim=2, eval_g=lambda i, x, Z: (Z @ a - x[0]) ** 3,
             grad_x_g=lambda i, x, Z: -3.0 * (Z @ a - x[0])[:, None] ** 2,
             grad_z_g=lambda i, x, Z: 3.0 * (Z @ a - x[0])[:, None] ** 2 * a,
-            name="flat", halfspaces=lambda x: (a[None, :], np.asarray(x, dtype=float)[:1]))
+            name="flat", halfspaces=(a[None, :], lambda x: np.asarray(x, dtype=float)[:1]))
         k = radial.BLOCK_ROWS + 5
         V = np.tile([0.0, 1.0], (k + 6, 1))
         V[3], V[k], V[k + 2] = [1.0, 0.0], [0.6, 0.8], [0.8, 0.6]
@@ -513,6 +513,39 @@ class TestDeclaredGradient:
         est = ev.gradient()
         assert np.array_equal(est.gradient, np.zeros(8))
         assert est.max_ratio == 0.0
+
+
+def _moving_normal(declare=False):
+    """g = x z1 + z2 - 1: its normal w = (x, 1) moves with x."""
+    return sp.InequalitySystem(
+        s=1, x_dim=1, z_dim=2, eval_g=lambda i, x, Z: x[0] * Z[:, 0] + Z[:, 1] - 1.0,
+        grad_x_g=lambda i, x, Z: Z[:, :1].copy(),
+        grad_z_g=lambda i, x, Z: np.tile([x[0], 1.0], (Z.shape[0], 1)),
+        name="moving", halfspaces=(lambda x: np.array([[x[0], 1.0]]),
+                                   lambda x: np.ones(1)) if declare else None)
+
+
+class TestMovingNormals:
+    """A declared row's gradient reads dt/dx alone, which holds only for a
+    constant W; a system whose normal moves with x is refused as a
+    declaration and served by the scan."""
+
+    def test_callable_w_refused(self):
+        with pytest.raises(ValueError, match=r"moving: halfspaces must be \(W, t\)"):
+            _moving_normal(declare=True)
+
+    @pytest.mark.parametrize("cov", [np.eye(2), np.array([[1.0, 0.7], [0.7, 2.0]])],
+                             ids=["identity", "correlated"])
+    @pytest.mark.parametrize("x", [0.5, 2.0])
+    def test_scanned_gradient(self, cov, x):
+        # P[w . xi <= 1] = Phi(a), a = 1 / sqrt(w' C w), so dphi/dx = pdf(a) da/dx
+        # with da/dx = -(C w)_0 / (w' C w)^1.5.
+        model, dirs, w = sp.build_model(np.zeros(2), cov), _dirs(), np.array([x, 1.0])
+        q = w @ cov @ w
+        exact = stats.norm.pdf(1.0 / np.sqrt(q)) * -(cov @ w)[0] / q ** 1.5
+        grad = sp.evaluate(_moving_normal(), [x], model, dirs).gradient().gradient[0]
+        assert abs(grad - exact) <= 0.01 * abs(exact)
+        assert abs(grad - fd_gradient(_moving_normal(), [x], model, dirs)[0]) <= 1e-7
 
 
 class TestEnlargedGradient:

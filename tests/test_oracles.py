@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 import sphrad as sp
 from sphrad import oracles
 from sphrad.oracles import _hyperbolic_inside, _hyperbolic_project, check_interior
+from sphrad.radial import inequality_hits
 
 
 def _model2():
@@ -47,12 +50,29 @@ class TestDeclaredHalfspaces:
             x = np.r_[-0.5, 0.0, 1.5, 2.0, np.full(4, 11.0)]
             Z = sp.build_energy_covariance(params).mean + rng.normal(scale=3.0,
                                                                     size=(4000, 8))
-        W, t = sys_.halfspaces(x)
+        W, t = sys_.halfspaces[0], sys_.halfspaces[1](x)
         assert W.shape == (sys_.s, sys_.z_dim) and t.shape == (sys_.s,)
         for i in range(sys_.s):
             g = sys_.eval_g(i, x, Z)
             clear = np.abs(g) > 1e-9
             assert np.array_equal((Z @ W[i] <= t[i])[clear], (g <= 0)[clear])
+
+    def test_w_is_a_read_only_copy(self):
+        a = np.array([1.0, 0.0])
+        sys_ = sp.make_halfspace(a)
+        a[0] = 5.0
+        W = sys_.halfspaces[0]
+        assert np.array_equal(W, [[1.0, 0.0]]) and not W.flags.writeable
+        with pytest.raises(ValueError):
+            W[0, 0] = 2.0
+
+    @pytest.mark.parametrize("halfspaces", [
+        lambda x: (np.eye(2)[:1], np.ones(1)),      # the whole pair per decision
+        (np.eye(2)[:1], np.ones(1)),                # t a constant
+    ], ids=["callable", "constant-t"])
+    def test_declaration_is_a_constant_w_and_a_callable_t(self, halfspaces):
+        with pytest.raises(ValueError, match=r"halfspace: halfspaces must be \(W, t\)"):
+            dataclasses.replace(sp.make_halfspace([1.0, 0.0]), halfspaces=halfspaces)
 
     def test_energy_needs_positive_wind_coefficient(self):
         with pytest.raises(ValueError):
@@ -395,8 +415,8 @@ class TestEnergySystem:
         model = sp.build_energy_covariance(params)
         x = np.r_[np.full(4, 0.5), np.full(4, 12.0)]
         x[2] = 3.0            # above the mean wind power bound for period 2
-        with pytest.raises(sp.InteriorViolated) as info:
-            check_interior(sys_, x, model.mean)
+        with pytest.raises(sp.InteriorViolated, match="declared halfspace 2") as info:
+            inequality_hits(sys_, x, np.eye(8), model)
         assert info.value.index == 2
 
 

@@ -190,12 +190,17 @@ class TestNaNRayValues:
 
     @pytest.mark.parametrize("entry", ["W", "t"])
     def test_nan_in_declared_halfspaces(self, entry):
+        # A NaN in W is refused when the system is built, one in t(x) per call.
         system, model, x, _ = energy_case("interior")
-        W, t = system.halfspaces(x)
-        W, t = W.copy(), t.copy()
+        W, t = system.halfspaces[0].copy(), system.halfspaces[1](x).copy()
         (W if entry == "W" else t)[0] = np.nan
-        broken = dataclasses.replace(system, halfspaces=lambda x: (W, t))
-        with pytest.raises(NumericalError, match="returned a NaN"):
+        if entry == "W":
+            with pytest.raises(ValueError, match=r"energy: halfspaces must be \(W, t\) with W "
+                                                 r"a constant, finite \(8, 8\) array"):
+                dataclasses.replace(system, halfspaces=(W, system.halfspaces[1]))
+            return
+        broken = dataclasses.replace(system, halfspaces=(W, lambda x_: t))
+        with pytest.raises(NumericalError, match=r"energy: t\(x\) returned a NaN"):
             inequality_hits(broken, x, np.eye(model.dim), model)
 
 
@@ -215,12 +220,19 @@ def test_newton_step_cap_raises(monkeypatch, cap, block, direction):
 @pytest.mark.parametrize("w_shape, t_shape", [((2, 2), (2,)), ((1, 3), (1,)),
                                               ((1, 2), (2,)), ((2,), (1,))])
 def test_declared_halfspace_shapes_checked(w_shape, t_shape):
-    # A one-row system in R^2 must declare W of shape (1, 2) and t of (1,).
-    broken = dataclasses.replace(sp.make_halfspace([1.0, 0.0]), halfspaces=lambda x: (
-        np.ones(w_shape), np.ones(t_shape)))
-    with pytest.raises(ValueError, match=r"halfspace: halfspaces\(x\) gave shapes "
-                                         r".* not \(1, 2\) and \(1,\)"):
-        _ineq(broken, [1.0], [1.0, 0.0], _model2())
+    # A one-row system in R^2 must declare W of shape (1, 2), checked when the
+    # system is built, and t(x) of shape (1,), checked on each call.
+    def declare():
+        return dataclasses.replace(sp.make_halfspace([1.0, 0.0]), halfspaces=(
+            np.ones(w_shape), lambda x: np.ones(t_shape)))
+
+    if w_shape != (1, 2):
+        with pytest.raises(ValueError, match=r"halfspace: halfspaces must be \(W, t\) with W "
+                                             r"a constant, finite \(1, 2\) array"):
+            declare()
+        return
+    with pytest.raises(ValueError, match=r"halfspace: t\(x\) has shape \(2,\), not \(1,\)"):
+        _ineq(declare(), [1.0], [1.0, 0.0], _model2())
 
 
 class TestDomainCaps:
@@ -288,7 +300,7 @@ def _dense_affine_case():
     system = sp.InequalitySystem(
         s=3, x_dim=1, z_dim=5, eval_g=eval_g, grad_x_g=grad_x_g, grad_z_g=grad_z_g,
         domain_caps=caps, name="dense-affine",
-        halfspaces=lambda x: (W, np.asarray(x, dtype=float)[0] + c))
+        halfspaces=(W, lambda x: np.asarray(x, dtype=float)[0] + c))
     B = rng.normal(size=(5, 5))
     model = sp.build_model(np.full(5, 0.1), B @ B.T / 5 + np.eye(5))
     return system, model, np.array([1.2]), np.eye(5)[-1]
@@ -329,7 +341,7 @@ class TestHalfspaceClosedForm:
         if tie is not None:
             assert tuple(np.flatnonzero(fast.act[:, -1])) == (0, 4)
         if orthogonal is not None:
-            assert (system.halfspaces(x)[0][0] @ model.factor_L) @ orthogonal == 0.0
+            assert (system.halfspaces[0][0] @ model.factor_L) @ orthogonal == 0.0
             assert fast.rho[-1] == np.inf
             # Both caps and the dense rows are all exercised.
             hit_rows = fast.act[:, np.isfinite(fast.rho)].any(axis=1)
@@ -339,10 +351,9 @@ class TestHalfspaceClosedForm:
         # eval_g has the mean inside, but the declared row 5 leaves it out:
         # its gap t - w . mean is negative, and so would its radii be.
         system, model, x, _ = energy_case("interior")
-        W, t = system.halfspaces(x)
-        t = t.copy()
+        W, t = system.halfspaces[0], system.halfspaces[1](x).copy()
         t[5] = W[5] @ model.mean - 1.0
-        system = dataclasses.replace(system, halfspaces=lambda x_: (W, t))
+        system = dataclasses.replace(system, halfspaces=(W, lambda x_: t))
         with pytest.raises(sp.InteriorViolated, match="declared halfspace 5") as info:
             inequality_hits(system, x, sp.sample_sphere(model.dim, 10).directions, model)
         assert info.value.index == 5
@@ -358,7 +369,7 @@ class TestHalfspaceClosedForm:
         if tie is not None:
             dirs = np.vstack([dirs, tie])
         LV = dirs @ model.factor_L.T
-        W, t = system.halfspaces(x)
+        W, t = system.halfspaces[0], system.halfspaces[1](x)
         rows = [(w, ti) for w, ti in zip(W, t)]
         rows += [(-cap.a, cap.b) for cap in system.domain_caps]
         ref = np.full((len(rows), dirs.shape[0]), np.inf)
