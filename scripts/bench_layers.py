@@ -20,7 +20,7 @@ layer:
   tail sum's cutoff, 30% of them infinite.
 
 Counts are deterministic, the same on any machine: ray batches and gradient
-calls of one solve, and the ``eval_g`` rows it asks for.  Under
+calls of one solve, and the ``t(x)`` calls and ``eval_g`` rows it asks for.  Under
 ``infeasible_start`` are the same counts for one solve from ``(pw, pg) =
 (1, 9.5)`` in every period, where phat is 0.39, so the loop climbs to the
 level first.  ``peak_mb`` is the tracemalloc peak, in MiB, of one
@@ -117,10 +117,11 @@ def peak_mb(fn):
 
 
 def solve_counts(problem):
-    """Ray batches, gradient calls and eval_g rows of one solve."""
-    counts = {"ray_batches": 0, "gradient_calls": 0, "eval_g_rows": 0}
+    """Ray batches, gradient calls, t(x) calls and eval_g rows of one solve."""
+    counts = {"ray_batches": 0, "gradient_calls": 0, "level_calls": 0, "eval_g_rows": 0}
     hits, gradient, eval_g = (estimates.inequality_hits, estimates.Evaluation.gradient,
                               problem.system.eval_g)
+    W, level = problem.system.halfspaces
 
     def counted_hits(*args, **kwargs):
         counts["ray_batches"] += 1
@@ -134,7 +135,12 @@ def solve_counts(problem):
         counts["eval_g_rows"] += Z.shape[0]
         return eval_g(i, x, Z)
 
-    system = dataclasses.replace(problem.system, eval_g=counted_eval_g)
+    def counted_level(x):
+        counts["level_calls"] += 1
+        return level(x)
+
+    system = dataclasses.replace(problem.system, eval_g=counted_eval_g,
+                                 halfspaces=(W, counted_level))
     estimates.inequality_hits, estimates.Evaluation.gradient = counted_hits, counted_gradient
     try:
         x, trace = solver.solve(dataclasses.replace(problem, system=system))

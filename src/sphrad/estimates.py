@@ -91,7 +91,8 @@ class Evaluation(ProbEstimate):
         projection ``P`` of the hit.  An eps = 0 root may lie just inside the
         body, where the residual is 0, so there the hit is first pushed out
         to ``rho * (1 + NORMAL_PUSH)``.  A declared row ``w . z <= t(x)`` sums
-        ``mass * lambda * rho / (t - w . mean)`` and reads ``dt/dx`` once, as
+        ``mass * lambda * rho / gap``, with the ray solve's ``gap = t - w .
+        mean`` (``t(x)`` is not called again), and reads ``dt/dx`` once, as
         ``-grad_x g / s`` with ``grad_z g = s w`` at the mean's foot on it,
         exact as ``w`` is constant.  Infinite directions weigh zero.  Ties are
         split uniformly (``average``) or resolved to the smallest active index
@@ -158,8 +159,8 @@ class Evaluation(ProbEstimate):
                 ratio2 = np.einsum("km,km->k", gx, gx) / np.einsum("km,km->k", gz, gz)
                 max_ratio2 = max(max_ratio2, float(ratio2.max()))
         if rho_max.any():       # declared: dt_i/dx from one call per active row, at its foot
-            W, t = target.halfspaces[0], np.asarray(target.halfspaces[1](x), dtype=float)
-            gap, ww = t - W @ model.mean, np.einsum("im,im->i", W, W)
+            W, gap = target.halfspaces[0], hits.gap
+            ww = np.einsum("im,im->i", W, W)
             for i in np.flatnonzero(rho_max):
                 foot = (model.mean + gap[i] / ww[i] * W[i])[None, :]
                 gx = np.asarray(target.grad_x_g(i, x, foot), dtype=float)[0]

@@ -20,20 +20,6 @@ from .gaussian import GaussianModel, build_model
 
 
 @dataclass(frozen=True)
-class AffineDomainCap:
-    """Affine validity limit ``a . z + b >= 0`` for the ray scan.
-
-    Constraints that are only meaningful on part of the space declare their
-    domain through caps; along a ray the cap yields a closed-form bound on
-    the radius, handled structurally by the radial solver.
-    """
-
-    a: np.ndarray
-    b: float
-    label: str = ""
-
-
-@dataclass(frozen=True)
 class InequalitySystem:
     """Family g_i(x, z) <= 0, i = 0..s-1, each quasi-convex in z.
 
@@ -41,9 +27,12 @@ class InequalitySystem:
     ``grad_x_g`` returns (k, n) and ``grad_z_g`` returns (k, m).
 
     ``halfspaces``, when given, is ``(W, t)`` with ``{z : g_i(x, z) <= 0} =
-    {z : W[i] . z <= t(x)[i]}``: ``W`` a constant (s, m) array, checked here
-    once and kept read-only, and ``t(x)`` of shape (s,).  The ray roots are
-    then closed-form.  Normals that move with x are left undeclared.
+    {z : W[i] . z <= t(x)[i]}``: ``W`` a constant (s, m) array and ``t(x)``
+    of shape (s,).  The ray roots are then closed-form.  Normals that move
+    with x are left undeclared.  ``domain_caps`` is ``(C, c)``, constant
+    rows ``C z <= c`` of shapes (k, m) and (k,) in the same orientation, that
+    limit where the constraints are valid; None is no cap.  ``W``, ``C`` and
+    ``c`` are checked here once and kept as read-only copies.
     """
 
     s: int
@@ -52,19 +41,35 @@ class InequalitySystem:
     eval_g: Callable
     grad_x_g: Callable
     grad_z_g: Callable
-    domain_caps: tuple = ()
+    domain_caps: Optional[tuple] = None
     name: str = "system"
     halfspaces: Optional[tuple] = None
 
     def __post_init__(self):
         if self.halfspaces is not None:
             W, t = self.halfspaces if isinstance(self.halfspaces, tuple) else (None, None)
-            W = None if callable(W) else np.array(W, dtype=float)
-            if not (callable(t) and np.shape(W) == (self.s, self.z_dim) and np.isfinite(W).all()):
+            W = _frozen(W, (self.s, self.z_dim))
+            if W is None or not callable(t):
                 raise ValueError(f"{self.name}: halfspaces must be (W, t) with W a constant, "
                                  f"finite {(self.s, self.z_dim)} array and t a callable t(x)")
-            W.flags.writeable = False
             object.__setattr__(self, "halfspaces", (W, t))
+        caps = (np.empty((0, self.z_dim)), ()) if self.domain_caps is None else self.domain_caps
+        C, c = caps if isinstance(caps, tuple) and len(caps) == 2 else (None, None)
+        k = len(c) if np.ndim(c) == 1 else -1
+        C, c = _frozen(C, (k, self.z_dim)), _frozen(c, (k,))
+        if C is None or c is None:
+            raise ValueError(f"{self.name}: domain_caps must be (C, c) with C a constant, "
+                             f"finite (k, {self.z_dim}) array and c a finite (k,) array")
+        object.__setattr__(self, "domain_caps", (C, c))
+
+
+def _frozen(A, shape):
+    """A read-only float copy of ``A``, or None unless it is a finite array of ``shape``."""
+    A = None if callable(A) else np.array(A, dtype=float)
+    if np.shape(A) != shape or not np.isfinite(A).all():
+        return None
+    A.flags.writeable = False
+    return A
 
 
 @dataclass(frozen=True)
@@ -85,30 +90,6 @@ class ConvexSetOracle:
     sensitivity: Optional[Callable] = None
     x_dim: int = 1
     name: str = "set"
-
-
-def check_interior(system: InequalitySystem, x, mean) -> None:
-    """Require strict cap validity at the mean, and g_i(x, mean) < 0 if undeclared."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    mean2 = np.asarray(mean, dtype=float).reshape(1, -1)
-    for i in range(system.s if system.halfspaces is None else 0):
-        gi = float(np.asarray(system.eval_g(i, x, mean2)).reshape(-1)[0])
-        if not gi < 0:
-            raise InteriorViolated(
-                f"{system.name}: g_{i}(x, mean) = {gi:.6g} is not negative", index=i)
-    for k, cap in enumerate(system.domain_caps):
-        val = float(cap.a @ mean2[0] + cap.b)
-        if not val > 0:
-            raise InteriorViolated(
-                f"{system.name}: domain cap {k} ({cap.label}) not strictly valid at the mean",
-                index=k)
-
-
-def check_oracle_interior(oracle: ConvexSetOracle, x, mean) -> None:
-    """Require the mean in S(x): its projection must return it unchanged."""
-    mean2 = np.asarray(mean, dtype=float).reshape(1, -1)
-    if not np.array_equal(oracle.project(np.asarray(x, dtype=float).reshape(-1), mean2), mean2):
-        raise InteriorViolated(f"{oracle.name}: mean is not contained in S(x)")
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +196,7 @@ def make_hyperbolic_system() -> InequalitySystem:
     """Inequality form of the hyperbolic body, valid for x in (0, 4).
 
     g(x, z) = x - (z1+2)(z2+2) restricted to the quadrant z >= -2, the
-    quadrant being declared through affine domain caps.
+    quadrant being declared through the domain caps ``-z <= 2``.
     """
 
     def eval_g(i, x, Z):
@@ -228,11 +209,9 @@ def make_hyperbolic_system() -> InequalitySystem:
     def grad_z_g(i, x, Z):
         return np.stack([-(Z[:, 1] + 2.0), -(Z[:, 0] + 2.0)], axis=1)
 
-    caps = (AffineDomainCap(a=np.array([1.0, 0.0]), b=2.0, label="z1 >= -2"),
-            AffineDomainCap(a=np.array([0.0, 1.0]), b=2.0, label="z2 >= -2"))
     return InequalitySystem(s=1, x_dim=1, z_dim=2, eval_g=eval_g,
                             grad_x_g=grad_x_g, grad_z_g=grad_z_g,
-                            domain_caps=caps, name="hyperbolic")
+                            domain_caps=(-np.eye(2), [2.0, 2.0]), name="hyperbolic")
 
 
 _PROJECT_MAX_NEWTON = 200     # ray points take at most 10 steps, |w| <= 1e9 at most 26
@@ -360,9 +339,9 @@ def make_energy_system(params) -> InequalitySystem:
         wind:  p_wind[t] - c * z1[t]^3 <= 0   on the domain z1[t] >= 0
         load:  z2[t] - p_wind[t] - p_gen[t] <= 0
 
-    Wind-speed positivity enters as an affine domain cap per period rather
-    than an extra inequality, which keeps the ray geometry well behaved when
-    p_wind[t] is at zero.  Both sublevel sets are halfspaces in z (wind:
+    Wind-speed positivity enters as a domain cap ``-z1[t] <= 0`` per period
+    rather than an extra inequality, which keeps the ray geometry well behaved
+    when p_wind[t] is at zero.  Both sublevel sets are halfspaces in z (wind:
     ``z1[t] >= cbrt(p_wind[t] / c)``, as ``c > 0``) with fixed normals, and
     are declared through ``halfspaces``, so every ray root is explicit.
     """
@@ -411,13 +390,10 @@ def make_energy_system(params) -> InequalitySystem:
         pw, pg = split(x)
         return np.r_[-np.cbrt(pw / c), pw + pg]
 
-    caps = tuple(
-        AffineDomainCap(a=np.eye(m)[t], b=0.0, label=f"wind speed t={t} >= 0")
-        for t in range(T)
-    )
     return InequalitySystem(s=2 * T, x_dim=2 * T, z_dim=m, eval_g=eval_g,
                             grad_x_g=grad_x_g, grad_z_g=grad_z_g,
-                            domain_caps=caps, name="energy", halfspaces=(W, levels))
+                            domain_caps=(-np.eye(m)[:T], np.zeros(T)), name="energy",
+                            halfspaces=(W, levels))
 
 
 def build_energy_covariance(params) -> GaussianModel:

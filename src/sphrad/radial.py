@@ -4,11 +4,15 @@ For a direction ``v`` the ray ``r -> mean + r * L @ v`` leaves the feasible
 region at the radial function value: the largest radius whose point still
 satisfies every constraint (or stays within distance ``eps`` of the body, in
 enlarged mode).  Declared halfspaces (``InequalitySystem.halfspaces``: fixed
-rows ``W``, levels ``t(x)``) and affine domain caps ``{z : w . z <= t}``
-form a gauge: one product of their stacked rows with the directions, scaled
-by ``1 / (t - w . mean)`` after it, gives their inverse radii; the largest
-is the exit's.  A declared row counts only above ``1 / r_max`` and the caps'
-(pulled in by 1e-10, so a root on a cap stays the cap's).  Other constraints
+rows ``W``, levels ``t(x)``) and domain caps (``domain_caps``: fixed rows
+``C``, levels ``c``), each row ``w . z <= t``, form a gauge: one product of
+their stacked rows with the directions, scaled by ``1 / gap``, ``gap = t -
+w . mean``, after it, gives their inverse radii; the largest is the exit's.
+A declared row counts only above ``1 / r_max`` and the caps' (pulled in by
+1e-10, so a root on a cap stays the cap's).  The solve checks once per batch
+that the mean is interior: every ``gap`` positive, ``g_i(x, mean) < 0`` on
+undeclared rows, or in oracle mode the mean's projection returning it
+unchanged.  Other constraints
 go through a doubling scan that brackets the root, then a safeguarded Newton
 iteration from the bracket's outer end that bisects where a step would leave
 the bracket.  Both modes give the ray as ``h`` plus its slope on request,
@@ -42,8 +46,7 @@ import numpy as np
 
 from .errors import BracketFailure, InteriorViolated, NumericalError
 from .gaussian import GaussianModel, chi_cutoff
-from .oracles import (ConvexSetOracle, InequalitySystem, check_interior,
-                      check_oracle_interior)
+from .oracles import ConvexSetOracle, InequalitySystem
 
 TIE_REL = 1e-7            # constraints within rho * (1 + TIE_REL) + TIE_ABS tie
 TIE_ABS = 1e-9
@@ -60,10 +63,12 @@ BLOCK_ROWS = 16384        # directions per block; bounds a batch's temporaries
 class HitBatch:
     """Ray-solve results for a direction set (internal).  ``act`` marks the
     rows whose radius attains ``rho`` within the tie band; it is all False
-    where ``rho`` is infinite."""
+    where ``rho`` is infinite.  ``gap`` is the declared rows' ``t(x) - W mean``
+    that scaled their inverse radii, for the gradient to read."""
 
     rho: np.ndarray            # (N,), +inf where no exit precedes the chi cutoff
     act: np.ndarray            # (s + n_caps, N) bool, caps last; oracle mode: (1, N)
+    gap: np.ndarray = None     # (s,) if declared, (0,) if scanned; oracle mode: None
 
 
 def _roots(ray, r_search, what, first):
@@ -219,23 +224,27 @@ def inequality_hits(system: InequalitySystem, x, dirs: np.ndarray,
                     model: GaussianModel) -> HitBatch:
     """Solve every ray of ``dirs`` (rows, unit vectors) against the system."""
     x, V = _unit_rows(x, dirs)
-    check_interior(system, x, model.mean)
     mean, L = model.mean, model.factor_L
     r_max = chi_cutoff(model.dim)
 
     s, declared = system.s, system.halfspaces is not None
     W, level = system.halfspaces or (np.empty((0, model.dim)), lambda x_: np.empty(0))
     t, n_real = level(x), W.shape[0]    # s declared rows, or none
-    if np.shape(t) != (n_real,):        # W was checked when the system was built
+    if np.shape(t) != (n_real,):        # W and the caps were checked when the system was built
         raise ValueError(f"{system.name}: t(x) has shape {np.shape(t)}, not {(s,)}")
     if np.isnan(t).any():
         raise NumericalError(f"{system.name}: t(x) returned a NaN")
-    W = np.vstack([W, *(-cap.a for cap in system.domain_caps)])     # caps (-a, b) last
-    t = np.r_[t, [cap.b for cap in system.domain_caps]]
+    W, t = np.vstack([W, system.domain_caps[0]]), np.r_[t, system.domain_caps[1]]  # caps last
     WL, gap = W @ L, t - W @ mean
-    if not (gap[:n_real] > 0).all():       # the declared rows' interior check
-        i = int(np.argmin(gap[:n_real] > 0))
-        raise InteriorViolated(f"{system.name}: mean outside declared halfspace {i}", index=i)
+    if not (gap > 0).all():             # the affine rows' interior check
+        i = int(np.argmin(gap > 0))
+        row, k = ("declared halfspace", i) if i < n_real else ("domain cap", i - n_real)
+        raise InteriorViolated(f"{system.name}: mean outside {row} {k}", index=k)
+    for i in range(0 if declared else s):
+        gi = float(np.asarray(system.eval_g(i, x, mean[None, :])).reshape(-1)[0])
+        if not gi < 0:
+            raise InteriorViolated(
+                f"{system.name}: g_{i}(x, mean) = {gi:.6g} is not negative", index=i)
 
     def solve(sl):
         G = WL @ V[sl].T
@@ -259,7 +268,9 @@ def inequality_hits(system: InequalitySystem, x, dirs: np.ndarray,
             rho_real[i] = _roots(ray, r_search, f"{system.name}: g_{i}", sl.start)
         return np.vstack([1.0 / rho_real, G])
 
-    return _solve_blocks(solve, V.shape[0], s + len(system.domain_caps), r_max)
+    hits = _solve_blocks(solve, V.shape[0], s + len(system.domain_caps[1]), r_max)
+    hits.gap = gap[:n_real]
+    return hits
 
 
 def enlarged_hits(oracle: ConvexSetOracle, x, dirs: np.ndarray, eps: float,
@@ -268,7 +279,8 @@ def enlarged_hits(oracle: ConvexSetOracle, x, dirs: np.ndarray, eps: float,
     if not (np.isfinite(eps) and eps >= 0):
         raise ValueError(f"eps must be finite and nonnegative, got {eps!r}")
     x, V = _unit_rows(x, dirs)
-    check_oracle_interior(oracle, x, model.mean)
+    if not np.array_equal(oracle.project(x, model.mean[None, :]), model.mean[None, :]):
+        raise InteriorViolated(f"{oracle.name}: mean is not contained in S(x)")
     r_max = chi_cutoff(model.dim)
 
     def solve(sl):

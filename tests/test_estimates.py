@@ -57,6 +57,21 @@ class TestRayWork:
         ev.gradient()
         assert rows == []
 
+    def test_energy_levels_read_once_per_decision(self):
+        # evaluate forms the declared gaps t(x) - W mean once; gradient reads
+        # them from the hits instead of calling t(x) again.
+        params = sp.EnergyParams()
+        system = sp.make_energy_system(params)
+        W, level = system.halfspaces
+        calls = []
+        counted = dataclasses.replace(
+            system, halfspaces=(W, lambda x_: calls.append(x_) or level(x_)))
+        x = np.r_[np.full(4, 1.5), np.full(4, 11.0)]
+        ev = sp.evaluate(counted, x, sp.build_energy_covariance(params), _dirs(m=8))
+        grad = ev.gradient()
+        assert len(calls) == 1
+        assert np.all(grad.gradient != 0)      # every declared row was read
+
     @pytest.mark.parametrize("case, bound", [
         ("hyperbolic-set-eps0.05", 7.5), ("hyperbolic-set-eps0", 8.5),
         ("ball-dim8-eps0.05", 7.5), ("ball-dim8-eps0", 7),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import sphrad as sp
 from sphrad import oracles
-from sphrad.oracles import _hyperbolic_inside, _hyperbolic_project, check_interior
+from sphrad.oracles import _hyperbolic_inside, _hyperbolic_project
 from sphrad.radial import inequality_hits
 
 
@@ -66,13 +66,30 @@ class TestDeclaredHalfspaces:
         with pytest.raises(ValueError):
             W[0, 0] = 2.0
 
-    @pytest.mark.parametrize("halfspaces", [
-        lambda x: (np.eye(2)[:1], np.ones(1)),      # the whole pair per decision
-        (np.eye(2)[:1], np.ones(1)),                # t a constant
-    ], ids=["callable", "constant-t"])
-    def test_declaration_is_a_constant_w_and_a_callable_t(self, halfspaces):
-        with pytest.raises(ValueError, match=r"halfspace: halfspaces must be \(W, t\)"):
-            dataclasses.replace(sp.make_halfspace([1.0, 0.0]), halfspaces=halfspaces)
+    def test_caps_are_read_only_copies(self):
+        C, c = -np.eye(2), np.array([2.0, 2.0])
+        sys_ = dataclasses.replace(sp.make_halfspace([1.0, 0.0]), domain_caps=(C, c))
+        C[0, 0], c[0] = 5.0, 5.0
+        for stored, expected in zip(sys_.domain_caps, (-np.eye(2), [2.0, 2.0])):
+            assert np.array_equal(stored, expected) and not stored.flags.writeable
+            with pytest.raises(ValueError):
+                stored[0] = 2.0
+
+    @pytest.mark.parametrize("field, value", [
+        ("halfspaces", lambda x: (np.eye(2)[:1], np.ones(1))),  # the whole pair per decision
+        ("halfspaces", (np.eye(2)[:1], np.ones(1))),            # t a constant
+        ("domain_caps", (-np.eye(3)[:2], np.ones(2))),          # rows of length 3 in R^2
+        ("domain_caps", (np.array([[-1.0, np.nan]]), np.ones(1))),
+        ("domain_caps", (-np.eye(2), np.ones(3))),              # c of the wrong length
+        ("domain_caps", (lambda x: -np.eye(2), np.ones(2))),    # C per decision
+    ], ids=["callable", "constant-t", "caps-shape", "caps-nan", "caps-c-length",
+            "caps-callable"])
+    def test_declaration_is_a_constant_w_and_a_callable_t(self, field, value):
+        # Declared rows (W, t) and caps (C, c) are checked when the system is built.
+        what = {"halfspaces": r"halfspaces must be \(W, t\)",
+                "domain_caps": r"domain_caps must be \(C, c\)"}[field]
+        with pytest.raises(ValueError, match=f"halfspace: {what}"):
+            dataclasses.replace(sp.make_halfspace([1.0, 0.0]), **{field: value})
 
     def test_energy_needs_positive_wind_coefficient(self):
         with pytest.raises(ValueError):
@@ -104,7 +121,7 @@ class TestSlab:
         with pytest.raises(sp.InteriorViolated):
             sys_.eval_g(0, [0.5], np.zeros((1, 2)))
         with pytest.raises(sp.InteriorViolated):
-            check_interior(sys_, [0.0], np.zeros(2))
+            inequality_hits(sys_, [0.0], np.eye(2), _model2())
 
 
 def _all_systems():

@@ -262,6 +262,25 @@ class TestDomainCaps:
         assert _active(hit) == (0,)
         assert hit.rho[0] == pytest.approx((zstar - params.mu_wind) / lv[0], rel=1e-9)
 
+    @pytest.mark.parametrize("case", ["declared", "scanned"])
+    def test_mean_outside_cap_raised(self, case):
+        # A cap's own gap c - C . mean is part of the interior check.  The
+        # hyperbolic mean (-2.5, 0) also makes g_0(x, mean) = 2 positive;
+        # the cap is reported first.
+        if case == "declared":
+            system, model, x, _ = _dense_affine_case()
+            C, c = system.domain_caps
+            c = c.copy()
+            c[1] = C[1] @ model.mean - 0.5
+            system, k = dataclasses.replace(system, domain_caps=(C, c)), 1
+        else:
+            system, x, k = sp.make_hyperbolic_system(), np.array([1.0]), 0
+            model = sp.build_model(np.array([-2.5, 0.0]), np.eye(2))
+        with pytest.raises(sp.InteriorViolated, match=f"{system.name}: mean outside "
+                                                      f"domain cap {k}$") as info:
+            inequality_hits(system, x, np.eye(model.dim), model)
+        assert info.value.index == k
+
     def test_hyperbolic_caps_never_bind(self):
         sys_ = sp.make_hyperbolic_system()
         model = _model2()
@@ -285,8 +304,7 @@ def _dense_affine_case():
     W[:, -1] = [0.0, -0.4, -0.2]
     W /= np.linalg.norm(W, axis=1)[:, None]
     c = np.array([0.3, 0.0, 0.8])
-    caps = (sp.AffineDomainCap(a=np.array([0.6, -0.8, 0.0, 0.0, 0.0]), b=1.1),
-            sp.AffineDomainCap(a=np.array([0.0, 0.5, 0.5, -0.5, 0.5]), b=1.4))
+    caps = (-np.array([[0.6, -0.8, 0.0, 0.0, 0.0], [0.0, 0.5, 0.5, -0.5, 0.5]]), [1.1, 1.4])
 
     def eval_g(i, x, Z):
         return Z @ W[i] - (x[0] + c[i])
@@ -371,7 +389,7 @@ class TestHalfspaceClosedForm:
         LV = dirs @ model.factor_L.T
         W, t = system.halfspaces[0], system.halfspaces[1](x)
         rows = [(w, ti) for w, ti in zip(W, t)]
-        rows += [(-cap.a, cap.b) for cap in system.domain_caps]
+        rows += list(zip(*system.domain_caps))
         ref = np.full((len(rows), dirs.shape[0]), np.inf)
         for k, (w, ti) in enumerate(rows):
             speed = LV @ w
