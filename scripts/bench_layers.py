@@ -27,9 +27,7 @@ level first.  ``peak_mb`` is the tracemalloc peak, in MiB, of one
 ``evaluate``, of one ``validate`` and of one ``gradient`` on the 200k
 validation set, all at the solved dispatch; it counts what the call
 allocates, not the inputs built before it (for ``gradient``, the validation
-set's evaluation).  ``--baseline`` takes a file
-this script wrote on another checkout and embeds its layers, counts and
-peaks, with the ratio baseline / this run per layer.
+set's evaluation).
 
 An oracle section times ``radial.enlarged_hits`` in oracle mode, where the
 projection dominates, on 10k QMC directions of the standard model: the
@@ -50,13 +48,16 @@ call asks for.
 
 Timed one layer after another, a change of machine speed between two runs
 lands in every layer, so two runs of this script on a shared box can
-differ by more than a change does.  ``--baseline-src`` takes another
-checkout's ``src/``, imports its ``sphrad`` beside this one and times the
-oracle and scan cases of both in one process, a call of each in turn, and
-in the same way the dispatch's ``evaluate`` and ``gradient`` at 4, 24 and
-48 periods (the periods section's cases) and one default ``solve`` plus
-its ``validate``; the ``interleaved`` section gives both medians, their
-ratio and in how many pairs this checkout's call was the faster.
+differ by more than a change does; compare checkouts only through
+``--baseline-src``.  It takes another checkout's ``src/``, imports its
+``sphrad`` beside this one and times the ray solve of each oracle and scan
+case of both in one process, a call of each in turn, and in the same way
+``gradient`` of each of those cases and of the halfspace in dimension 8,
+the dispatch's ``evaluate`` and ``gradient`` at 4, 24 and 48 periods (the
+periods section's cases) and one default ``solve`` plus its ``validate``;
+the ``interleaved`` section gives both medians, their ratio and in how many
+pairs this checkout's call was the faster.  ``--baseline-src src`` times
+this checkout against itself.
 
 A periods section times ``closed_form_roots``, ``evaluate`` and
 ``gradient`` of the dispatch at 4, 24 and 48 periods, at the interior
@@ -65,12 +66,11 @@ decision ``(pw, pg) = (0.35, 10)`` in every period, on 10k QMC directions
 A chi-cdf sweep times the tail sum of ``sphrad.gaussian`` against the
 ``gammainc`` path it falls back to, each forced at every swept dimension,
 on 10k radii of two kinds: a chi law's, 30% infinite, and uniform on
-[0, 1.2 r_max].  It is what ``_SUM_MAX_DIM`` rests on; a checkout without
-the tail sum has no sweep.
+[0, 1.2 r_max].  It is what ``_SUM_MAX_DIM`` rests on.
 
     PYTHONPATH=src python scripts/bench_layers.py --out bench.json
     PYTHONPATH=src python scripts/bench_layers.py --out bench.json \
-        --baseline parent.json --baseline-src ../parent/src
+        --baseline-src ../parent/src
 """
 
 import os
@@ -169,6 +169,9 @@ SCAN_CASES = {
                                                   lambda x: np.array([1.0])), -0.5, 8, None),
     "hyperbolic_system_x2.25": (lambda pkg: pkg.make_hyperbolic_system(), 2.25, 2, None),
 }
+HALFSPACE_CASE = {      # timed by its gradient only
+    "halfspace_dim8_x0.7": (lambda pkg: pkg.make_halfspace(np.eye(8)[0]), 0.7, 8, None),
+}
 
 
 def ray_calls(pkg):
@@ -189,6 +192,18 @@ def ray_calls(pkg):
             layer = "enlarged_hits" if solve is enlarged else "inequality_hits"
             calls[f"{layer}/{name}"] = (functools.partial(solve, x=x, V=V, eps=eps, model=model),
                                         make(pkg))
+    return calls
+
+
+def gradient_calls(pkg):
+    """``Evaluation.gradient`` of each oracle, scan and halfspace case, built
+    from ``pkg`` on 10k QMC directions of the standard model and keyed
+    ``gradient/<case>``; each call reads one evaluation made here."""
+    calls = {}
+    for name, (make, x, m, eps) in {**ORACLE_CASES, **SCAN_CASES, **HALFSPACE_CASE}.items():
+        dirs = pkg.sample_sphere(m, 10000, seed=pkg.DEFAULT_SEED)
+        model = pkg.build_model(np.zeros(m), np.eye(m))
+        calls[f"gradient/{name}"] = pkg.evaluate(make(pkg), [x], model, dirs, eps=eps).gradient
     return calls
 
 
@@ -253,13 +268,14 @@ def load_sphrad(src):
 
 
 def interleaved_layers(baseline, repeats):
-    """Each case of ``ray_calls`` and ``energy_calls`` timed in this checkout
-    and in ``baseline``, one call of each in turn (which goes first
-    alternates), so a change of machine speed during the run lands on both:
-    the two medians in ms, their ratio baseline / this, and in how many of the
-    pairs this call was faster."""
+    """Each case of ``ray_calls``, ``gradient_calls`` and ``energy_calls``
+    timed in this checkout and in ``baseline``, one call of each in turn
+    (which goes first alternates), so a change of machine speed during the
+    run lands on both: the two medians in ms, their ratio baseline / this,
+    and in how many of the pairs this call was faster."""
     mine, theirs = ({**{key: functools.partial(call, target)
-                        for key, (call, target) in ray_calls(pkg).items()}, **energy_calls(pkg)}
+                        for key, (call, target) in ray_calls(pkg).items()},
+                     **gradient_calls(pkg), **energy_calls(pkg)}
                     for pkg in (sp, baseline))
     out = {}
     for key, call in mine.items():
@@ -356,8 +372,6 @@ def chi_radii(m, rng, n=10000):
 def chi_sweep(repeats):
     """Median ms of the chi cdf's tail sum and of its ``gammainc`` path, both
     forced through ``_SUM_MAX_DIM``, at each dimension of SWEEP_DIMS."""
-    if not hasattr(gaussian, "_tail_sums"):
-        return {}
     rng = np.random.default_rng(13)
     radii = {m: {"chi": chi_radii(m, rng),
                  "uniform": rng.uniform(0.0, 1.2 * sp.chi_cutoff(m), 10000)}
@@ -383,9 +397,8 @@ def main() -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--repeats", type=int, default=15, help="timed runs per layer")
-    parser.add_argument("--baseline", help="a file this script wrote on another checkout")
-    parser.add_argument("--baseline-src", help="another checkout's src/, whose oracle, scan "
-                        "and dispatch layers are timed interleaved with this one's")
+    parser.add_argument("--baseline-src", help="another checkout's src/, whose oracle, scan, "
+                        "gradient and dispatch layers are timed interleaved with this one's")
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
@@ -399,16 +412,13 @@ def main() -> int:
     V = dirs.directions
     ev = estimates.evaluate(system, x, model, dirs)
     ev_validate = estimates.evaluate(system, x, model, problem.validate_dirs)
-    halfspace, model8 = sp.make_halfspace(np.eye(8)[0]), sp.build_model(np.zeros(8), np.eye(8))
-    ev_half = estimates.evaluate(halfspace, [0.7], model8,
-                                 sp.sample_sphere(8, 10000, seed=sp.DEFAULT_SEED))
     rho_above = chi_radii(ABOVE_DIM, np.random.default_rng(7))
     layers = {
         "unit_check": lambda: radial._unit_rows(x, V),
         "closed_form_roots": lambda: radial.inequality_hits(system, x, V, model),
         "evaluate": lambda: estimates.evaluate(system, x, model, dirs),
         "gradient": lambda: ev.gradient(),
-        "gradient_halfspace_dim8": lambda: ev_half.gradient(),
+        "gradient_halfspace_dim8": gradient_calls(sp)["gradient/halfspace_dim8_x0.7"],
         "validate": lambda: solver.validate(x, problem),
         "solve": lambda: solver.solve(problem),
         "chi_cdf_10k": lambda: sp.chi_cdf(model.dim, ev.hits.rho),
@@ -472,28 +482,6 @@ def main() -> int:
     }
     if args.baseline_src:
         report["interleaved"] = {"n": 10000, "cases": interleaved}
-    if args.baseline:
-        with open(args.baseline, encoding="utf-8") as fh:
-            base = json.load(fh)
-        # Files from before the oracle, scan or periods section have none.
-        report["baseline"] = {k: base[k] for k in ("machine", "repeats", "solve", "counts",
-                                                   "layers_ms", "peak_mb", "oracle", "scan",
-                                                   "periods")
-                              if k in base}
-        report["speedup"] = {name: round(base["layers_ms"][name] / ms, 3)
-                             for name, ms in layers_ms.items() if name in base["layers_ms"]}
-        for section, layer, cases in (("oracle", "enlarged_hits", oracle),
-                                      ("scan", "inequality_hits", scan)):
-            base_cases = base.get(section, {}).get("cases", {})
-            for name, rec in cases.items():
-                if name in base_cases:
-                    report["speedup"][f"{layer}/{name}"] = round(
-                        base_cases[name][f"{layer}_ms"] / rec[f"{layer}_ms"], 3)
-        for T, rec in base.get("periods", {}).get("cases", {}).items():
-            for name, ms in rec.items():
-                if name != "value":
-                    report["speedup"][f"periods/{T}/{name}"] = round(
-                        ms / periods[T][name], 3)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")

@@ -237,6 +237,7 @@ def cmd_grad(cfg: RunConfig) -> int:
     payload = {"command": "grad", **_common_payload(cfg),
                "tie_policy": cfg.tie_policy,
                "gradient": [float(v) for v in est.gradient],
+               "max_ratio": est.max_ratio,
                "tie_fraction": est.tie_fraction}
     if cfg.check_fd:
         fd = fd_gradient(target, cfg.x, model, dirs, h0=5e-5, eps=cfg.eps)

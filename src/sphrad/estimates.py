@@ -90,15 +90,17 @@ class Evaluation(ProbEstimate):
         the unit outward normal ``n``, the direction of the residual of one
         projection ``P`` of the hit.  An eps = 0 root may lie just inside the
         body, where the residual is 0, so there the hit is first pushed out
-        to ``rho * (1 + NORMAL_PUSH)``.  A declared row ``w . z <= t(x)`` sums
-        ``mass * lambda * rho / gap``, with the ray solve's ``gap = t - w .
-        mean`` (``t(x)`` is not called again), and reads ``dt/dx`` once, as
-        ``-grad_x g / s`` with ``grad_z g = s w`` at the mean's foot on it,
-        exact as ``w`` is constant.  Infinite directions weigh zero.  Ties are
-        split uniformly (``average``) or resolved to the smallest active index
+        to ``rho * (1 + NORMAL_PUSH)``.  Each of the ray solve's blocks of
+        directions lists its active (row, direction) pairs once, by row, with
+        ``mass = pdf(rho) / n * lambda``; a scanned row or a set oracle reads
+        its normals on its own pairs.  A declared row ``w . z <= t(x)`` sums
+        ``mass * rho / gap``, with the ray solve's ``gap = t - w . mean``
+        (``t(x)`` is not called again), and reads ``dt/dx`` once, as ``-grad_x
+        g / s`` with ``grad_z g = s w`` at the mean's foot on it, exact as
+        ``w`` is constant.  Infinite directions weigh zero.  Ties are split
+        uniformly (``average``) or resolved to the smallest active index
         (``min_index``); with ties present the result is one subdifferential
-        element, not the gradient.  The weights are summed over the ray
-        solve's blocks of directions.
+        element, not the gradient.
         """
         if tie_policy not in ("average", "min_index"):
             raise ValueError(f"unknown tie policy {tie_policy!r}")
@@ -112,33 +114,29 @@ class Evaluation(ProbEstimate):
         declared = not oracle and target.halfspaces is not None
         push = 1.0 + NORMAL_PUSH if oracle and self.eps == 0 else 1.0
         grad, n_tied, max_ratio2 = np.zeros(target.x_dim), 0, 0.0
-        c, rho_max = np.zeros(n_x), np.zeros(n_x)   # declared rows: sum mass lam rho, max rho
+        c, rho_max = np.zeros(n_x), np.zeros(n_x)   # declared rows: sum mass rho, max rho
         for sl in _blocks(self.dirs.n):
             act, rho = hits.act[:, sl], hits.rho[sl]
             n_active = act.sum(axis=0, dtype=np.min_scalar_type(act.shape[0]))
             n_tied += int(np.count_nonzero(n_active > 1))
-            first = np.argmax(act, axis=0) if tie_policy == "min_index" else None
-            reads = act[:n_x].any(axis=0)   # some x-dependent row is active
-            if not reads.any():
+            # The active (row, direction) pairs of the x-dependent rows, row by row.
+            ri, ci = np.divmod(np.flatnonzero(act[:n_x]), act.shape[1])
+            if ri.size == 0:
                 continue
-            if declared:        # row sums over the (row, direction) pairs, row by row
-                ri, ci = np.divmod(np.flatnonzero(act[:n_x]), act.shape[1])
-                starts = np.flatnonzero(np.diff(ri, prepend=-1))
-                live, rho_p = ri.take(starts), rho.take(ci)
-                lam = 1 / n_active.take(ci) if first is None else first.take(ci) == ri
-                mass = chi_pdf(model.dim, rho_p) * (1.0 / self.dirs.n)
-                c[live] += np.add.reduceat(mass * lam * rho_p, starts)
+            bounds = np.searchsorted(ri, np.arange(n_x + 1))   # row i: bounds[i]:bounds[i + 1]
+            live, rho_p = np.flatnonzero(np.diff(bounds)), rho.take(ci)
+            lam = (1 / n_active.take(ci) if tie_policy == "average"
+                   else np.argmax(act, axis=0).take(ci) == ri)
+            mass = chi_pdf(model.dim, rho_p) * (1.0 / self.dirs.n) * lam
+            if declared:
+                starts = bounds.take(live)
+                c[live] += np.add.reduceat(mass * rho_p, starts)
                 rho_max[live] = np.maximum(rho_max[live], np.maximum.reduceat(rho_p, starts))
                 continue
-            at = np.cumsum(reads) - 1       # direction k's entry in mass; L v by row
-            mass = chi_pdf(model.dim, rho.take(np.flatnonzero(reads))) * (1.0 / self.dirs.n)
-            V = self.dirs.directions[sl]
-            for i, mask in enumerate(act[:n_x]):
-                rows = np.flatnonzero(mask)
-                if rows.size == 0:
-                    continue
-                LV_i = V.take(rows, axis=0) @ model.factor_L.T
-                Z = model.mean + (push * rho[rows])[:, None] * LV_i
+            for i in live.tolist():     # scanned rows and set oracles: normals at the hits
+                a, b = bounds[i], bounds[i + 1]
+                LV_i = self.dirs.directions[sl].take(ci[a:b], axis=0) @ model.factor_L.T
+                Z = model.mean + (push * rho_p[a:b])[:, None] * LV_i
                 if oracle:
                     P = target.project(x, Z)
                     gz = Z - P
@@ -149,12 +147,8 @@ class Evaluation(ProbEstimate):
                     gz = np.asarray(target.grad_z_g(i, x, Z), dtype=float)
                 slope = np.einsum("km,km->k", gz, LV_i)
                 if not np.all(slope > SLOPE_FLOOR):     # NaN slopes fail too
-                    offender = sl.start + int(rows[np.argmin(slope)])
-                    raise TransversalityBreakdown(
-                        f"constraint {i}: ray slope {slope.min():.3e} at direction "
-                        f"{offender} is below the slope floor", direction_index=offender)
-                lam = 1 / n_active[rows] if first is None else first[rows] == i
-                grad -= (mass[at[rows]] * lam / slope) @ gx
+                    _breakdown(i, slope.min(), sl.start + int(ci[a + np.argmin(slope)]))
+                grad -= (mass[a:b] / slope) @ gx
                 # slope > 0 implies |z_i| > 0.  Squared norms; one sqrt at the end.
                 ratio2 = np.einsum("km,km->k", gx, gx) / np.einsum("km,km->k", gz, gz)
                 max_ratio2 = max(max_ratio2, float(ratio2.max()))
@@ -167,14 +161,18 @@ class Evaluation(ProbEstimate):
                 s = np.asarray(target.grad_z_g(i, x, foot), dtype=float)[0] @ W[i] / ww[i]
                 if not s * gap[i] / rho_max[i] > SLOPE_FLOOR:     # NaN fails too
                     k = int(np.argmax(np.where(hits.act[i], hits.rho, 0.0)))   # largest rho
-                    raise TransversalityBreakdown(
-                        f"constraint {i}: ray slope {s * gap[i] / rho_max[i]:.3e} at direction "
-                        f"{k} is below the slope floor", direction_index=k)
+                    _breakdown(i, s * gap[i] / rho_max[i], k)
                 J = -gx / s
                 grad += c[i] / gap[i] * J
                 max_ratio2 = max(max_ratio2, float(J @ J / ww[i]))
         return GradEstimate(gradient=grad, tie_fraction=n_tied / self.dirs.n,
                             max_ratio=float(np.sqrt(max_ratio2)))
+
+
+def _breakdown(i, slope, k):
+    """Raise the breakdown of constraint ``i``: ray slope ``slope`` at direction ``k``."""
+    raise TransversalityBreakdown(f"constraint {i}: ray slope {slope:.3e} at direction {k} "
+                                  "is below the slope floor", direction_index=k)
 
 
 def evaluate(target, x, model: GaussianModel, dirs: DirectionSet,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import sphrad as sp
 from sphrad.cli import RunConfig, main
 from sphrad.errors import ConfigError
 
@@ -221,6 +222,23 @@ class TestGradCommand:
                        "--check-fd", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert json.loads(out.read_text())["fd_check"]["rel_err"] <= 1e-6
+
+    def test_json_reports_max_ratio(self, tmp_path):
+        # The growth check of GradEstimate, between the gradient and the tie
+        # fraction: 1 for the halfspace z_0 <= x, and the library's own value
+        # for the hyperbolic system on the same 10k QMC directions.
+        out = tmp_path / "grad.json"
+        proc = run_cli("grad", "--fixture", "halfspace", "--x", "1", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(out.read_text())
+        assert payload["max_ratio"] == 1.0
+        assert list(payload)[-3:] == ["gradient", "max_ratio", "tie_fraction"]
+        proc = run_cli("grad", "--fixture", "hyperbolic", "--x", "2.25", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        model = sp.build_model(np.zeros(2), np.eye(2))
+        ev = sp.evaluate(sp.make_hyperbolic_system(), [2.25], model,
+                         sp.sample_sphere(2, 10000, seed=sp.DEFAULT_SEED))
+        assert json.loads(out.read_text())["max_ratio"] == ev.gradient().max_ratio
 
 
 class TestDeterminism:

@@ -403,13 +403,22 @@ class TestBlockedGradient:
     ``BLOCK_ROWS`` directions; across a block boundary it still matches the
     reference weighted sum, and errors name the global direction."""
 
-    def test_matches_reference_across_blocks(self, monkeypatch):
-        system, model, x, tie = energy_case("tied")
-        V = sp.sample_sphere(8, radial.BLOCK_ROWS + 5000, seed=5,
+    @pytest.mark.parametrize("make, eps", [
+        (lambda: energy_case("tied"), None),
+        (lambda: (sp.make_hyperbolic_system(), _model2(), [2.25], None), None),
+        (lambda: (sp.make_hyperbolic_set(), _model2(), [2.25], None), 0.0),
+        (lambda: (sp.make_hyperbolic_set(), _model2(), [2.25], None), 0.05)],
+        ids=["energy-tied", "hyperbolic-system", "hyperbolic-set-eps0", "hyperbolic-set-eps0.05"])
+    def test_matches_reference_across_blocks(self, monkeypatch, make, eps):
+        # Declared rows (energy), scanned rows and a set oracle, each on
+        # BLOCK_ROWS + 5000 directions, so the gradient sums over two blocks.
+        target, model, x, tie = make()
+        V = sp.sample_sphere(model.dim, radial.BLOCK_ROWS + 5000, seed=5,
                              method=sp.SphereMethod.MONTE_CARLO).directions.copy()
-        V[radial.BLOCK_ROWS + 3] = tie           # a tied direction in the second block
+        if tie is not None:
+            V[radial.BLOCK_ROWS + 3] = tie           # a tied direction in the second block
         dirs = sp.DirectionSet(V, 5, sp.SphereMethod.MONTE_CARLO)
-        ev = sp.evaluate(system, x, model, dirs)
+        ev = sp.evaluate(target, x, model, dirs, eps=eps)
         for policy in ("average", "min_index"):
             blocked = ev.gradient(policy)
             np.testing.assert_allclose(blocked.gradient,
@@ -419,7 +428,8 @@ class TestBlockedGradient:
                 m.setattr(radial, "BLOCK_ROWS", dirs.n)
                 whole = ev.gradient(policy)
             assert blocked.tie_fraction == whole.tie_fraction == np.mean(ev.hits.act.sum(0) > 1)
-            assert blocked.tie_fraction > 0
+            if tie is not None:
+                assert blocked.tie_fraction > 0
             assert blocked.max_ratio == whole.max_ratio
 
     def test_breakdown_names_the_global_direction(self):
