@@ -54,10 +54,13 @@ differ by more than a change does; compare checkouts only through
 case of both in one process, a call of each in turn, and in the same way
 ``gradient`` of each of those cases and of the halfspace in dimension 8,
 the dispatch's ``evaluate`` and ``gradient`` at 4, 24 and 48 periods (the
-periods section's cases) and one default ``solve`` plus its ``validate``;
-the ``interleaved`` section gives both medians, their ratio and in how many
-pairs this checkout's call was the faster.  ``--baseline-src src`` times
-this checkout against itself.
+periods section's cases), one default ``solve`` plus its ``validate``, and
+QMC ``sample_sphere`` at (m, n) = (2, 10k), (8, 10k), (8, 200k) and
+(96, 10k); the ``interleaved`` section gives both medians, their ratio and
+in how many pairs this checkout's call was the faster.  The ``import``
+section times ``import sphrad.cli`` in fresh interpreters, the two ``src``
+trees in turn, 9 per side (3 under ``--repeats 1``), with the same figures.
+``--baseline-src src`` times this checkout against itself.
 
 A periods section times ``closed_form_roots``, ``evaluate`` and
 ``gradient`` of the dispatch at 4, 24 and 48 periods, at the interior
@@ -85,6 +88,7 @@ import importlib.util
 import json
 import platform
 import statistics
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -172,6 +176,7 @@ SCAN_CASES = {
 HALFSPACE_CASE = {      # timed by its gradient only
     "halfspace_dim8_x0.7": (lambda pkg: pkg.make_halfspace(np.eye(8)[0]), 0.7, 8, None),
 }
+SPHERE_CASES = ((2, 10000), (8, 10000), (8, 200000), (96, 10000))     # (m, n), QMC
 
 
 def ray_calls(pkg):
@@ -205,6 +210,14 @@ def gradient_calls(pkg):
         model = pkg.build_model(np.zeros(m), np.eye(m))
         calls[f"gradient/{name}"] = pkg.evaluate(make(pkg), [x], model, dirs, eps=eps).gradient
     return calls
+
+
+def sphere_calls(pkg):
+    """QMC ``sample_sphere`` of ``pkg`` at each ``SPHERE_CASES`` size, keyed
+    ``sample_sphere/m<m>_n<n>``."""
+    return {f"sample_sphere/m{m}_n{n}": functools.partial(pkg.sample_sphere, m, n,
+                                                          seed=pkg.DEFAULT_SEED)
+            for m, n in SPHERE_CASES}
 
 
 def counted_project(oracle):
@@ -267,15 +280,23 @@ def load_sphrad(src):
     return pkg
 
 
+def compare(times):
+    """Medians (in ms) of the baseline's and this checkout's ``times``,
+    their ratio baseline / this, and in how many pairs this one was faster."""
+    base_ms, ms = (1e3 * statistics.median(t) for t in times)
+    return {"baseline_ms": round(base_ms, 4), "ms": round(ms, 4),
+            "speedup": round(base_ms / ms, 3),
+            "faster_pairs": f"{sum(b > a for b, a in zip(*times))}/{len(times[0])}"}
+
+
 def interleaved_layers(baseline, repeats):
-    """Each case of ``ray_calls``, ``gradient_calls`` and ``energy_calls``
-    timed in this checkout and in ``baseline``, one call of each in turn
-    (which goes first alternates), so a change of machine speed during the
-    run lands on both: the two medians in ms, their ratio baseline / this,
-    and in how many of the pairs this call was faster."""
+    """Each case of ``ray_calls``, ``gradient_calls``, ``energy_calls`` and
+    ``sphere_calls`` timed in this checkout and in ``baseline``, one call of
+    each in turn (which goes first alternates), so a change of machine speed
+    during the run lands on both, as ``compare`` gives it."""
     mine, theirs = ({**{key: functools.partial(call, target)
                         for key, (call, target) in ray_calls(pkg).items()},
-                     **gradient_calls(pkg), **energy_calls(pkg)}
+                     **gradient_calls(pkg), **energy_calls(pkg), **sphere_calls(pkg)}
                     for pkg in (sp, baseline))
     out = {}
     for key, call in mine.items():
@@ -288,11 +309,27 @@ def interleaved_layers(baseline, repeats):
                 t0 = time.perf_counter()
                 pair[j]()
                 times[j].append(time.perf_counter() - t0)
-        base_ms, ms = (1e3 * statistics.median(t) for t in times)
-        out[key] = {"baseline_ms": round(base_ms, 4), "ms": round(ms, 4),
-                    "speedup": round(base_ms / ms, 3),
-                    "faster_pairs": f"{sum(b > a for b, a in zip(*times))}/{repeats}"}
+        out[key] = compare(times)
     return out
+
+
+IMPORT_PROBE = ("import time; t0 = time.perf_counter(); import sphrad.cli; "
+                "print(time.perf_counter() - t0)")
+
+
+def import_times(baseline_src, runs):
+    """``import sphrad.cli`` in a fresh interpreter from ``baseline_src`` and
+    from this checkout's ``src``, in turn (which goes first alternates),
+    ``runs`` times each, as ``compare`` gives it."""
+    srcs = (os.path.abspath(baseline_src), os.path.dirname(os.path.dirname(sp.__file__)))
+    times = ([], [])
+    for k in range(runs):
+        for j in ((0, 1) if k % 2 == 0 else (1, 0)):
+            out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], check=True,
+                                 capture_output=True, text=True,
+                                 env={**os.environ, "PYTHONPATH": srcs[j]}).stdout
+            times[j].append(float(out))
+    return {"runs": runs, **compare(times)}
 
 
 GRADIENT_CASES = ("hyperbolic_set_x2.25", "ball_dim8_x3")
@@ -457,7 +494,8 @@ def main() -> int:
 
     if args.baseline_src:
         interleaved = interleaved_layers(load_sphrad(args.baseline_src), args.repeats)
-        for key, rec in interleaved.items():
+        imports = import_times(args.baseline_src, 3 if args.repeats == 1 else 9)
+        for key, rec in {**interleaved, "import sphrad.cli": imports}.items():
             print(f"{key:40s} {rec['baseline_ms']:8.3f} -> {rec['ms']:8.3f} ms "
                   f"x{rec['speedup']:.3f}, faster in {rec['faster_pairs']} pairs")
 
@@ -482,6 +520,7 @@ def main() -> int:
     }
     if args.baseline_src:
         report["interleaved"] = {"n": 10000, "cases": interleaved}
+        report["import"] = imports
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")

@@ -13,12 +13,12 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import warnings
+import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 from scipy import special
-from scipy.stats import qmc
 
 from .errors import NotPositiveDefinite, NumericalError
 
@@ -46,6 +46,14 @@ _P_LOW = 1e-2
 # Near r_max one ulp moves the cdf by about 1e-26, so a mismatch is an
 # error, not a loop of 1e10 ulp steps.
 _MAX_NUDGES = 8
+
+# Scrambled Sobol points as scipy.stats.qmc.Sobol(d, scramble=True, seed=s)
+# draws them, bit for bit: 30-bit digits, Joe & Kuo's direction numbers for
+# up to 21,201 dimensions, read from the table scipy ships.
+_SOBOL_BITS = 30
+_SOBOL_MAX_DIM = 21201
+_SOBOL_TABLE = os.path.join(os.path.dirname(scipy.__file__), "stats",
+                            "_sobol_direction_numbers.npz")
 
 
 class SphereMethod(str, enum.Enum):
@@ -236,11 +244,11 @@ class DirectionSet:
         return self.directions.shape[1]
 
 
-def _normalize_rows(g: np.ndarray) -> np.ndarray:
+def _normalize_rows(g: np.ndarray, out=None) -> np.ndarray:
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     if np.any(norms == 0):
         raise ValueError("degenerate zero draw while sampling the sphere")
-    return g / norms
+    return np.divide(g, norms, out=out)
 
 
 def _gaussian_block_mc(m: int, k: int, seed: int) -> np.ndarray:
@@ -250,14 +258,78 @@ def _gaussian_block_mc(m: int, k: int, seed: int) -> np.ndarray:
     return rng.standard_normal((k, m))
 
 
+@functools.cache
+def _sobol_directions(m):
+    """The Sobol direction numbers of the first ``m`` dimensions, (m, 30)
+    uint32 and read-only: row d, column j is ``v_dj 2^(29 - j)``.
+
+    Row 0 is all ones; row d >= 1 starts with the table's initial numbers
+    and follows the recurrence of its primitive polynomial of degree ``s``:
+    ``v_j = v_(j-s) ^ (v_(j-s) << s) ^ XOR_k a_k (v_(j-k) << k)``, the
+    ``a_k`` its inner coefficients (Joe & Kuo 2008)."""
+    with np.load(_SOBOL_TABLE) as table:     # copies of m rows; the table is not kept
+        poly, vinit = table["poly"][:m].copy(), table["vinit"][:m].copy()
+    deg = np.frexp(poly)[1] - 1                          # 2^deg <= poly < 2^(deg + 1)
+    v = np.zeros((m, _SOBOL_BITS), dtype=np.int64)
+    v[:, :vinit.shape[1]] = vinit                        # zero beyond each row's degree
+    v[0] = 1
+    k = np.arange(1, deg.max() + 1)
+    coef = (k <= deg[:, None]) & ((poly[:, None] >> np.maximum(deg[:, None] - k, 0)) % 2 == 1)
+    rows = np.arange(m)
+    for j in range(1, _SOBOL_BITS):
+        grow = (deg > 0) & (deg <= j)                    # row 0 has degree 0
+        new = v[rows, np.where(grow, j - deg, 0)]
+        for kk in k[k <= j]:
+            new ^= np.where(coef[:, kk - 1], v[:, j - kk] << kk, 0)
+        v[:, j] = np.where(grow, new, v[:, j])
+    v <<= np.arange(_SOBOL_BITS - 1, -1, -1)
+    v = v.astype(np.uint32)
+    v.flags.writeable = False
+    return v
+
+
+def _sobol(m, k, seed):
+    """The first ``k`` points of a scrambled Sobol sequence in [0, 1)^m.
+
+    The scramble is Matousek's linear matrix scramble plus a digital shift,
+    drawn from ``np.random.default_rng(seed)``: per dimension a random lower
+    triangular GF(2) matrix with unit diagonal multiplies the bits of every
+    direction number.  Point 0 is the shift; point i XORs into point i - 1
+    the direction number at the lowest zero bit of i - 1 (Gray code order).
+    """
+    if m > _SOBOL_MAX_DIM:
+        raise ValueError(f"QMC sampling supports at most {_SOBOL_MAX_DIM} dimensions, got {m}")
+    if k > 2 ** _SOBOL_BITS:
+        raise ValueError(f"QMC sampling draws at most 2**{_SOBOL_BITS} points, got {k}")
+    bits = _SOBOL_BITS
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(2, size=(m, bits), dtype=np.uint32) @ (
+        np.uint32(1) << np.arange(bits, dtype=np.uint32))
+    lower = np.tril(rng.integers(2, size=(m, bits, bits), dtype=np.uint32)).astype(float)
+    lower[:, range(bits), range(bits)] = 1.0
+    # Bit 29 - i of each direction number, times the matrix: the sums are at
+    # most 30, so float products are exact, and their parities are the bits
+    # 29 - p of the scrambled number.
+    desc = np.arange(bits - 1, -1, -1, dtype=np.uint32)
+    digits = (_sobol_directions(m)[:, :, None] >> desc) & 1
+    parity = np.matmul(digits.astype(float), lower.transpose(0, 2, 1)).astype(np.uint32) & 1
+    scrambled = (parity << desc).sum(axis=2, dtype=np.uint32)
+    # In Gray code order point 2^j + t is point 2^j - 1 - t with direction
+    # number j XORed in, so each pass doubles the points drawn.
+    q = np.empty((k, m), dtype=np.uint32)
+    q[0] = shift
+    size, j = 1, 0
+    while size < k:
+        step = min(size, k - size)
+        np.bitwise_xor(q[size - 1::-1][:step], scrambled[:, j], out=q[size:size + step])
+        size, j = size + step, j + 1
+    return q * 2.0 ** -bits
+
+
 def _gaussian_block_qmc(m: int, k: int, seed: int) -> np.ndarray:
-    with warnings.catch_warnings():
-        # Sobol balance warnings for non power-of-two sample sizes are
-        # expected here; the estimators are validated at the sizes used.
-        warnings.simplefilter("ignore")
-        u = qmc.Sobol(d=m, scramble=True, seed=seed).random(k)
-    u = np.clip(u, 1e-16, 1.0 - 1e-16)
-    return special.ndtri(u)
+    u = _sobol(m, k, seed)              # at most 1 - 2^-30: only 0 is clipped
+    np.maximum(u, 1e-16, out=u)
+    return special.ndtri(u, out=u)
 
 
 def sample_sphere(m: int, n: int, seed: int = DEFAULT_SEED,
@@ -265,9 +337,12 @@ def sample_sphere(m: int, n: int, seed: int = DEFAULT_SEED,
     """Sample ``n`` unit directions in R^m.
 
     Monte Carlo normalizes standard Gaussian draws from a counter-based
-    generator; QMC maps a scrambled digital (Sobol) sequence through the
-    inverse normal transform and normalizes.  When ``n`` is even the
-    directions come in antithetic pairs ``(v, -v)``.
+    generator.  QMC maps scrambled Sobol points through the inverse normal
+    transform and normalizes; the points are those of
+    ``scipy.stats.qmc.Sobol(d=m, scramble=True, seed=seed)``, bit for bit,
+    generated here in numpy (see ``_sobol``), so QMC allows m <= 21,201.
+    When ``n`` is even the directions come in antithetic pairs ``(v, -v)``,
+    from ``n / 2`` points.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -276,10 +351,8 @@ def sample_sphere(m: int, n: int, seed: int = DEFAULT_SEED,
     method = SphereMethod(method)
     block = _gaussian_block_mc if method is SphereMethod.MONTE_CARLO else _gaussian_block_qmc
     if n % 2 == 0:
-        half = _normalize_rows(block(m, n // 2, seed))
         dirs = np.empty((n, m))
-        dirs[0::2] = half
-        dirs[1::2] = -half
+        np.negative(_normalize_rows(block(m, n // 2, seed), out=dirs[0::2]), out=dirs[1::2])
     else:
         dirs = _normalize_rows(block(m, n, seed))
     return DirectionSet(directions=dirs, seed=int(seed), method=method)

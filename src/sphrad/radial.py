@@ -12,7 +12,7 @@ A declared row counts only above ``1 / r_max`` and the caps' (pulled in by
 1e-10, so a root on a cap stays the cap's).  The solve checks once per batch
 that the mean is interior: every ``gap`` positive, ``g_i(x, mean) < 0`` on
 undeclared rows, or in oracle mode the mean's projection returning it
-unchanged.  Other constraints
+unchanged and, at eps = 0, no root at or below ``ROOT_TOL``.  Other constraints
 go through a doubling scan that brackets the root, then a safeguarded Newton
 iteration from the bracket's outer end that bisects where a step would leave
 the bracket.  Both modes give the ray as ``h`` plus its slope on request,
@@ -51,6 +51,7 @@ from .oracles import ConvexSetOracle, InequalitySystem
 TIE_REL = 1e-7            # constraints within rho * (1 + TIE_REL) + TIE_ABS tie
 TIE_ABS = 1e-9
 SLOPE_FLOOR = 1e-12       # smallest ray slope trusted by a Newton step and the gradient
+ROOT_TOL = 1e-13          # a root is within ROOT_TOL * max(1, r) of its radius
 # Safety caps that never bind: the scan runs from r = 1 to the chi cutoff
 # (at most 12.33 for m <= 48, so 5 doublings), and even bisection alone
 # would reach the 1e-13 relative root width in under 50 steps.
@@ -153,13 +154,13 @@ def _newton_step(h, dh, r, lo, hi, newton):
     ``newton`` marks an ``r`` that came from a Newton step.  Return the new
     ``(r, lo, hi, newton)`` and the stopped rows.
 
-    A row stops when its step or bracket is within ``1e-13 * max(1, hi)``,
+    A row stops when its step or bracket is within ``ROOT_TOL * max(1, hi)``,
     never on h == 0: at eps = 0, h vanishes on the whole feasible segment.
     """
     out = h > 0
     lo = np.where(out, lo, r)
     hi = np.where(out, r, hi)
-    tol = 1e-13 * np.maximum(1.0, hi)
+    tol = ROOT_TOL * np.maximum(1.0, hi)
     ok = dh > SLOPE_FLOOR
     with np.errstate(all="ignore"):     # read only where ok
         step = h / dh                   # the Newton step is -step
@@ -294,6 +295,11 @@ def enlarged_hits(oracle: ConvexSetOracle, x, dirs: np.ndarray, eps: float,
                 np.einsum("mk,mk->k", _columns(UT, rows), _columns(LVT_k, rows))
                 / np.maximum(dist[rows], 1e-300))
 
-        return 1.0 / _roots(ray, np.full(LVT.shape[1], r_max), oracle.name, sl.start)[None, :]
+        rho = _roots(ray, np.full(LVT.shape[1], r_max), oracle.name, sl.start)
+        if eps == 0 and (rho <= ROOT_TOL).any():    # project(mean) == mean on the boundary too
+            k = int(np.argmax(rho <= ROOT_TOL))
+            raise InteriorViolated(f"{oracle.name}: mean is on the boundary of S(x): ray root "
+                                   f"{rho[k]:.1e} at direction {sl.start + k}")
+        return 1.0 / rho[None, :]
 
     return _solve_blocks(solve, V.shape[0], 1, r_max)

@@ -2,13 +2,15 @@
 
 Each check is a named callable returning (passed, detail).  Quick mode
 reduces sample sizes and widens the sampling-error-limited tolerances
-accordingly; fixed analytic tolerances are kept as is.
+accordingly; fixed analytic tolerances are kept as is.  ``scipy.stats`` and
+``scipy.integrate`` are imported by the checks that use them, so importing
+sphrad does not load them.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import special
 
 from .estimates import evaluate, fd_gradient
 from .gaussian import (_SUM_MAX_DIM, DEFAULT_SEED, SphereMethod, build_model,
@@ -28,6 +30,7 @@ def _rho(oracle, x, v, eps, model):
 
 
 def check_chi_normalization(quick=False):
+    from scipy import integrate
     dims = (1, 2, 8, 16) if quick else tuple(range(1, 17))
     worst = 0.0
     for m in dims:
@@ -105,11 +108,13 @@ def _analytic(system, x, value, grad, quick):
 
 
 def check_halfspace_analytic(quick=False):
+    from scipy import stats
     return _analytic(make_halfspace([1.0, 0.0]), 1.0, stats.norm.cdf(1), stats.norm.pdf(1),
                      quick)
 
 
 def check_slab_analytic(quick=False):
+    from scipy import stats
     tau = slab_threshold(-1.0)
     slab = make_slab([1.0, 0.0], lambda x: x[0], lambda x: np.array([1.0]))
     return _analytic(slab, -1.0, 2 * stats.norm.cdf(tau) - 1,

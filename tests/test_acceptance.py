@@ -208,23 +208,36 @@ def energy_solution():
     return problem, x, trace, time.perf_counter() - t0
 
 
+def _stationarity_rel(problem, x):
+    """Relative gap between ``gradient()`` at ``x`` and a central difference
+    of the value on the same directions.  The 5e-8 step stays inside x's
+    active pattern, and the check asserts it: a wider step (5e-6 read fd_rel
+    up to 8e-4 on seeds 1-3) spans a kink of the common-random-numbers
+    estimate, where some direction's active row changes, and mixes two
+    smooth pieces while gradient() reads one."""
+    system, model, dirs = problem.system, problem.model, problem.eval_dirs
+    g = sp.evaluate(system, x, model, dirs).gradient().gradient
+    _, ref = _value_and_pattern(system, x, model, dirs)
+    fd = np.zeros_like(x)
+    for i in range(len(x)):
+        h = 5e-8 * max(1.0, abs(x[i]))
+        vals = []
+        for sign in (1.0, -1.0):
+            xs = x.copy()
+            xs[i] += sign * h
+            val, pat = _value_and_pattern(system, xs, model, dirs)
+            assert pat == ref, f"active pattern changes within {h:.0e} of x[{i}]"
+            vals.append(val)
+        fd[i] = (vals[0] - vals[1]) / (2 * h)
+    return float(np.linalg.norm(fd - g) / np.linalg.norm(g))
+
+
 def test_criterion_7_energy_case_study(capsys, energy_solution):
     problem, x, trace, solve_time = energy_solution
     t0 = time.perf_counter()
     val = sp.validate(x, problem)
     # Stationarity cross-check via the common-random-numbers identity.
-    g = sp.evaluate(problem.system, x, problem.model,
-                    problem.eval_dirs).gradient().gradient
-    fd = np.zeros_like(x)
-    for i in range(len(x)):
-        h = 5e-6 * max(1.0, abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        fd[i] = (sp.evaluate(problem.system, xp, problem.model, problem.eval_dirs).value
-                 - sp.evaluate(problem.system, xm, problem.model,
-                               problem.eval_dirs).value) / (2 * h)
-    rel = float(np.linalg.norm(fd - g) / np.linalg.norm(g))
+    rel = _stationarity_rel(problem, x)
     total = solve_time + (time.perf_counter() - t0)
     ok = (trace.status in ("converged", "box_optimum")
           and 0.79 <= val.value <= 0.81
@@ -235,6 +248,15 @@ def test_criterion_7_energy_case_study(capsys, energy_solution):
             ok, f"status={trace.status} iters={len(trace.records) - 1} "
             f"validated={val.value:.4f}+-{val.std_error:.4f} fd_rel={rel:.1e} "
             f"{total:.0f}s")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_criterion_7_stationarity_across_seeds(seed):
+    # The bar holds for the estimator, not for one scramble seed.
+    problem = sp.make_energy_problem(n_dirs=10000, seed=seed)
+    x, trace = sp.solve(problem)
+    assert trace.status in ("converged", "box_optimum")
+    assert _stationarity_rel(problem, x) <= 1e-4
 
 
 def _run_cli(*args):

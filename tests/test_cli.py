@@ -14,6 +14,26 @@ from sphrad.cli import RunConfig, main
 from sphrad.errors import ConfigError
 
 
+_IMPORTS = """
+import sys
+import sphrad, sphrad.cli
+sphrad.sample_sphere(8, 10)
+sphrad.cli.main(["eval", "--fixture", "ball", "--dim", "8", "--x", "3", "--eps", "0.05",
+                 "--n", "100"])
+print("loaded:", *(m for m in ("scipy.stats", "scipy.integrate", "scipy.optimize")
+                   if m in sys.modules))
+"""
+
+
+def test_import_and_first_eval_load_no_scipy_stats():
+    # Importing scipy.stats takes about 0.5 s; a lazy import on the first
+    # sample would move that cost into every command's first call.
+    src = os.path.dirname(os.path.dirname(sp.__file__))
+    out = subprocess.run([sys.executable, "-c", _IMPORTS], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.splitlines()[-1] == "loaded:"
+
+
 def run_cli(*args, cwd=None, env=None):
     proc = subprocess.run([sys.executable, "-m", "sphrad", *args],
                           capture_output=True, text=True, cwd=cwd, env=env)

@@ -1,12 +1,22 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
+from scipy.stats import qmc
 
 import sphrad as sp
 from sphrad import gaussian
 from sphrad.gaussian import TAIL_MASS
+
+# Every dimension with the short draws, and a few large ones, so the
+# comparison with scipy stays under 2 s.
+SOBOL_CASES = ([(d, n) for d in (1, 2, 3, 8, 24, 96) for n in (1, 2, 3, 7)]
+               + [(1, 100000), (2, 5000), (3, 4096), (8, 4096), (8, 100000),
+                  (24, 5000), (96, 4096), (1111, 1), (1111, 7)])
+SOBOL_SEEDS = (0, 12, 77, 123457, 5000018)
 
 # Every dimension the tail sum serves, and two served by gammainc.
 CDF_DIMS = [*range(1, gaussian._SUM_MAX_DIM + 1), gaussian._SUM_MAX_DIM + 1,
@@ -182,3 +192,34 @@ class TestSampleSphere:
         assert np.abs(np.linalg.norm(d.directions, axis=1) - 1.0).max() <= 1e-12
         if n % 2 == 0:
             assert np.array_equal(d.directions[0::2], -d.directions[1::2])
+
+
+class TestScrambledSobol:
+    @staticmethod
+    def _scipy(d, n, seed):
+        with warnings.catch_warnings():     # the balance warning at n not a power of 2
+            warnings.simplefilter("ignore")
+            return qmc.Sobol(d=d, scramble=True, seed=seed).random(n)
+
+    @pytest.mark.parametrize("d,n", SOBOL_CASES)
+    def test_matches_scipy_bit_for_bit(self, d, n):
+        for seed in SOBOL_SEEDS:
+            assert np.array_equal(gaussian._sobol(d, n, seed), self._scipy(d, n, seed))
+
+    def test_direction_numbers_match_scipy_every_dimension(self):
+        v = gaussian._sobol_directions(gaussian._SOBOL_MAX_DIM)
+        assert not v.flags.writeable
+        assert np.array_equal(v, qmc.Sobol(d=gaussian._SOBOL_MAX_DIM, scramble=False)._sv)
+
+    def test_limits_raise_as_scipy_does(self):
+        with pytest.raises(ValueError):
+            qmc.Sobol(d=21202, scramble=True, seed=1)
+        with pytest.raises(ValueError, match="at most 21201 dimensions"):
+            sp.sample_sphere(21202, 2, seed=1)
+        with pytest.raises(ValueError, match="at most 2\\*\\*30 points"):
+            gaussian._sobol(1, 2**30 + 1, 1)      # raised before anything is allocated
+
+    def test_sphere_directions_from_sobol(self):
+        d = sp.sample_sphere(8, 10, seed=3)
+        g = special.ndtri(np.clip(self._scipy(8, 5, 3), 1e-16, 1 - 1e-16))
+        assert np.array_equal(d.directions[0::2], g / np.linalg.norm(g, axis=1, keepdims=True))

@@ -457,6 +457,15 @@ class TestEnlargedRoots:
         with pytest.raises(sp.InteriorViolated):
             _enl(oracle, [1.0], [1.0, 0.0], 0.1, _model2())
 
+    def test_mean_on_boundary_rejected_at_eps0(self):
+        # project(mean) returns the mean on the boundary as well; at eps 0
+        # its zero radii give it away before any value is formed.
+        oracle, model = sp.make_ball(np.array([1.0, 0.0])), _model2()
+        dirs = sp.sample_sphere(2, 2000, seed=12)
+        with pytest.raises(sp.InteriorViolated, match="ball: mean is on the boundary of S"):
+            sp.evaluate(oracle, [1.0], model, dirs)
+        assert sp.evaluate(oracle, [1.0], model, dirs, eps=0.05).n_infinite == 0
+
     @settings(max_examples=40, deadline=None)
     @given(theta=st.floats(0, 2 * np.pi), x=st.floats(0.5, 2.0),
            e1=st.floats(0.0, 0.5), e2=st.floats(0.0, 0.5))
