@@ -1,75 +1,64 @@
 #!/usr/bin/env python3
 """Time the layers of the energy dispatch case study and count its work.
 
-Builds ``make_energy_problem()`` at its defaults, solves it once, and at the
-solved dispatch reports the median wall time of ``--repeats`` runs of each
-layer:
+Every timing is an interleaved pair.  ``--baseline-src`` (by default this
+checkout's own ``src/``) names another checkout whose ``sphrad`` is
+imported beside this one; each case is built from both and timed one call
+of each in turn, which goes first alternating, so a change of machine speed
+during the run lands on both sides.  Each case reports both medians (ms),
+their ratio baseline / this and in how many pairs this checkout's call was
+the faster.  The ``interleaved`` section's cases, on 10k QMC directions of
+the standard model unless named otherwise:
 
-- ``unit_check``: the unit-norm check of the 10k evaluation directions;
-- ``closed_form_roots``: ``radial.inequality_hits`` on those directions
-  (interior check, every closed-form root, tie classification);
-- ``evaluate`` and ``gradient`` at the solved dispatch;
-- ``gradient_halfspace_dim8``: ``gradient`` of the halfspace ``z_0 <= x`` in
-  dimension 8 at x = 0.7, standard model, 10k QMC directions, where about
+- ``enlarged_hits/<case>``: ``radial.enlarged_hits`` in oracle mode, where
+  the projection dominates: the hyperbolic set at x = 0.75 and 2.25, the
+  ball in dimension 8 at x = 3 and in dimension 2 at x = 1.5, all at
+  eps = 0.05, and the hyperbolic set at x = 0.75 and eps = 0;
+- ``inequality_hits/<case>``: ``radial.inequality_hits`` on the doubling
+  scan: the slab in dimensions 2 and 8 at x = -0.5 and the hyperbolic
+  system at x = 2.25;
+- ``gradient/<case>``: ``Evaluation.gradient`` of each of those cases and
+  of the halfspace ``z_0 <= x`` in dimension 8 at x = 0.7, where about
   half the directions are infinite;
-- ``validate``: the 200k-direction validation;
-- ``solve``: the full solve from the starting point;
-- ``chi_cdf_10k`` and ``chi_cdf_200k``: ``chi_cdf`` on the exit radii of
-  the evaluation and validation sets at the solved dispatch (m = 8), and
-  ``chi_cdf_m320`` on 10k radii of a chi law in dimension 320, above the
-  tail sum's cutoff, 30% of them infinite.
+- ``inequality_hits``, ``evaluate`` and ``gradient`` of the dispatch at 4,
+  24 and 48 periods (``energy_T<T>``), at the interior decision
+  ``(pw, pg) = (0.35, 10)`` in every period on the 10k QMC evaluation set
+  of ``make_energy_problem``, and ``unit_check/energy_T4``, the unit-norm
+  check of that set's directions;
+- ``solve_validate/energy``: one ``solve`` of ``make_energy_problem()`` and
+  the 200k ``validate`` of its result; ``validate/energy``: that
+  ``validate`` alone, at the solved dispatch;
+- ``chi_cdf/m8_n10k`` and ``chi_cdf/m8_n200k``: ``chi_cdf`` on the exit
+  radii of the evaluation and validation sets at the solved dispatch, and
+  ``chi_cdf/m320_n10k`` on 10k radii of a chi law in dimension 320, above
+  the tail sum's cutoff, 30% of them infinite;
+- ``sample_sphere/m<m>_n<n>``: QMC ``sample_sphere`` at (m, n) = (2, 10k),
+  (8, 10k), (8, 200k) and (96, 10k).
 
-Counts are deterministic, the same on any machine: ray batches and gradient
-calls of one solve, and the ``t(x)`` calls and ``eval_g`` rows it asks for.  Under
-``infeasible_start`` are the same counts for one solve from ``(pw, pg) =
-(1, 9.5)`` in every period, where phat is 0.39, so the loop climbs to the
-level first.  ``peak_mb`` is the tracemalloc peak, in MiB, of one
-``evaluate``, of one ``validate`` and of one ``gradient`` on the 200k
-validation set, all at the solved dispatch; it counts what the call
-allocates, not the inputs built before it (for ``gradient``, the validation
-set's evaluation).
+The ``import`` section times ``import sphrad.cli`` in fresh interpreters,
+the two ``src`` trees in turn, 9 per side (3 under ``--repeats 1``).  The
+``chi_cdf_sweep`` section pairs, in this checkout, the chi cdf's
+``gammainc`` path (the baseline side) with its tail sum, each forced
+through ``_SUM_MAX_DIM`` at every swept dimension, on 10k radii of two
+kinds: a chi law's, 30% infinite, and uniform on [0, 1.2 r_max].  It is
+what ``_SUM_MAX_DIM`` rests on.
 
-An oracle section times ``radial.enlarged_hits`` in oracle mode, where the
-projection dominates, on 10k QMC directions of the standard model: the
-hyperbolic set at x = 0.75 and 2.25, the ball in dimension 8 at x = 3 and
-the ball in dimension 2 at x = 1.5, all at eps = 0.05, and the hyperbolic
-set at x = 0.75 and eps = 0.  It reports each case's eps, the median ms of
-one call, and the ``project`` calls (the ray rounds of the batch) and rows
-per ray that call asks for.
-It also counts the ``project`` rows per finite ray of one
-``Evaluation.gradient`` at eps = 0 and 0.05, on the hyperbolic set at
+Counts are deterministic, the same on any machine, and are taken in this
+checkout only: ray batches and gradient calls of one solve, and the
+``t(x)`` calls and ``eval_g`` rows it asks for.  Under ``infeasible_start``
+are the same counts for one solve from ``(pw, pg) = (1, 9.5)`` in every
+period, where phat is 0.39, so the loop climbs to the level first.
+``peak_mb`` is the tracemalloc peak, in MiB, of one ``evaluate``, of one
+``validate`` and of one ``gradient`` on the 200k validation set, all at the
+solved dispatch; it counts what the call allocates, not the inputs built
+before it (for ``gradient``, the validation set's evaluation).  The
+``oracle`` section gives each oracle case's eps and the ``project`` calls
+(the ray rounds of the batch) and rows per ray that one ray solve asks
+for, and the ``project`` rows per finite ray of one
+``Evaluation.gradient`` at eps = 0 and 0.05 on the hyperbolic set at
 x = 2.25 and the ball in dimension 8 at x = 3: one projection per finite
-ray at either eps.  A scan section times
-``radial.inequality_hits`` on 10k QMC directions of the standard model for
-the systems on the doubling scan, the slab in dimensions 2 and 8 at
-x = -0.5 and the hyperbolic system at x = 2.25, and counts the ``eval_g``
-calls (the ray rounds) and the ``eval_g`` and ``grad_z_g`` rows per ray that
-call asks for.
-
-Timed one layer after another, a change of machine speed between two runs
-lands in every layer, so two runs of this script on a shared box can
-differ by more than a change does; compare checkouts only through
-``--baseline-src``.  It takes another checkout's ``src/``, imports its
-``sphrad`` beside this one and times the ray solve of each oracle and scan
-case of both in one process, a call of each in turn, and in the same way
-``gradient`` of each of those cases and of the halfspace in dimension 8,
-the dispatch's ``evaluate`` and ``gradient`` at 4, 24 and 48 periods (the
-periods section's cases), one default ``solve`` plus its ``validate``, and
-QMC ``sample_sphere`` at (m, n) = (2, 10k), (8, 10k), (8, 200k) and
-(96, 10k); the ``interleaved`` section gives both medians, their ratio and
-in how many pairs this checkout's call was the faster.  The ``import``
-section times ``import sphrad.cli`` in fresh interpreters, the two ``src``
-trees in turn, 9 per side (3 under ``--repeats 1``), with the same figures.
-``--baseline-src src`` times this checkout against itself.
-
-A periods section times ``closed_form_roots``, ``evaluate`` and
-``gradient`` of the dispatch at 4, 24 and 48 periods, at the interior
-decision ``(pw, pg) = (0.35, 10)`` in every period, on 10k QMC directions
-(the evaluation set of ``make_energy_problem``); it solves nothing.
-A chi-cdf sweep times the tail sum of ``sphrad.gaussian`` against the
-``gammainc`` path it falls back to, each forced at every swept dimension,
-on 10k radii of two kinds: a chi law's, 30% infinite, and uniform on
-[0, 1.2 r_max].  It is what ``_SUM_MAX_DIM`` rests on.
+ray at either eps.  The ``scan`` section gives each scan case's
+``eval_g`` calls and ``eval_g`` and ``grad_z_g`` rows per ray.
 
     PYTHONPATH=src python scripts/bench_layers.py --out bench.json
     PYTHONPATH=src python scripts/bench_layers.py --out bench.json \
@@ -97,17 +86,7 @@ import numpy as np
 import scipy
 
 import sphrad as sp
-from sphrad import estimates, gaussian, radial, solver
-
-
-def median_ms(fn, repeats):
-    fn()                                            # warm-up, not timed
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return 1e3 * statistics.median(times)
+from sphrad import estimates, gaussian, solver
 
 
 def peak_mb(fn):
@@ -243,29 +222,30 @@ def counted_rows(system, rows):
     return dataclasses.replace(system, **{cb: counting(cb, getattr(system, cb)) for cb in rows})
 
 
-def ray_layers(repeats):
-    """Median ms of each case of ``ray_calls``, with the ``project`` calls
-    and rows per ray (oracle cases, with their eps) or the ``eval_g`` calls
-    and the ``eval_g`` and ``grad_z_g`` rows per ray (scan cases) that one
-    call asks for, in two sections: ``oracle`` and ``scan``.  A call is one
-    ray round of the batch: a scan point or a Newton step."""
+def ray_counts():
+    """The ``project`` calls and rows per ray (oracle cases, with their eps)
+    or the ``eval_g`` calls and the ``eval_g`` and ``grad_z_g`` rows per ray
+    (scan cases) that one call of each case of ``ray_calls`` asks for, in
+    two sections: ``oracle`` and ``scan``.  A call is one ray round of the
+    batch: a scan point or a Newton step."""
     out = {"oracle": {}, "scan": {}}
     for key, (call, target) in ray_calls(sp).items():
         layer, name = key.split("/")
         if layer == "enlarged_hits":
             counted, rows = counted_project(target)
             call(counted)
-            counts = {"eps": call.keywords["eps"], "project_calls": len(rows),
-                      "project_rows_per_ray": round(sum(rows) / 10000, 4)}
+            out["oracle"][name] = {"eps": call.keywords["eps"], "project_calls": len(rows),
+                                   "project_rows_per_ray": round(sum(rows) / 10000, 4)}
         else:
             rows = {"eval_g": [], "grad_z_g": []}
             call(counted_rows(target, rows))
-            counts = {"eval_g_calls": len(rows["eval_g"]),
-                      **{f"{cb}_rows_per_ray": round(sum(n) / 10000, 4) for cb, n in rows.items()}}
-        ms = median_ms(lambda: call(target), repeats)
-        out["oracle" if layer == "enlarged_hits" else "scan"][name] = {
-            f"{layer}_ms": round(ms, 4), **counts}
+            out["scan"][name] = {"eval_g_calls": len(rows["eval_g"]),
+                                 **{f"{cb}_rows_per_ray": round(sum(n) / 10000, 4)
+                                    for cb, n in rows.items()}}
     return out["oracle"], out["scan"]
+
+
+SRC = os.path.dirname(os.path.dirname(sp.__file__))        # this checkout's src/
 
 
 def load_sphrad(src):
@@ -289,47 +269,55 @@ def compare(times):
             "faster_pairs": f"{sum(b > a for b, a in zip(*times))}/{len(times[0])}"}
 
 
+def elapsed(fn):
+    """Seconds one call of ``fn`` takes."""
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
+
+
+def pairs(base, mine, repeats, seconds=elapsed):
+    """``base`` and ``mine`` timed ``repeats`` times each by ``seconds``, one
+    call of each in turn (which goes first alternates) after one untimed
+    call of each, so a change of machine speed during the run lands on
+    both, as ``compare`` gives it."""
+    calls, times = (base, mine), ([], [])
+    for fn in calls:
+        seconds(fn)                                 # warm-up, not kept
+    for k in range(repeats):
+        for j in ((0, 1) if k % 2 == 0 else (1, 0)):
+            times[j].append(seconds(calls[j]))
+    return compare(times)
+
+
 def interleaved_layers(baseline, repeats):
     """Each case of ``ray_calls``, ``gradient_calls``, ``energy_calls`` and
-    ``sphere_calls`` timed in this checkout and in ``baseline``, one call of
-    each in turn (which goes first alternates), so a change of machine speed
-    during the run lands on both, as ``compare`` gives it."""
-    mine, theirs = ({**{key: functools.partial(call, target)
+    ``sphere_calls``, built from ``baseline`` and from this checkout and
+    timed by ``pairs``."""
+    theirs, mine = ({**{key: functools.partial(call, target)
                         for key, (call, target) in ray_calls(pkg).items()},
                      **gradient_calls(pkg), **energy_calls(pkg), **sphere_calls(pkg)}
-                    for pkg in (sp, baseline))
-    out = {}
-    for key, call in mine.items():
-        pair = (theirs[key], call)
-        for fn in pair:
-            fn()                                    # warm-up, not timed
-        times = ([], [])
-        for k in range(repeats):
-            for j in ((0, 1) if k % 2 == 0 else (1, 0)):
-                t0 = time.perf_counter()
-                pair[j]()
-                times[j].append(time.perf_counter() - t0)
-        out[key] = compare(times)
-    return out
+                    for pkg in (baseline, sp))
+    return {key: pairs(theirs[key], call, repeats) for key, call in mine.items()}
 
 
 IMPORT_PROBE = ("import time; t0 = time.perf_counter(); import sphrad.cli; "
                 "print(time.perf_counter() - t0)")
 
 
+def import_seconds(src):
+    """Seconds ``import sphrad.cli`` takes in a fresh interpreter on ``src``."""
+    return float(subprocess.run([sys.executable, "-c", IMPORT_PROBE], check=True,
+                                capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": src}).stdout)
+
+
 def import_times(baseline_src, runs):
-    """``import sphrad.cli`` in a fresh interpreter from ``baseline_src`` and
-    from this checkout's ``src``, in turn (which goes first alternates),
-    ``runs`` times each, as ``compare`` gives it."""
-    srcs = (os.path.abspath(baseline_src), os.path.dirname(os.path.dirname(sp.__file__)))
-    times = ([], [])
-    for k in range(runs):
-        for j in ((0, 1) if k % 2 == 0 else (1, 0)):
-            out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], check=True,
-                                 capture_output=True, text=True,
-                                 env={**os.environ, "PYTHONPATH": srcs[j]}).stdout
-            times[j].append(float(out))
-    return {"runs": runs, **compare(times)}
+    """``import sphrad.cli`` in fresh interpreters from ``baseline_src`` and
+    from this checkout's ``src``, ``runs`` times each, timed by ``pairs``."""
+    probes = (functools.partial(import_seconds, os.path.abspath(baseline_src)),
+              functools.partial(import_seconds, SRC))
+    return {"runs": runs, **pairs(*probes, runs, seconds=lambda probe: probe())}
 
 
 GRADIENT_CASES = ("hyperbolic_set_x2.25", "ball_dim8_x3")
@@ -355,46 +343,6 @@ def gradient_project_rows():
 
 PERIODS = (4, 24, 48)
 PERIODS_DECISION = (0.35, 10.0)     # (wind, generation) in every period
-
-
-def period_layers(repeats):
-    """Median ms of the dispatch's layers at each of PERIODS, and its value."""
-    out = {}
-    for T in PERIODS:
-        params = sp.EnergyParams(periods=T)
-        system, model = sp.make_energy_system(params), sp.build_energy_covariance(params)
-        dirs = sp.sample_sphere(model.dim, 10000, seed=sp.DEFAULT_SEED)
-        x = np.repeat(PERIODS_DECISION, T)
-        ev = estimates.evaluate(system, x, model, dirs)
-        layers = {
-            "closed_form_roots": lambda: radial.inequality_hits(system, x, dirs.directions, model),
-            "evaluate": lambda: estimates.evaluate(system, x, model, dirs),
-            "gradient": ev.gradient,
-        }
-        out[str(T)] = {"value": ev.value, **{name: round(median_ms(fn, repeats), 4)
-                                               for name, fn in layers.items()}}
-    return out
-
-
-def energy_calls(pkg):
-    """Zero-argument calls of the dispatch built from ``pkg``: ``evaluate`` and
-    ``gradient`` at PERIODS_DECISION at each of PERIODS, keyed
-    ``evaluate/energy_T<T>`` and ``gradient/energy_T<T>`` (10k QMC
-    directions), and ``solve_validate/energy``: one ``solve`` of
-    ``make_energy_problem()`` and the 200k ``validate`` of its result."""
-    calls = {}
-    for T in PERIODS:
-        params = pkg.EnergyParams(periods=T)
-        system, model = pkg.make_energy_system(params), pkg.build_energy_covariance(params)
-        dirs = pkg.sample_sphere(model.dim, 10000, seed=pkg.DEFAULT_SEED)
-        x = np.repeat(PERIODS_DECISION, T)
-        calls[f"evaluate/energy_T{T}"] = functools.partial(pkg.evaluate, system, x, model, dirs)
-        calls[f"gradient/energy_T{T}"] = pkg.evaluate(system, x, model, dirs).gradient
-    problem = pkg.make_energy_problem()
-    calls["solve_validate/energy"] = lambda: pkg.validate(pkg.solve(problem)[0], problem)
-    return calls
-
-
 ABOVE_DIM = 320                 # a chi dimension above the tail sum's cutoff
 SWEEP_DIMS = (8, 64, 128, 192, 256, 288)    # the sum overflows from m = 296
 
@@ -406,36 +354,73 @@ def chi_radii(m, rng, n=10000):
     return r
 
 
+def energy_calls(pkg):
+    """Zero-argument calls of the dispatch built from ``pkg``:
+    ``inequality_hits``, ``evaluate`` and ``gradient`` at PERIODS_DECISION
+    at each of PERIODS, keyed ``<layer>/energy_T<T>`` (10k QMC directions);
+    ``solve_validate/energy``: one ``solve`` of ``make_energy_problem()``
+    and the 200k ``validate`` of its result; and at that solved dispatch
+    ``validate/energy``, ``unit_check/energy_T4`` (the unit-norm check of
+    the evaluation set) and ``chi_cdf`` on the exit radii of the evaluation
+    and validation sets, keyed ``chi_cdf/m8_n10k`` and ``chi_cdf/m8_n200k``.
+    ``chi_cdf/m320_n10k`` is ``chi_cdf`` on ``chi_radii`` in ABOVE_DIM."""
+    calls = {}
+    for T in PERIODS:
+        params = pkg.EnergyParams(periods=T)
+        system, model = pkg.make_energy_system(params), pkg.build_energy_covariance(params)
+        dirs = pkg.sample_sphere(model.dim, 10000, seed=pkg.DEFAULT_SEED)
+        x = np.repeat(PERIODS_DECISION, T)
+        calls[f"inequality_hits/energy_T{T}"] = functools.partial(
+            pkg.radial.inequality_hits, system, x, dirs.directions, model)
+        calls[f"evaluate/energy_T{T}"] = functools.partial(pkg.evaluate, system, x, model, dirs)
+        calls[f"gradient/energy_T{T}"] = pkg.evaluate(system, x, model, dirs).gradient
+    problem = pkg.make_energy_problem()
+    system, model = problem.system, problem.model
+    x = pkg.solve(problem)[0]
+    calls["solve_validate/energy"] = lambda: pkg.validate(pkg.solve(problem)[0], problem)
+    calls["validate/energy"] = functools.partial(pkg.validate, x, problem)
+    calls["unit_check/energy_T4"] = functools.partial(pkg.radial._unit_rows, x,
+                                                      problem.eval_dirs.directions)
+    for dirs in (problem.eval_dirs, problem.validate_dirs):
+        rho = pkg.evaluate(system, x, model, dirs).hits.rho
+        calls[f"chi_cdf/m{model.dim}_n{dirs.n // 1000}k"] = functools.partial(
+            pkg.chi_cdf, model.dim, rho)
+    calls[f"chi_cdf/m{ABOVE_DIM}_n10k"] = functools.partial(
+        pkg.chi_cdf, ABOVE_DIM, chi_radii(ABOVE_DIM, np.random.default_rng(7)))
+    return calls
+
+
 def chi_sweep(repeats):
-    """Median ms of the chi cdf's tail sum and of its ``gammainc`` path, both
-    forced through ``_SUM_MAX_DIM``, at each dimension of SWEEP_DIMS."""
+    """The chi cdf's ``gammainc`` path (the baseline side) and its tail sum
+    (this side), each forced through ``_SUM_MAX_DIM``, at each dimension of
+    SWEEP_DIMS, timed by ``pairs``."""
     rng = np.random.default_rng(13)
     radii = {m: {"chi": chi_radii(m, rng),
                  "uniform": rng.uniform(0.0, 1.2 * sp.chi_cutoff(m), 10000)}
              for m in SWEEP_DIMS}
-    saved, out = gaussian._SUM_MAX_DIM, {}
+
+    def forced(cutoff, m, r):
+        gaussian._SUM_MAX_DIM = cutoff
+        return gaussian._chi_cdf(m, r)
+
+    saved = gaussian._SUM_MAX_DIM
     try:
-        for m in SWEEP_DIMS:
-            rec = {}
-            for kind, r in radii[m].items():
-                ms = {}
-                for path, cutoff in (("sum_ms", m), ("gammainc_ms", m - 1)):
-                    gaussian._SUM_MAX_DIM = cutoff
-                    ms[path] = round(median_ms(lambda: gaussian._chi_cdf(m, r), repeats), 4)
-                rec[kind] = {**ms, "ratio": round(ms["gammainc_ms"] / ms["sum_ms"], 3)}
-            out[str(m)] = rec
+        return {str(m): {kind: pairs(functools.partial(forced, m - 1, m, r),
+                                     functools.partial(forced, m, m, r), repeats)
+                         for kind, r in radii[m].items()}
+                for m in SWEEP_DIMS}
     finally:
         gaussian._SUM_MAX_DIM = saved
-    return out
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--repeats", type=int, default=15, help="timed runs per layer")
-    parser.add_argument("--baseline-src", help="another checkout's src/, whose oracle, scan, "
-                        "gradient and dispatch layers are timed interleaved with this one's")
+    parser.add_argument("--repeats", type=int, default=15, help="timed runs per side of a pair")
+    parser.add_argument("--baseline-src", default=SRC,
+                        help="another checkout's src/, timed interleaved with this one's "
+                             "(default: this checkout's own)")
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
@@ -445,59 +430,35 @@ def main() -> int:
     T = problem.cost.size // 2
     start = np.repeat(INFEASIBLE_START, T)
     counts["infeasible_start"] = solve_counts(dataclasses.replace(problem, start=start))[2]
-    system, model, dirs = problem.system, problem.model, problem.eval_dirs
-    V = dirs.directions
-    ev = estimates.evaluate(system, x, model, dirs)
-    ev_validate = estimates.evaluate(system, x, model, problem.validate_dirs)
-    rho_above = chi_radii(ABOVE_DIM, np.random.default_rng(7))
-    layers = {
-        "unit_check": lambda: radial._unit_rows(x, V),
-        "closed_form_roots": lambda: radial.inequality_hits(system, x, V, model),
-        "evaluate": lambda: estimates.evaluate(system, x, model, dirs),
-        "gradient": lambda: ev.gradient(),
-        "gradient_halfspace_dim8": gradient_calls(sp)["gradient/halfspace_dim8_x0.7"],
-        "validate": lambda: solver.validate(x, problem),
-        "solve": lambda: solver.solve(problem),
-        "chi_cdf_10k": lambda: sp.chi_cdf(model.dim, ev.hits.rho),
-        "chi_cdf_200k": lambda: sp.chi_cdf(model.dim, ev_validate.hits.rho),
-        f"chi_cdf_m{ABOVE_DIM}": lambda: sp.chi_cdf(ABOVE_DIM, rho_above),
-    }
-    layers_ms = {name: round(median_ms(fn, args.repeats), 4) for name, fn in layers.items()}
-    for name, ms in layers_ms.items():
-        print(f"{name:18s} {ms:10.3f} ms")
     print(f"counts: {counts}")
-    peaks = {"evaluate": peak_mb(layers["evaluate"]), "validate": peak_mb(layers["validate"]),
+    system, model = problem.system, problem.model
+    ev_validate = estimates.evaluate(system, x, model, problem.validate_dirs)
+    peaks = {"evaluate": peak_mb(lambda: estimates.evaluate(system, x, model, problem.eval_dirs)),
+             "validate": peak_mb(lambda: solver.validate(x, problem)),
              "gradient": peak_mb(ev_validate.gradient)}
     print(f"peak_mb: {peaks}")
-    oracle, scan = ray_layers(args.repeats)
+    oracle, scan = ray_counts()
     for name, rec in oracle.items():
-        print(f"{name:26s} eps {rec['eps']:<5g} {rec['enlarged_hits_ms']:10.3f} ms "
-              f"{rec['project_calls']:3d} project calls "
+        print(f"{name:26s} eps {rec['eps']:<5g} {rec['project_calls']:3d} project calls "
               f"{rec['project_rows_per_ray']:7.3f} rows/ray")
     grad_rows = gradient_project_rows()
     for name, rec in grad_rows.items():
         print(f"{name:22s} gradient() " + "  ".join(
             f"{eps} {n:.3f}" for eps, n in rec.items()) + " project rows/finite ray")
     for name, rec in scan.items():
-        print(f"{name:24s} {rec['inequality_hits_ms']:10.3f} ms "
-              f"{rec['eval_g_calls']:3d} eval_g calls {rec['eval_g_rows_per_ray']:7.3f} eval_g "
+        print(f"{name:24s} {rec['eval_g_calls']:3d} eval_g calls "
+              f"{rec['eval_g_rows_per_ray']:7.3f} eval_g "
               f"{rec['grad_z_g_rows_per_ray']:7.3f} grad_z_g rows/ray")
-    periods = period_layers(args.repeats)
-    for T, rec in periods.items():
-        print(f"periods={T:>3s} " + "  ".join(f"{name} {ms:.3f} ms" for name, ms in rec.items()
-                                              if name != "value"))
-    sweep = chi_sweep(args.repeats)
-    for m, rec in sweep.items():
-        print(f"chi_cdf m={m:>4s} " + "  ".join(
-            f"{kind} sum {r['sum_ms']:.3f} gammainc {r['gammainc_ms']:.3f} ms"
-            for kind, r in rec.items()))
 
-    if args.baseline_src:
-        interleaved = interleaved_layers(load_sphrad(args.baseline_src), args.repeats)
-        imports = import_times(args.baseline_src, 3 if args.repeats == 1 else 9)
-        for key, rec in {**interleaved, "import sphrad.cli": imports}.items():
-            print(f"{key:40s} {rec['baseline_ms']:8.3f} -> {rec['ms']:8.3f} ms "
-                  f"x{rec['speedup']:.3f}, faster in {rec['faster_pairs']} pairs")
+    interleaved = interleaved_layers(load_sphrad(args.baseline_src), args.repeats)
+    sweep = chi_sweep(args.repeats)
+    imports = import_times(args.baseline_src, 3 if args.repeats == 1 else 9)
+    timed = {**interleaved, **{f"chi_cdf_sweep/m{m}_{kind}": rec
+                               for m, recs in sweep.items() for kind, rec in recs.items()},
+             "import sphrad.cli": imports}
+    for key, rec in timed.items():
+        print(f"{key:40s} {rec['baseline_ms']:8.3f} -> {rec['ms']:8.3f} ms "
+              f"x{rec['speedup']:.3f}, faster in {rec['faster_pairs']} pairs")
 
     report = {
         "workload": "energy_dispatch: make_energy_problem() defaults, layers at the "
@@ -510,17 +471,14 @@ def main() -> int:
         "solve": {"status": trace.status, "iterations": len(trace.records) - 1,
                   "cost": float(problem.cost @ x)},
         "counts": counts,
-        "layers_ms": layers_ms,
         "peak_mb": peaks,
         "oracle": {"n": 10000, "cases": oracle,
                    "gradient_project_rows_per_finite_ray": grad_rows},
         "scan": {"n": 10000, "cases": scan},
-        "periods": {"decision": PERIODS_DECISION, "n": 10000, "cases": periods},
+        "interleaved": {"n": 10000, "cases": interleaved},
         "chi_cdf_sweep": {"n": 10000, "dims": sweep},
+        "import": imports,
     }
-    if args.baseline_src:
-        report["interleaved"] = {"n": 10000, "cases": interleaved}
-        report["import"] = imports
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")

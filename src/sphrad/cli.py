@@ -253,10 +253,14 @@ def cmd_solve_energy(cfg: RunConfig) -> int:
         params = EnergyParams(**cfg.energy)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad energy parameters: {exc}") from exc
-    problem = make_energy_problem(params, n_dirs=cfg.n,
-                                  method=SphereMethod(cfg.method), seed=cfg.seed,
-                                  validate_n=cfg.validate_n,
-                                  validate_seed=cfg.validate_seed)
+    try:
+        problem = make_energy_problem(params, n_dirs=cfg.n,
+                                      method=SphereMethod(cfg.method), seed=cfg.seed,
+                                      validate_n=cfg.validate_n,
+                                      validate_seed=cfg.validate_seed)
+    except ValueError as exc:       # e.g. both direction sets drawn alike from one seed
+        raise ConfigError(f"{exc} (seed {cfg.seed}, validate_seed {cfg.validate_seed}, "
+                          f"method {cfg.method})") from exc
     x, trace = solve(problem)
     val = validate(x, problem)
 

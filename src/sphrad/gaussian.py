@@ -180,7 +180,7 @@ def _chi_cdf(m, r):
 def chi_cdf(m, r):
     """P[R <= r] for the chi law with ``m`` degrees of freedom, the radial
     part of a standard Gaussian vector in R^m; accepts scalars or arrays,
-    with cdf(inf) = 1.
+    with cdf(inf) = 1.  A negative or NaN radius raises ``ValueError``.
 
     The cdf is the regularized incomplete gamma ``P(m/2, r^2/2)``, whose
     shape is an integer or a half-integer.  Up to dimension 256 it is a sum
@@ -196,19 +196,20 @@ def chi_cdf(m, r):
     if m < 1:
         raise ValueError("m must be >= 1")
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("r must be nonnegative")
+    if not (r >= 0).all():                          # NaN >= 0 is False: NaN raises too
+        raise ValueError("r must be nonnegative, not NaN")
     out = _chi_cdf(m, r.reshape(-1))
     return out.reshape(r.shape) if r.ndim else float(out[0])
 
 
 def chi_pdf(m, r):
-    """Density 2^(1-m/2) r^(m-1) exp(-r^2/2) / Gamma(m/2), zero at infinity."""
+    """Density 2^(1-m/2) r^(m-1) exp(-r^2/2) / Gamma(m/2), zero at infinity;
+    a negative or NaN radius raises ``ValueError``."""
     if m < 1:
         raise ValueError("m must be >= 1")
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("r must be nonnegative")
+    if not (r >= 0).all():                          # NaN >= 0 is False: NaN raises too
+        raise ValueError("r must be nonnegative, not NaN")
     pos = np.isfinite(r) & (r > 0)
     rr = np.where(pos, r, 1.0)
     log_pdf = (

@@ -350,6 +350,15 @@ class TestSolveEnergyCommand:
                      "--out", str(tmp_path / "run")]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_colliding_direction_seeds_exit_2(self, tmp_path, capsys):
+        # Plain MC from one seed would draw the validation set equal to the
+        # evaluation set; the problem rejects that, and the CLI reports it.
+        assert main(["solve-energy", "--method", "mc", "--seed", "5", "--validate-seed", "5",
+                     "--n", "500", "--validate-n", "1000", "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "seed 5, validate_seed 5" in err
+        assert not (tmp_path / "run").exists()
+
     def test_indefinite_correlations_exit_3(self, tmp_path, capsys):
         # Each correlation lies in (-1, 1), yet together they leave the
         # covariance indefinite: a numerical error, not a configuration one.

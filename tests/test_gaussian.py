@@ -85,10 +85,12 @@ class TestChiLaw:
         assert sp.chi_pdf(2, 1.0) == pytest.approx(np.exp(-0.5), abs=1e-13)
 
     def test_negative_r_rejected(self):
-        with pytest.raises(ValueError):
-            sp.chi_cdf(2, -0.1)
-        with pytest.raises(ValueError):
-            sp.chi_pdf(2, -0.1)
+        # A NaN radius would otherwise read as "never exits" (cdf 1, pdf 0).
+        for m, r in ((2, -0.1), (8, np.nan), (300, [np.nan, 1.0])):
+            with pytest.raises(ValueError):
+                sp.chi_cdf(m, r)
+            with pytest.raises(ValueError):
+                sp.chi_pdf(m, r)
 
     def test_quantile_roundtrip(self):
         for m in (1, 2, 8):
